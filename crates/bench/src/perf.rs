@@ -78,11 +78,7 @@ pub fn perf_json(samples: &[PerfSample], total_wall_us: u64, workers: usize) -> 
     out
 }
 
-/// Parses a perf document produced by [`perf_json`]. Accepts both the
-/// current `bench-perf-v2` schema and the pre-topology `bench-perf-v1`
-/// (whose runs all predate multi-switch fabrics and default to
-/// `"single-switch"`), so old committed trajectory points stay
-/// diffable.
+/// Parses a `bench-perf-v2` document produced by [`perf_json`].
 ///
 /// # Errors
 ///
@@ -95,25 +91,15 @@ pub fn parse_perf_doc(text: &str) -> Result<PerfDoc, String> {
             .ok_or_else(|| format!("missing numeric field {k:?}"))
     };
     let schema = doc.get("schema").and_then(Value::as_str).unwrap_or("");
-    let v2 = match schema {
-        "bench-perf-v1" => false,
-        "bench-perf-v2" => true,
-        _ => return Err(format!("unknown perf schema {schema:?}")),
-    };
+    if schema != "bench-perf-v2" {
+        return Err(format!("unknown perf schema {schema:?}"));
+    }
     let runs_arr = doc
         .get("runs")
         .and_then(Value::as_arr)
         .ok_or("missing \"runs\" array")?;
     let mut runs = Vec::new();
     for r in runs_arr {
-        let topo = if v2 {
-            r.get("topo")
-                .and_then(Value::as_str)
-                .ok_or("missing \"topo\"")?
-                .to_string()
-        } else {
-            "single-switch".to_string()
-        };
         runs.push(PerfSample {
             name: r
                 .get("name")
@@ -125,7 +111,11 @@ pub fn parse_perf_doc(text: &str) -> Result<PerfDoc, String> {
                 .and_then(Value::as_str)
                 .ok_or("missing \"config\"")?
                 .to_string(),
-            topo,
+            topo: r
+                .get("topo")
+                .and_then(Value::as_str)
+                .ok_or("missing \"topo\"")?
+                .to_string(),
             wall_us: field(r, "wall_us")?,
             events: field(r, "events")?,
             events_per_sec: field(r, "events_per_sec")?,
@@ -283,12 +273,14 @@ mod tests {
     }
 
     #[test]
-    fn parse_perf_doc_accepts_v1_without_topo() {
+    fn parse_perf_doc_rejects_v1_as_unknown_schema() {
         let v1 = "{\"schema\":\"bench-perf-v1\",\"workers\":2,\"total_wall_us\":10,\
                   \"runs\":[{\"name\":\"grep\",\"config\":\"active\",\"wall_us\":5,\
                   \"events\":100,\"events_per_sec\":20,\"peak_queue\":3}]}";
-        let doc = parse_perf_doc(v1).expect("v1 parses");
-        assert_eq!(doc.runs[0].topo, "single-switch");
+        assert_eq!(
+            parse_perf_doc(v1).unwrap_err(),
+            "unknown perf schema \"bench-perf-v1\""
+        );
     }
 
     #[test]

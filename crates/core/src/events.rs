@@ -454,12 +454,20 @@ impl IoState {
         let tca = read_node(r)?;
         let file = FileId(r.usize()?);
         let offset = r.u64()?;
+        // Each length is checked against the bytes left (1 per `bool`,
+        // 4 per `u32`) before it sizes an allocation.
         let n = r.usize()?;
+        if n > r.remaining() {
+            return Err(SnapError::Malformed("io got-count exceeds snapshot"));
+        }
         let mut got = Vec::with_capacity(n);
         for _ in 0..n {
             got.push(r.bool()?);
         }
         let n = r.usize()?;
+        if n > r.remaining() / 4 {
+            return Err(SnapError::Malformed("io lens-count exceeds snapshot"));
+        }
         let mut lens = Vec::with_capacity(n);
         for _ in 0..n {
             lens.push(r.u32()?);
@@ -919,5 +927,50 @@ impl EventBus<'_> {
                 },
             );
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Writes a valid [`IoState`] snapshot up to its `got` count.
+    fn header(w: &mut SnapWriter) {
+        snap_node(w, NodeId(1));
+        Dest::HostBuf { addr: 0x4000 }.snapshot(w);
+        w.usize(2); // remaining
+        w.u64(8192); // bytes
+        snap_node(w, NodeId(3));
+        w.usize(0); // file
+        w.u64(4096); // offset
+    }
+
+    #[test]
+    fn io_state_rejects_huge_length_prefixes() {
+        // A `got` count far beyond the stream must not size an allocation.
+        let mut w = SnapWriter::new();
+        header(&mut w);
+        w.usize(usize::MAX / 2);
+        w.bool(true);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            IoState::restore(&mut r).unwrap_err(),
+            SnapError::Malformed("io got-count exceeds snapshot")
+        );
+
+        // Likewise `lens`: 3 bytes left cannot hold even one `u32`.
+        let mut w = SnapWriter::new();
+        header(&mut w);
+        w.usize(0);
+        w.usize(usize::MAX / 2);
+        w.u8(0);
+        w.u16(0);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            IoState::restore(&mut r).unwrap_err(),
+            SnapError::Malformed("io lens-count exceeds snapshot")
+        );
     }
 }

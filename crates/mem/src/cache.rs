@@ -5,6 +5,8 @@
 //! the applications themselves). It is used for the host L1I/L1D/L2 and
 //! the switch CPU's 4 KB I-cache and 1 KB D-cache.
 
+use std::ops::Range;
+
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 
@@ -194,11 +196,14 @@ struct Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig, // asan-lint: allow(snapshot-completeness)
-    sets: Vec<Vec<Line>>,
+    /// Every line, set-major: set `i` is `lines[i * assoc..(i + 1) * assoc]`.
+    lines: Vec<Line>,
     stamp: u64,
     stats: CacheStats,
     line_shift: u32, // asan-lint: allow(snapshot-completeness)
     set_mask: u64,   // asan-lint: allow(snapshot-completeness)
+    /// `log2(num_sets)`: the tag is the line number shifted right by this.
+    set_bits: u32, // asan-lint: allow(snapshot-completeness)
 }
 
 impl Cache {
@@ -211,13 +216,14 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         assert!(num_sets.is_power_of_two(), "set count must be 2^k");
-        let sets = vec![vec![Line::default(); cfg.assoc]; num_sets as usize];
+        let lines = vec![Line::default(); num_sets as usize * cfg.assoc];
         let line_shift = cfg.line_bytes.trailing_zeros();
         Cache {
             set_mask: num_sets - 1,
+            set_bits: num_sets.trailing_zeros(),
             line_shift,
             cfg,
-            sets,
+            lines,
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -239,13 +245,17 @@ impl Cache {
         addr >> self.line_shift << self.line_shift
     }
 
+    /// The range of `lines` holding the ways of set `set_idx`.
+    #[inline]
+    fn ways(&self, set_idx: usize) -> Range<usize> {
+        let assoc = self.cfg.assoc;
+        set_idx * assoc..(set_idx + 1) * assoc
+    }
+
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        (
-            (line & self.set_mask) as usize,
-            line >> self.set_mask.count_ones(),
-        )
+        ((line & self.set_mask) as usize, line >> self.set_bits)
     }
 
     /// Presents an access; returns whether it hit and any dirty eviction.
@@ -253,7 +263,8 @@ impl Cache {
         let (set_idx, tag) = self.index(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let set = &mut self.sets[set_idx];
+        let ways = self.ways(set_idx);
+        let set = &mut self.lines[ways];
 
         if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
             line.lru = stamp;
@@ -275,7 +286,7 @@ impl Cache {
             .expect("assoc > 0");
         let writeback = if victim.valid && victim.dirty {
             self.stats.writebacks.inc();
-            let victim_line = (victim.tag << self.set_mask.count_ones()) | set_idx as u64;
+            let victim_line = (victim.tag << self.set_bits) | set_idx as u64;
             Some(victim_line << self.line_shift)
         } else {
             None
@@ -306,14 +317,17 @@ impl Cache {
     /// Checks residency without updating LRU or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
-        self.sets[set_idx].iter().any(|l| l.valid && l.tag == tag)
+        self.lines[self.ways(set_idx)]
+            .iter()
+            .any(|l| l.valid && l.tag == tag)
     }
 
     /// Invalidates the line containing `addr` if present, returning
     /// whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
-        for l in &mut self.sets[set_idx] {
+        let ways = self.ways(set_idx);
+        for l in &mut self.lines[ways] {
             if l.valid && l.tag == tag {
                 l.valid = false;
                 return std::mem::take(&mut l.dirty);
@@ -324,11 +338,9 @@ impl Cache {
 
     /// Invalidates everything (e.g. between benchmark configurations).
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            for l in set {
-                l.valid = false;
-                l.dirty = false;
-            }
+        for l in &mut self.lines {
+            l.valid = false;
+            l.dirty = false;
         }
     }
 
@@ -338,13 +350,11 @@ impl Cache {
     pub fn snapshot(&self, w: &mut SnapWriter) {
         w.u64(self.stamp);
         self.stats.snapshot(w);
-        for set in &self.sets {
-            for line in set {
-                w.u64(line.tag);
-                w.bool(line.valid);
-                w.bool(line.dirty);
-                w.u64(line.lru);
-            }
+        for line in &self.lines {
+            w.u64(line.tag);
+            w.bool(line.valid);
+            w.bool(line.dirty);
+            w.u64(line.lru);
         }
     }
 
@@ -353,13 +363,11 @@ impl Cache {
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stamp = r.u64()?;
         self.stats = CacheStats::restore(r)?;
-        for set in &mut self.sets {
-            for line in set {
-                line.tag = r.u64()?;
-                line.valid = r.bool()?;
-                line.dirty = r.bool()?;
-                line.lru = r.u64()?;
-            }
+        for line in &mut self.lines {
+            line.tag = r.u64()?;
+            line.valid = r.bool()?;
+            line.dirty = r.bool()?;
+            line.lru = r.u64()?;
         }
         Ok(())
     }
@@ -406,6 +414,122 @@ mod tests {
             );
         }
         assert_eq!(back.stats().writebacks.get(), c.stats().writebacks.get());
+    }
+
+    /// A naive true-LRU reference: per set, resident line numbers with
+    /// their dirty bit, most recently used first.
+    struct LruModel {
+        sets: Vec<Vec<(u64, bool)>>,
+        assoc: usize,
+        line_bytes: u64,
+        hits: u64,
+        misses: u64,
+        writebacks: u64,
+    }
+
+    impl LruModel {
+        fn new(cfg: &CacheConfig) -> Self {
+            LruModel {
+                sets: vec![Vec::new(); cfg.num_sets() as usize],
+                assoc: cfg.assoc,
+                line_bytes: cfg.line_bytes,
+                hits: 0,
+                misses: 0,
+                writebacks: 0,
+            }
+        }
+
+        fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
+            let line = addr / self.line_bytes;
+            let num_sets = self.sets.len() as u64;
+            let set = &mut self.sets[(line % num_sets) as usize];
+            let write = kind == AccessKind::Write;
+            if let Some(pos) = set.iter().position(|&(l, _)| l == line) {
+                let (_, dirty) = set.remove(pos);
+                set.insert(0, (line, dirty || write));
+                self.hits += 1;
+                return AccessOutcome {
+                    hit: true,
+                    writeback: None,
+                };
+            }
+            self.misses += 1;
+            let mut writeback = None;
+            if set.len() == self.assoc {
+                let (victim, dirty) = set.pop().expect("full set");
+                if dirty {
+                    self.writebacks += 1;
+                    writeback = Some(victim * self.line_bytes);
+                }
+            }
+            set.insert(0, (line, write));
+            AccessOutcome {
+                hit: false,
+                writeback,
+            }
+        }
+    }
+
+    fn snapshot_bytes(c: &Cache) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn matches_naive_lru_reference_model() {
+        let toy = CacheConfig {
+            name: "toy",
+            size_bytes: 4 * 4 * 32,
+            line_bytes: 32,
+            assoc: 4,
+        };
+        for cfg in [
+            CacheConfig::host_l1d(),
+            CacheConfig::host_l2(),
+            CacheConfig::switch_dcache(),
+            toy,
+        ] {
+            let mut rng = asan_sim::SimRng::from_label(cfg.name);
+            let mut cache = Cache::new(cfg.clone());
+            let mut model = LruModel::new(&cfg);
+            // Addresses over twice the capacity, half of them in a hot
+            // eighth, give a mix of hits, misses and dirty evictions.
+            let span = 2 * cfg.size_bytes;
+            let steps = 20_000;
+            for step in 0..steps {
+                if step == steps / 2 {
+                    let bytes = snapshot_bytes(&cache);
+                    let mut back = Cache::new(cfg.clone());
+                    let mut r = SnapReader::new(&bytes).unwrap();
+                    back.restore(&mut r).unwrap();
+                    r.finish().unwrap();
+                    assert_eq!(snapshot_bytes(&back), bytes, "{}", cfg.name);
+                    cache = back;
+                }
+                let addr = if rng.chance(0.5) {
+                    rng.below(span / 8)
+                } else {
+                    rng.below(span)
+                };
+                let kind = if rng.chance(0.3) {
+                    AccessKind::Write
+                } else {
+                    AccessKind::Read
+                };
+                assert_eq!(
+                    cache.access(addr, kind),
+                    model.access(addr, kind),
+                    "{} step {step} addr {addr:#x}",
+                    cfg.name
+                );
+            }
+            let stats = cache.stats();
+            assert_eq!(stats.hits.get(), model.hits, "{}", cfg.name);
+            assert_eq!(stats.misses.get(), model.misses, "{}", cfg.name);
+            assert_eq!(stats.writebacks.get(), model.writebacks, "{}", cfg.name);
+            assert!(model.hits > 0 && model.writebacks > 0, "{}", cfg.name);
+        }
     }
 
     #[test]

@@ -225,38 +225,35 @@ impl TopologyBuilder {
                 }
             }
         }
-        // BFS from every destination fills the dense next-hop table
-        // `next_hop[from * n + dst] = (neighbor, link)`; `NO_ROUTE`
-        // marks from == dst. 8 bytes per entry keeps thousand-node
+        // One BFS per destination fills row `dst` of the dense,
+        // destination-major next-hop table
+        // `next_hop[dst * n + from] = (neighbor, link)`; `NO_ROUTE`
+        // marks from == dst. The row doubles as the BFS visited set
+        // (`NO_ROUTE` = unvisited, `dst` itself skipped). Links come in
+        // `(a→b, b→a)` pairs at even/odd indices, so the reverse of
+        // link `l` is `l ^ 1`. 8 bytes per entry keeps thousand-node
         // fabrics in tens of megabytes.
         let mut next_hop = vec![NO_ROUTE; n * n];
-        for dst in 0..n {
-            let mut visited = vec![false; n];
-            let mut q = VecDeque::new();
-            visited[dst] = true;
-            q.push_back(dst);
-            while let Some(u) = q.pop_front() {
-                for &(v, _) in &adj[u] {
-                    if !visited[v] {
-                        visited[v] = true;
+        let mut queue = Vec::with_capacity(n);
+        for (dst, row) in next_hop.chunks_exact_mut(n).enumerate() {
+            queue.clear();
+            queue.push(dst);
+            let mut head = 0;
+            while let Some(&u) = queue.get(head) {
+                head += 1;
+                for &(v, l_uv) in &adj[u] {
+                    if v != dst && row[v] == NO_ROUTE {
                         // First hop from v toward dst goes to u.
-                        let link = adj[v]
-                            .iter()
-                            .find(|&&(nb, _)| nb == u)
-                            .map(|&(_, l)| l)
-                            .expect("symmetric adjacency");
-                        next_hop[v * n + dst] = (u as u32, link as u32);
-                        q.push_back(v);
+                        row[v] = (u as u32, (l_uv ^ 1) as u32);
+                        queue.push(v);
                     }
                 }
             }
-            for v in 0..n {
-                if v != dst && next_hop[v * n + dst] == NO_ROUTE {
-                    return Err(TopoError::Disconnected {
-                        from: NodeId(v as u16),
-                        to: NodeId(dst as u16),
-                    });
-                }
+            if let Some(v) = (0..n).find(|&v| v != dst && row[v] == NO_ROUTE) {
+                return Err(TopoError::Disconnected {
+                    from: NodeId(v as u16),
+                    to: NodeId(dst as u16),
+                });
             }
         }
         Ok(Fabric {
@@ -753,8 +750,9 @@ pub struct Fabric {
     kinds: Vec<NodeKind>,                  // asan-lint: allow(snapshot-completeness)
     switch_specs: Vec<Option<SwitchSpec>>, // asan-lint: allow(snapshot-completeness)
     links: Vec<Link>,
-    /// `next_hop[from * n + dst] = (neighbor node, link index)`, dense,
-    /// [`NO_ROUTE`] on the diagonal.
+    /// `next_hop[dst * n + from] = (neighbor node, link index)`, dense
+    /// and destination-major (row `dst` holds every node's first hop
+    /// toward `dst`), [`NO_ROUTE`] on the diagonal.
     next_hop: Vec<(u32, u32)>, // asan-lint: allow(snapshot-completeness)
     /// Credit-drain model (see [`TopologyBuilder::set_hop_backpressure`]).
     hop_backpressure: bool, // asan-lint: allow(snapshot-completeness)
@@ -787,7 +785,7 @@ impl Fabric {
     /// from `from` toward `dst`; `None` when `from == dst`.
     #[inline]
     fn route(&self, from: usize, dst: usize) -> Option<(usize, usize)> {
-        let (nb, link) = self.next_hop[from * self.kinds.len() + dst];
+        let (nb, link) = self.next_hop[dst * self.kinds.len() + from];
         if nb == u32::MAX {
             None
         } else {
@@ -1427,6 +1425,111 @@ mod tests {
             TopoSpec::fat_tree(8, 0, 0).try_build(),
             Err(TopoError::BadSpec(_))
         ));
+    }
+
+    /// Hop count from `src` to `dst` by a fresh BFS over `adj`: a naive
+    /// per-pair oracle sharing no code with `try_build`.
+    fn oracle_hops(adj: &[Vec<usize>], src: usize, dst: usize) -> Option<usize> {
+        let mut dist = vec![usize::MAX; adj.len()];
+        dist[src] = 0;
+        let mut q = VecDeque::from([src]);
+        while let Some(u) = q.pop_front() {
+            if u == dst {
+                return Some(dist[u]);
+            }
+            for &v in &adj[u] {
+                if dist[v] == usize::MAX {
+                    dist[v] = dist[u] + 1;
+                    q.push_back(v);
+                }
+            }
+        }
+        None
+    }
+
+    /// Checks every route of `spec` against [`oracle_hops`]: each path
+    /// is shortest, and each hop crosses the directed link from the
+    /// current node to an adjacent node one hop closer to `dst`.
+    fn check_routes_against_oracle(spec: &TopoSpec) {
+        let (b, _) = spec.builder();
+        let n = b.kinds.len();
+        let mut adj = vec![Vec::new(); n];
+        // Edge `i` owns links `2i` (a→b) and `2i + 1` (b→a).
+        let mut link_of = BTreeMap::new();
+        for (i, &(a, bn, _)) in b.edges.iter().enumerate() {
+            adj[a].push(bn);
+            adj[bn].push(a);
+            link_of.insert((a, bn), 2 * i);
+            link_of.insert((bn, a), 2 * i + 1);
+        }
+        let f = b.build();
+        let dist: Vec<Vec<usize>> = (0..n)
+            .map(|src| {
+                (0..n)
+                    .map(|dst| oracle_hops(&adj, src, dst).expect("connected"))
+                    .collect()
+            })
+            .collect();
+        for (src, row) in dist.iter().enumerate() {
+            for (dst, &hops) in row.iter().enumerate() {
+                let (s, d) = (NodeId(src as u16), NodeId(dst as u16));
+                assert_eq!(f.path_len(s, d), hops, "{s} -> {d}");
+                assert_eq!(f.route(src, dst).is_none(), src == dst);
+                let mut cur = src;
+                while let Some((nb, link)) = f.route(cur, dst) {
+                    assert_eq!(link_of.get(&(cur, nb)), Some(&link), "{cur} -> {nb}");
+                    assert_eq!(dist[nb][dst] + 1, dist[cur][dst], "{cur} -> {nb}");
+                    cur = nb;
+                }
+                assert_eq!(cur, dst);
+            }
+        }
+    }
+
+    #[test]
+    fn routes_match_naive_bfs_oracle() {
+        use NodeKind::{Host, Switch, Tca};
+        check_routes_against_oracle(&TopoSpec::fat_tree(4, 64, 1));
+        // A five-switch ring s0..s4 with a chord s1-s3; host 8 is
+        // dual-homed on s4 and s1.
+        let mesh = TopoSpec::explicit(
+            vec![
+                Switch, Switch, Switch, Switch, Switch, Host, Host, Host, Host, Tca,
+            ],
+            vec![
+                (0, 1),
+                (1, 2),
+                (2, 3),
+                (3, 4),
+                (4, 0),
+                (1, 3),
+                (5, 0),
+                (6, 2),
+                (7, 3),
+                (8, 4),
+                (8, 1),
+                (9, 2),
+            ],
+        );
+        check_routes_against_oracle(&mesh);
+    }
+
+    #[test]
+    fn two_component_spec_reports_first_unrouted_pair() {
+        use NodeKind::{Host, Switch};
+        // {0, 1, 4, 5} and {2, 3}: destination 0's BFS runs first and
+        // node 2 is the lowest id it cannot reach.
+        let spec = TopoSpec::explicit(
+            vec![Host, Switch, Switch, Host, Switch, Host],
+            vec![(0, 1), (1, 4), (4, 5), (2, 3)],
+        );
+        assert_eq!(
+            spec.try_build().unwrap_err(),
+            TopoError::Disconnected {
+                from: NodeId(2),
+                to: NodeId(0),
+            }
+        );
     }
 
     #[test]

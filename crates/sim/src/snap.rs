@@ -354,9 +354,15 @@ impl<'a> SnapReader<'a> {
         Ok(self.opt_u64()?.map(SimTime::from_ps))
     }
 
+    /// Bytes not yet decoded. Restore code checks a length prefix
+    /// against this before allocating for it.
+    pub fn remaining(&self) -> usize {
+        self.buf.len() - self.pos
+    }
+
     /// Asserts the whole buffer has been consumed.
     pub fn finish(&self) -> Result<(), SnapError> {
-        let left = self.buf.len() - self.pos;
+        let left = self.remaining();
         if left != 0 {
             return Err(SnapError::TrailingBytes { left });
         }
