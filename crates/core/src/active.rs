@@ -142,14 +142,20 @@ impl std::fmt::Debug for dyn Handler {
 impl ActiveSwitch {
     /// Creates an active switch bound to fabric node `node`.
     pub fn new(node: NodeId, cfg: ActiveSwitchConfig) -> Self {
+        let warm = Cpu::new(cfg.cpu.clone());
+        ActiveSwitch::with_warm_cpu(node, cfg, &warm)
+    }
+
+    /// [`ActiveSwitch::new`] with every CPU cloned from `warm`, which
+    /// must be `Cpu::new(cfg.cpu)` untouched: switches of one
+    /// configuration then share the cost of warming one core.
+    pub(crate) fn with_warm_cpu(node: NodeId, cfg: ActiveSwitchConfig, warm: &Cpu) -> Self {
         assert!(cfg.num_cpus >= 1, "need at least one switch CPU");
         let mut jump = Vec::with_capacity(64);
         jump.resize_with(64, || None);
         ActiveSwitch {
             node,
-            cpus: (0..cfg.num_cpus)
-                .map(|_| Cpu::new(cfg.cpu.clone()))
-                .collect(),
+            cpus: vec![warm.clone(); cfg.num_cpus],
             atbs: (0..cfg.num_cpus).map(|_| Atb::new()).collect(),
             dba: BufferAdmin::new(cfg.num_buffers),
             jump,

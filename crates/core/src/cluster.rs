@@ -230,14 +230,17 @@ impl Cluster {
         let mut host = HostEngine::default();
         let mut dispatch = DispatchEngine::default();
         let mut storage = StorageEngine::default();
+        let (mut hosts, mut switches) = (Vec::new(), Vec::new());
         for i in 0..fabric.num_nodes() {
             let id = NodeId(i as u16);
             match fabric.kind(id) {
-                NodeKind::Host => host.add_host(id, &cfg),
-                NodeKind::Switch => dispatch.add_switch(id, cfg.active.clone()),
+                NodeKind::Host => hosts.push(id),
+                NodeKind::Switch => switches.push(id),
                 NodeKind::Tca => storage.add_tca(id, &cfg),
             }
         }
+        host.add_hosts(&hosts, &cfg);
+        dispatch.add_switches(&switches, &cfg.active);
         let injector = cfg.faults.clone().map(FaultInjector::new);
         let mut probe = Probe::default();
         probe.set_timeline_window(cfg.timeline_window);

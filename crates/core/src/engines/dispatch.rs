@@ -9,6 +9,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use asan_cpu::Cpu;
 use asan_net::{HandlerId, NodeId, HEADER_BYTES};
 use asan_sim::faults::{BufferSeize, FaultInjector};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
@@ -82,9 +83,14 @@ impl Engine for DispatchEngine {
 }
 
 impl DispatchEngine {
-    /// Adds the active switch engine at `id`.
-    pub(crate) fn add_switch(&mut self, id: NodeId, cfg: ActiveSwitchConfig) {
-        self.switches.insert(id, ActiveSwitch::new(id, cfg));
+    /// Adds one active switch engine per id, every switch CPU cloned
+    /// from one warmed core.
+    pub(crate) fn add_switches(&mut self, ids: &[NodeId], cfg: &ActiveSwitchConfig) {
+        let warm = Cpu::new(cfg.cpu.clone());
+        for &id in ids {
+            self.switches
+                .insert(id, ActiveSwitch::with_warm_cpu(id, cfg.clone(), &warm));
+        }
     }
 
     /// Registers `handler` under `id` on switch `node`.

@@ -284,20 +284,26 @@ impl Engine for HostEngine {
 }
 
 impl HostEngine {
-    /// Adds a host node configured per `cfg`.
-    pub(crate) fn add_host(&mut self, id: NodeId, cfg: &ClusterConfig) {
-        self.hosts.insert(
-            id,
-            HostNode {
-                cpu: Cpu::new(cfg.host_cpu.clone()),
-                hca: Hca::new(cfg.hca),
-                program: None,
-                finished_at: None,
-                payload: Traffic::default(),
-                background_left: SimDuration::ZERO,
-                background_done: None,
-            },
-        );
+    /// Adds one host node per id, configured per `cfg`. `Cpu::new`
+    /// leaves every core of one configuration in the same warmed state,
+    /// so it runs once: the other hosts get clones, the last the
+    /// original.
+    pub(crate) fn add_hosts(&mut self, ids: &[NodeId], cfg: &ClusterConfig) {
+        let cpus = vec![Cpu::new(cfg.host_cpu.clone()); ids.len()];
+        for (&id, cpu) in ids.iter().zip(cpus) {
+            self.hosts.insert(
+                id,
+                HostNode {
+                    cpu,
+                    hca: Hca::new(cfg.hca),
+                    program: None,
+                    finished_at: None,
+                    payload: Traffic::default(),
+                    background_left: SimDuration::ZERO,
+                    background_done: None,
+                },
+            );
+        }
     }
 
     /// Installs `program` on host `node`.

@@ -177,7 +177,7 @@ fn host_engine_start_issues_read_and_tracks_request() {
     let mut rig = Rig::new();
     let file = rig.add_file(8192);
     let mut eng = HostEngine::default();
-    eng.add_host(rig.host, &rig.cfg);
+    eng.add_hosts(&[rig.host], &rig.cfg);
     eng.set_program(rig.host, Box::new(ReadOnStart { file, len: 4096 }))
         .unwrap();
     eng.on_event(SimTime::ZERO, Event::Start(rig.host), &mut rig.bus())
@@ -230,7 +230,7 @@ impl HostProgram for SendAndQuit {
 fn host_engine_send_packetizes_per_mtu_and_finishes() {
     let mut rig = Rig::new();
     let mut eng = HostEngine::default();
-    eng.add_host(rig.host, &rig.cfg);
+    eng.add_hosts(&[rig.host], &rig.cfg);
     eng.set_program(
         rig.host,
         Box::new(SendAndQuit {
@@ -272,7 +272,7 @@ fn host_engine_send_packetizes_per_mtu_and_finishes() {
 fn host_engine_completes_request_after_last_packet() {
     let mut rig = Rig::new();
     let mut eng = HostEngine::default();
-    eng.add_host(rig.host, &rig.cfg);
+    eng.add_hosts(&[rig.host], &rig.cfg);
     let req = ReqId(3);
     let mut st = rig.io_state(2 * 1024);
     st.remaining = 2;
@@ -482,7 +482,7 @@ impl Handler for Shrink {
 fn dispatch_engine_invokes_handler_and_routes_its_output() {
     let mut rig = Rig::new();
     let mut eng = DispatchEngine::default();
-    eng.add_switch(rig.sw, rig.cfg.active.clone());
+    eng.add_switches(&[rig.sw], &rig.cfg.active);
     eng.register(
         rig.sw,
         HandlerId::new(1),

@@ -15,7 +15,7 @@
 use asan_mem::hierarchy::{HierarchyConfig, MemoryHierarchy};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::TimeBreakdown;
-use asan_sim::{SimDuration, SimTime};
+use asan_sim::{Period, SimDuration, SimTime};
 
 /// Static configuration of a CPU core.
 #[derive(Debug, Clone)]
@@ -63,11 +63,6 @@ impl CpuConfig {
             instr_bytes: 4,
         }
     }
-
-    /// Duration of `n` cycles at this core's clock.
-    pub fn cycles(&self, n: u64) -> SimDuration {
-        SimDuration::cycles(n, self.hz)
-    }
 }
 
 /// An in-order CPU core with its private memory hierarchy and local time.
@@ -97,9 +92,11 @@ impl CpuConfig {
 /// assert!(cpu.breakdown().busy.as_ns() >= 500);
 /// assert!(cpu.breakdown().stall.as_ns() > 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct Cpu {
     cfg: CpuConfig, // asan-lint: allow(snapshot-completeness)
+    /// One clock cycle, from `cfg.hz`.
+    cycle: Period, // asan-lint: allow(snapshot-completeness)
     mem: MemoryHierarchy,
     now: SimTime,
     breakdown: TimeBreakdown,
@@ -134,6 +131,7 @@ impl Cpu {
         let warm_code = aligned && mem.ifetch_resident(cfg.code_base, cfg.code_bytes);
         // Forget the warm-up traffic in the statistics.
         let mut cpu = Cpu {
+            cycle: Period::of(cfg.hz),
             mem,
             now: SimTime::ZERO,
             breakdown: TimeBreakdown::default(),
@@ -190,10 +188,22 @@ impl Cpu {
         self.breakdown.stall += d;
     }
 
+    /// `offset` wrapped into the code footprint; divides only when the
+    /// walk actually passes its end.
+    #[inline]
+    fn wrap_code(&self, offset: u64) -> u64 {
+        if offset < self.cfg.code_bytes {
+            offset
+        } else {
+            offset % self.cfg.code_bytes
+        }
+    }
+
     /// Fetches `n` instructions through the L1I, walking the hot-code
     /// footprint; returns the fetch-stall charged.
     fn fetch(&mut self, n: u64) {
         let line = self.cfg.hierarchy.l1i.line_bytes;
+        let line_mask = line - 1;
         let mut remaining_bytes = n * self.cfg.instr_bytes;
         if remaining_bytes == 0 {
             return;
@@ -205,20 +215,22 @@ impl Cpu {
             // line-sized accesses the loop would make: the walk starts
             // at offset `cursor % line` into a line and wrap coincides
             // with a line boundary (alignment checked at construction).
-            let fetches = (self.fetch_cursor % line + remaining_bytes).div_ceil(line);
+            // (Line sizes are powers of two: shifts, not divisions.)
+            let span = (self.fetch_cursor & line_mask) + remaining_bytes;
+            let fetches = (span >> line.trailing_zeros()) + u64::from(span & line_mask != 0);
             self.mem.ifetch_warm(fetches);
-            self.fetch_cursor = (self.fetch_cursor + remaining_bytes) % self.cfg.code_bytes;
+            self.fetch_cursor = self.wrap_code(self.fetch_cursor + remaining_bytes);
             return;
         }
         while remaining_bytes > 0 {
             let addr = self.cfg.code_base + self.fetch_cursor;
-            let line_off = addr % line;
+            let line_off = addr & line_mask;
             let in_line = (line - line_off).min(remaining_bytes);
             let out = self.mem.ifetch(addr, self.now);
             if out.stall > SimDuration::ZERO {
                 self.charge_stall(out.stall);
             }
-            self.fetch_cursor = (self.fetch_cursor + in_line) % self.cfg.code_bytes;
+            self.fetch_cursor = self.wrap_code(self.fetch_cursor + in_line);
             remaining_bytes -= in_line;
         }
     }
@@ -231,14 +243,14 @@ impl Cpu {
         }
         self.fetch(instrs);
         self.instructions += instrs;
-        self.charge_busy(self.cfg.cycles(instrs));
+        self.charge_busy(self.cycle.times(instrs));
     }
 
     /// Executes a load instruction from `addr` (blocking on miss).
     pub fn load(&mut self, addr: u64) {
         self.fetch(1);
         self.instructions += 1;
-        self.charge_busy(self.cfg.cycles(1));
+        self.charge_busy(self.cycle.times(1));
         let out = self.mem.load(addr, self.now);
         self.charge_stall(out.stall);
     }
@@ -248,7 +260,7 @@ impl Cpu {
     pub fn store(&mut self, addr: u64) {
         self.fetch(1);
         self.instructions += 1;
-        self.charge_busy(self.cfg.cycles(1));
+        self.charge_busy(self.cycle.times(1));
         let out = self.mem.store(addr, self.now);
         self.charge_stall(out.stall);
     }
@@ -257,7 +269,7 @@ impl Cpu {
     pub fn prefetch(&mut self, addr: u64) {
         self.fetch(1);
         self.instructions += 1;
-        self.charge_busy(self.cfg.cycles(1));
+        self.charge_busy(self.cycle.times(1));
         let out = self.mem.prefetch(addr, self.now);
         self.charge_stall(out.stall);
     }
@@ -366,6 +378,47 @@ mod tests {
 
     fn host() -> Cpu {
         Cpu::new(CpuConfig::host())
+    }
+
+    fn snapshot_bytes(c: &Cpu) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        c.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    #[test]
+    fn cloned_warm_core_matches_a_fresh_one() {
+        for (name, cfg) in [
+            ("host", CpuConfig::host()),
+            ("host_db", CpuConfig::host_db()),
+            ("switch_cpu", CpuConfig::switch_cpu()),
+        ] {
+            let warm = Cpu::new(cfg.clone());
+            let warm_bytes = snapshot_bytes(&warm);
+            let mut fresh = Cpu::new(cfg.clone());
+            let mut clone = warm.clone();
+            assert_eq!(snapshot_bytes(&clone), snapshot_bytes(&fresh), "{name}");
+            // Loads, stores and prefetches over twice the L2 (hits,
+            // misses, TLB walks, write-backs), mixed with compute.
+            let mut rng = asan_sim::SimRng::from_label(name);
+            for step in 0..20_000 {
+                let addr = 0x100_0000 + rng.below(1 << 20);
+                for c in [&mut fresh, &mut clone] {
+                    match step % 4 {
+                        0 => c.load(addr),
+                        1 => c.store(addr),
+                        2 => c.prefetch(addr),
+                        _ => c.compute(addr % 64),
+                    }
+                }
+                assert_eq!(clone.now(), fresh.now(), "{name} step {step}");
+                assert_eq!(clone.breakdown(), fresh.breakdown(), "{name} step {step}");
+            }
+            assert_eq!(snapshot_bytes(&clone), snapshot_bytes(&fresh), "{name}");
+            // The clone owns its state: running it left the original as
+            // `Cpu::new` made it.
+            assert_eq!(snapshot_bytes(&warm), warm_bytes, "{name}");
+        }
     }
 
     #[test]

@@ -10,9 +10,11 @@
 //! 2. ad-hoc threading primitives outside the blessed worker pool
 //!    (`std::sync::*`, `std::thread::*` anywhere but
 //!    `asan-bench::pool`),
-//! 3. interior mutability (`Rc`, `RefCell`, `Cell`) on a type that two
-//!    different engines can reach through their fields — aliased
-//!    mutation across the future thread boundary.
+//! 3. interior mutability (`Rc`, `RefCell`, `Cell`, `OnceCell`) on a
+//!    type that two different engines can reach through their fields —
+//!    aliased mutation across the future thread boundary. (The fabric's
+//!    lazily built routing rows are `OnceCell`s; the fabric is owned by
+//!    the cluster and lent to engines per event, never a field of one.)
 //!
 //! Items 1–2 are token checks over every file; item 3 runs a
 //! reachability walk over the phase-1 index: seed at every
@@ -32,7 +34,7 @@ use crate::lexer::Kind;
 const BLESSED: &str = "crates/bench/src/pool.rs";
 
 /// Interior-mutability wrappers that alias mutation across engines.
-const SHARED_MUT: &[&str] = &["Rc", "RefCell", "Cell"];
+const SHARED_MUT: &[&str] = &["Rc", "RefCell", "Cell", "OnceCell"];
 
 pub(crate) struct DomainIsolation;
 
@@ -42,7 +44,7 @@ impl WorkspaceRule for DomainIsolation {
     }
 
     fn describe(&self) -> &'static str {
-        "no static mut/thread_local, no std::sync|thread outside bench::pool, no Rc/RefCell/Cell on state shared by >1 engine"
+        "no static mut/thread_local, no std::sync|thread outside bench::pool, no Rc/RefCell/Cell/OnceCell on state shared by >1 engine"
     }
 
     fn scope(&self) -> &'static str {

@@ -262,6 +262,57 @@ fn fix_is_idempotent() {
     assert_eq!(fixed, again, "second --fix must be a no-op");
 }
 
+/// A lazily built cache (`OnceCell`) is interior mutability too: it is
+/// denied on a type two engines reach, and allowed on a type only one
+/// engine (or no engine, like the cluster-owned fabric) holds.
+#[test]
+fn once_cell_shared_by_two_engines_is_denied() {
+    let dir = scratch("once-cell");
+    std::fs::write(
+        dir.join("routes.rs"),
+        "pub struct Routes {\n\
+         \x20   pub rows: Vec<OnceCell<Box<[u32]>>>,\n\
+         }\n",
+    )
+    .expect("write");
+    std::fs::write(
+        dir.join("engines.rs"),
+        "pub struct IngressEngine { pub routes: Routes }\n\
+         pub struct EgressEngine { pub routes: Routes }\n",
+    )
+    .expect("write");
+    let run = || {
+        let out = lint(
+            &[
+                "--root",
+                dir.to_str().unwrap(),
+                "--scope-all",
+                "--format",
+                "json",
+            ],
+            &[],
+        );
+        (
+            out.status.code(),
+            String::from_utf8_lossy(&out.stdout).into_owned(),
+        )
+    };
+    let (code, stdout) = run();
+    assert_eq!(code, Some(1), "shared OnceCell must be caught\n{stdout}");
+    assert!(
+        stdout.contains("\"rule\": \"domain-isolation\"") && stdout.contains("`OnceCell`"),
+        "the finding names the wrapper\n{stdout}"
+    );
+    std::fs::write(
+        dir.join("engines.rs"),
+        "pub struct IngressEngine { pub routes: Routes }\n\
+         pub struct EgressEngine { pub seen: u64 }\n",
+    )
+    .expect("write");
+    let (code, stdout) = run();
+    assert_eq!(code, Some(0), "one owner is fine\n{stdout}");
+}
+
 /// The machine-readable catalog is pinned: exact names, scopes, and
 /// provenance. Any drift is a deliberate, reviewed change to this test.
 #[test]

@@ -173,13 +173,45 @@ impl CacheStats {
     }
 }
 
+/// The valid bit of [`Line::word`].
+const VALID: u64 = 1 << 63;
+/// The dirty bit of [`Line::word`].
+const DIRTY: u64 = 1 << 62;
+/// Both flag bits; a tag must stay clear of them.
+const FLAGS: u64 = VALID | DIRTY;
+
+/// One way of a set in 16 bytes. Tags never reach the flag bits:
+/// [`Cache::new`] requires at least two offset-plus-index bits, so the
+/// tag of any 64-bit address stays below 2^62.
 #[derive(Debug, Clone, Copy, Default)]
 struct Line {
-    tag: u64,
-    valid: bool,
-    dirty: bool,
+    /// The tag, with [`VALID`] and [`DIRTY`] in the top two bits.
+    word: u64,
     /// Recency stamp; larger = more recently used.
     lru: u64,
+}
+
+impl Line {
+    #[inline]
+    fn tag(self) -> u64 {
+        self.word & !FLAGS
+    }
+
+    #[inline]
+    fn valid(self) -> bool {
+        self.word & VALID != 0
+    }
+
+    #[inline]
+    fn dirty(self) -> bool {
+        self.word & DIRTY != 0
+    }
+
+    /// Whether this line is valid and holds `tag`.
+    #[inline]
+    fn holds(self, tag: u64) -> bool {
+        self.word & !DIRTY == tag | VALID
+    }
 }
 
 /// A set-associative, write-back, write-allocate cache with LRU
@@ -218,9 +250,16 @@ impl Cache {
         assert!(num_sets.is_power_of_two(), "set count must be 2^k");
         let lines = vec![Line::default(); num_sets as usize * cfg.assoc];
         let line_shift = cfg.line_bytes.trailing_zeros();
+        let set_bits = num_sets.trailing_zeros();
+        assert!(
+            line_shift + set_bits >= 2,
+            "tags of a {}-set cache of {} B lines would reach the flag bits",
+            num_sets,
+            cfg.line_bytes
+        );
         Cache {
             set_mask: num_sets - 1,
-            set_bits: num_sets.trailing_zeros(),
+            set_bits,
             line_shift,
             cfg,
             lines,
@@ -266,10 +305,10 @@ impl Cache {
         let ways = self.ways(set_idx);
         let set = &mut self.lines[ways];
 
-        if let Some(line) = set.iter_mut().find(|l| l.valid && l.tag == tag) {
+        if let Some(line) = set.iter_mut().find(|l| l.holds(tag)) {
             line.lru = stamp;
             if kind == AccessKind::Write {
-                line.dirty = true;
+                line.word |= DIRTY;
             }
             self.stats.hits.inc();
             return AccessOutcome {
@@ -282,18 +321,19 @@ impl Cache {
         // Choose victim: an invalid way if one exists, else true LRU.
         let victim = set
             .iter_mut()
-            .min_by_key(|l| if l.valid { l.lru + 1 } else { 0 })
+            .min_by_key(|l| if l.valid() { l.lru + 1 } else { 0 })
             .expect("assoc > 0");
-        let writeback = if victim.valid && victim.dirty {
+        let writeback = if victim.valid() && victim.dirty() {
             self.stats.writebacks.inc();
-            let victim_line = (victim.tag << self.set_bits) | set_idx as u64;
+            let victim_line = (victim.tag() << self.set_bits) | set_idx as u64;
             Some(victim_line << self.line_shift)
         } else {
             None
         };
-        victim.tag = tag;
-        victim.valid = true;
-        victim.dirty = kind == AccessKind::Write;
+        victim.word = tag | VALID;
+        if kind == AccessKind::Write {
+            victim.word |= DIRTY;
+        }
         victim.lru = stamp;
         AccessOutcome {
             hit: false,
@@ -317,9 +357,7 @@ impl Cache {
     /// Checks residency without updating LRU or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
-        self.lines[self.ways(set_idx)]
-            .iter()
-            .any(|l| l.valid && l.tag == tag)
+        self.lines[self.ways(set_idx)].iter().any(|l| l.holds(tag))
     }
 
     /// Invalidates the line containing `addr` if present, returning
@@ -328,9 +366,10 @@ impl Cache {
         let (set_idx, tag) = self.index(addr);
         let ways = self.ways(set_idx);
         for l in &mut self.lines[ways] {
-            if l.valid && l.tag == tag {
-                l.valid = false;
-                return std::mem::take(&mut l.dirty);
+            if l.holds(tag) {
+                let dirty = l.dirty();
+                l.word &= !FLAGS;
+                return dirty;
             }
         }
         false
@@ -339,8 +378,7 @@ impl Cache {
     /// Invalidates everything (e.g. between benchmark configurations).
     pub fn flush(&mut self) {
         for l in &mut self.lines {
-            l.valid = false;
-            l.dirty = false;
+            l.word &= !FLAGS;
         }
     }
 
@@ -350,23 +388,32 @@ impl Cache {
     pub fn snapshot(&self, w: &mut SnapWriter) {
         w.u64(self.stamp);
         self.stats.snapshot(w);
-        for line in &self.lines {
-            w.u64(line.tag);
-            w.bool(line.valid);
-            w.bool(line.dirty);
+        for &line in &self.lines {
+            w.u64(line.tag());
+            w.bool(line.valid());
+            w.bool(line.dirty());
             w.u64(line.lru);
         }
     }
 
     /// Overwrites this cache's dynamic state from a snapshot taken of a
     /// cache with the same geometry.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Malformed`] for a tag that reaches the valid/dirty
+    /// bits (no address maps to one), as well as any read error.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stamp = r.u64()?;
         self.stats = CacheStats::restore(r)?;
         for line in &mut self.lines {
-            line.tag = r.u64()?;
-            line.valid = r.bool()?;
-            line.dirty = r.bool()?;
+            let tag = r.u64()?;
+            if tag & FLAGS != 0 {
+                return Err(SnapError::Malformed("cache tag overlaps the flag bits"));
+            }
+            let valid = r.bool()?;
+            let dirty = r.bool()?;
+            line.word = tag | if valid { VALID } else { 0 } | if dirty { DIRTY } else { 0 };
             line.lru = r.u64()?;
         }
         Ok(())
@@ -414,6 +461,45 @@ mod tests {
             );
         }
         assert_eq!(back.stats().writebacks.get(), c.stats().writebacks.get());
+    }
+
+    #[test]
+    fn restore_rejects_tags_reaching_the_flag_bits() {
+        let lines = tiny().lines.len();
+        let write = |tag3: u64| {
+            let mut w = SnapWriter::new();
+            w.u64(0);
+            CacheStats::default().snapshot(&mut w);
+            for i in 0..lines {
+                w.u64(if i == 3 { tag3 } else { i as u64 });
+                w.bool(true);
+                w.bool(false);
+                w.u64(0);
+            }
+            w.into_bytes()
+        };
+        let restore = |bytes: &[u8]| {
+            let mut r = SnapReader::new(bytes).unwrap();
+            tiny().restore(&mut r)
+        };
+        assert!(restore(&write(DIRTY - 1)).is_ok());
+        for bad in [DIRTY, VALID, FLAGS | 5, u64::MAX] {
+            assert!(
+                matches!(restore(&write(bad)), Err(SnapError::Malformed(_))),
+                "tag {bad:#x} accepted"
+            );
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "flag bits")]
+    fn geometry_whose_tags_reach_the_flag_bits_is_rejected() {
+        Cache::new(CacheConfig {
+            name: "one-line",
+            size_bytes: 2,
+            line_bytes: 2,
+            assoc: 1,
+        });
     }
 
     /// A naive true-LRU reference: per set, resident line numbers with

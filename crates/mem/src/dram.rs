@@ -8,7 +8,7 @@
 
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
-use asan_sim::{SimDuration, SimTime};
+use asan_sim::{Period, SimDuration, SimTime};
 
 /// Configuration of an RDRAM channel.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,6 +79,8 @@ pub struct DramStats {
 #[derive(Debug, Clone)]
 pub struct Dram {
     cfg: DramConfig, // asan-lint: allow(snapshot-completeness)
+    /// Transfer time per byte, from `cfg.bytes_per_sec`.
+    byte: Period, // asan-lint: allow(snapshot-completeness)
     open_row: Vec<Option<u64>>,
     channel_free: SimTime,
     stats: DramStats,
@@ -97,6 +99,7 @@ impl Dram {
         assert!(cfg.page_bytes.is_power_of_two(), "page size must be 2^k");
         Dram {
             open_row: vec![None; cfg.num_banks],
+            byte: Period::of(cfg.bytes_per_sec),
             cfg,
             channel_free: SimTime::ZERO,
             stats: DramStats::default(),
@@ -143,8 +146,8 @@ impl Dram {
         // bandwidth while an isolated access sees the full latency.
         let data_start = (now + lat).max(self.channel_free);
         // Critical word (8 B) first, then the remainder streams out.
-        let first_burst = SimDuration::transfer(bytes.min(8), self.cfg.bytes_per_sec);
-        let full_burst = SimDuration::transfer(bytes, self.cfg.bytes_per_sec);
+        let first_burst = self.byte.times(bytes.min(8));
+        let full_burst = self.byte.times(bytes);
         let first_data = data_start + first_burst;
         let complete = data_start + full_burst;
         self.channel_free = complete;

@@ -142,9 +142,11 @@ struct Mshr {
 /// let hit = m.load(0x10_0000, SimTime::from_ns(500));
 /// assert!(hit.l1_hit && hit.stall.as_ns() == 0);
 /// ```
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
     cfg: HierarchyConfig, // asan-lint: allow(snapshot-completeness)
+    /// `cfg.l2_hit_cycles` at `cfg.hz`.
+    l2_hit: SimDuration, // asan-lint: allow(snapshot-completeness)
     l1i: Cache,
     l1d: Cache,
     l2: Option<Cache>,
@@ -167,6 +169,7 @@ impl MemoryHierarchy {
             dram: Dram::new(cfg.dram),
             mshrs: Vec::new(),
             stats: HierarchyStats::default(),
+            l2_hit: SimDuration::cycles(cfg.l2_hit_cycles, cfg.hz),
             cfg,
         }
     }
@@ -206,10 +209,6 @@ impl MemoryHierarchy {
         &self.dram
     }
 
-    fn l2_hit_latency(&self) -> SimDuration {
-        SimDuration::cycles(self.cfg.l2_hit_cycles, self.cfg.hz)
-    }
-
     /// Charges a hardware page-table walk: two dependent 8-byte reads
     /// through the L2 (they often hit — page tables are small and hot).
     fn walk_page_table(&mut self, addr: u64, mut now: SimTime) -> SimDuration {
@@ -223,9 +222,9 @@ impl MemoryHierarchy {
             match &mut self.l2 {
                 Some(l2) => {
                     if l2.access(pte, AccessKind::Read).hit {
-                        now += self.l2_hit_latency();
+                        now += self.l2_hit;
                     } else {
-                        let a = self.dram.access(pte, 8, now + self.l2_hit_latency());
+                        let a = self.dram.access(pte, 8, now + self.l2_hit);
                         now = a.first_data;
                     }
                 }
@@ -374,14 +373,14 @@ impl MemoryHierarchy {
             Some(l2) => {
                 let l2_out = l2.access(addr, AccessKind::Read);
                 if l2_out.hit {
-                    let t = now + self.l2_hit_latency();
+                    let t = now + self.l2_hit;
                     (t, t, true)
                 } else {
                     // L2 miss: fetch the (larger) L2 line from DRAM; any
                     // dirty victim is written back, consuming channel time
                     // but not stalling the CPU.
                     let l2_line = self.cfg.l2.as_ref().expect("l2 exists").line_bytes;
-                    let issue = now + self.l2_hit_latency();
+                    let issue = now + self.l2_hit;
                     let a = self.dram.access(addr & !(l2_line - 1), l2_line, issue);
                     if let Some(victim) = l2_out.writeback {
                         self.dram.access(victim, l2_line, a.complete);

@@ -56,6 +56,9 @@ pub struct Tlb {
     stamp: u64,
     stats: TlbStats,
     page_shift: u32, // asan-lint: allow(snapshot-completeness)
+    /// Index of the entry touched last, checked before the scan. Only a
+    /// hint: pages are unique, so it finds the entry the scan would.
+    mru: usize, // asan-lint: allow(snapshot-completeness)
 }
 
 impl Tlb {
@@ -73,6 +76,7 @@ impl Tlb {
             entries: Vec::new(),
             stamp: 0,
             stats: TlbStats::default(),
+            mru: 0,
         }
     }
 
@@ -91,21 +95,29 @@ impl Tlb {
     pub fn access(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
         self.stamp += 1;
-        if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
-            e.1 = self.stamp;
+        let found = match self.entries.get(self.mru) {
+            Some(e) if e.0 == page => Some(self.mru),
+            _ => self.entries.iter().position(|e| e.0 == page),
+        };
+        if let Some(i) = found {
+            self.entries[i].1 = self.stamp;
+            self.mru = i;
             self.stats.hits.inc();
             return true;
         }
         self.stats.misses.inc();
         if self.entries.len() < self.cfg.entries {
+            self.mru = self.entries.len();
             self.entries.push((page, self.stamp));
         } else {
-            let victim = self
+            let (victim, _) = self
                 .entries
-                .iter_mut()
-                .min_by_key(|e| e.1)
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, e)| e.1)
                 .expect("non-empty");
-            *victim = (page, self.stamp);
+            self.entries[victim] = (page, self.stamp);
+            self.mru = victim;
         }
         false
     }

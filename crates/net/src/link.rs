@@ -11,7 +11,7 @@ use std::collections::VecDeque;
 use asan_sim::hist::LogHistogram;
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
-use asan_sim::{SimDuration, SimTime};
+use asan_sim::{Period, SimDuration, SimTime};
 
 /// Configuration of one link direction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -64,6 +64,8 @@ pub struct LinkTiming {
 #[derive(Debug, Clone)]
 pub struct Link {
     cfg: LinkConfig,
+    /// Serialization time per byte, from `cfg.bytes_per_sec`.
+    byte: Period, // asan-lint: allow(snapshot-completeness)
     busy_until: SimTime,
     /// Drain times of packets currently occupying receiver buffers.
     inflight: VecDeque<SimTime>,
@@ -97,6 +99,7 @@ impl Link {
         assert!(cfg.bytes_per_sec > 0, "zero link bandwidth");
         assert!(cfg.credits > 0, "links need at least one credit");
         Link {
+            byte: Period::of(cfg.bytes_per_sec),
             cfg,
             busy_until: SimTime::ZERO,
             inflight: VecDeque::new(),
@@ -167,11 +170,10 @@ impl Link {
             self.outage_deferrals.inc();
             start = until;
         }
-        let serialization = SimDuration::transfer(wire_bytes, self.cfg.bytes_per_sec);
-        let header_ser = SimDuration::transfer(
-            wire_bytes.min(crate::packet::HEADER_BYTES as u64),
-            self.cfg.bytes_per_sec,
-        );
+        let serialization = self.byte.times(wire_bytes);
+        let header_ser = self
+            .byte
+            .times(wire_bytes.min(crate::packet::HEADER_BYTES as u64));
         let done = start + serialization + self.cfg.propagation;
         let header_at = start + header_ser + self.cfg.propagation;
         self.busy_until = start + serialization;

@@ -15,9 +15,11 @@
 //! without re-deriving the shape.
 //!
 //! Routing is deterministic shortest-path: one breadth-first search per
-//! destination fills a dense next-hop table, visiting neighbors in
-//! edge-insertion order so equal-length paths always resolve the same
-//! way (see docs/DETERMINISM.md). Multi-hop packets pay per-link
+//! destination fills that destination's next-hop row, visiting
+//! neighbors in edge-insertion order so equal-length paths always
+//! resolve the same way (see docs/DETERMINISM.md). A row is built the
+//! first time a packet heads for its destination, so a run pays only
+//! for the destinations it uses. Multi-hop packets pay per-link
 //! credits at *each* hop; with [`TopoSpec`]-generated fabrics an
 //! upstream link's credit is held until the packet has left the
 //! *downstream* hop (chained backpressure), while hand-built and
@@ -27,6 +29,7 @@
 //! Packet *data* is not carried here — the cluster layer moves the real
 //! bytes; the fabric answers "when does it arrive, and what did it cost".
 
+use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -185,9 +188,9 @@ impl TopologyBuilder {
         self
     }
 
-    /// Finalizes into a [`Fabric`], computing deterministic
-    /// shortest-path routes (BFS per destination, neighbors visited in
-    /// edge-insertion order).
+    /// Finalizes into a [`Fabric`] whose deterministic shortest-path
+    /// routes (BFS per destination, neighbors visited in
+    /// edge-insertion order) are built on first use.
     ///
     /// # Errors
     ///
@@ -202,8 +205,11 @@ impl TopologyBuilder {
             return Err(TopoError::EmptyTopology);
         }
         let mut seen_pairs = BTreeSet::new();
-        let mut adj: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n]; // (neighbor, link idx)
+        // Links come in `(a→b, b→a)` pairs at even/odd indices, so the
+        // reverse of link `l` is `l ^ 1`; `link_to[l]` is its far end.
+        let mut out_links: Vec<Vec<u32>> = vec![Vec::new(); n];
         let mut links = Vec::with_capacity(self.edges.len() * 2);
+        let mut link_to = Vec::with_capacity(self.edges.len() * 2);
         for &(a, b, cfg) in &self.edges {
             if !seen_pairs.insert((a.min(b), a.max(b))) {
                 return Err(TopoError::DuplicateLink {
@@ -211,59 +217,40 @@ impl TopologyBuilder {
                     b: NodeId(b as u16),
                 });
             }
-            let ab = links.len();
-            links.push(Link::new(cfg));
-            let ba = links.len();
-            links.push(Link::new(cfg));
-            adj[a].push((b, ab));
-            adj[b].push((a, ba));
+            for (from, to) in [(a, b), (b, a)] {
+                out_links[from].push(links.len() as u32);
+                links.push(Link::new(cfg));
+                link_to.push(to as u32);
+            }
         }
         if n > 1 {
             for (i, kind) in self.kinds.iter().enumerate() {
-                if *kind == NodeKind::Switch && adj[i].is_empty() {
+                if *kind == NodeKind::Switch && out_links[i].is_empty() {
                     return Err(TopoError::IsolatedSwitch(NodeId(i as u16)));
                 }
             }
         }
-        // One BFS per destination fills row `dst` of the dense,
-        // destination-major next-hop table
-        // `next_hop[dst * n + from] = (neighbor, link)`; `NO_ROUTE`
-        // marks from == dst. The row doubles as the BFS visited set
-        // (`NO_ROUTE` = unvisited, `dst` itself skipped). Links come in
-        // `(a→b, b→a)` pairs at even/odd indices, so the reverse of
-        // link `l` is `l ^ 1`. 8 bytes per entry keeps thousand-node
-        // fabrics in tens of megabytes.
-        let mut next_hop = vec![NO_ROUTE; n * n];
-        let mut queue = Vec::with_capacity(n);
-        for (dst, row) in next_hop.chunks_exact_mut(n).enumerate() {
-            queue.clear();
-            queue.push(dst);
-            let mut head = 0;
-            while let Some(&u) = queue.get(head) {
-                head += 1;
-                for &(v, l_uv) in &adj[u] {
-                    if v != dst && row[v] == NO_ROUTE {
-                        // First hop from v toward dst goes to u.
-                        row[v] = (u as u32, (l_uv ^ 1) as u32);
-                        queue.push(v);
-                    }
-                }
-            }
-            if let Some(v) = (0..n).find(|&v| v != dst && row[v] == NO_ROUTE) {
-                return Err(TopoError::Disconnected {
-                    from: NodeId(v as u16),
-                    to: NodeId(dst as u16),
-                });
-            }
-        }
-        Ok(Fabric {
+        let fabric = Fabric {
             kinds: self.kinds,
             switch_specs: self.switch_specs,
             links,
-            next_hop,
+            link_to,
+            out_links,
+            routes: (0..n).map(|_| OnceCell::new()).collect(),
             hop_backpressure: self.hop_backpressure,
             traffic: vec![Traffic::default(); n],
-        })
+        };
+        // Links are bidirectional, so every pair is routable iff node 0
+        // reaches every node; the first node it misses is the first
+        // unroutable pair a BFS per destination would have found.
+        let row = fabric.bfs_row(0);
+        if let Some(v) = (1..n).find(|&v| row[v] == NO_ROUTE) {
+            return Err(TopoError::Disconnected {
+                from: NodeId(v as u16),
+                to: NodeId(0),
+            });
+        }
+        Ok(fabric)
     }
 
     /// Finalizes into a [`Fabric`], computing shortest-path routes.
@@ -277,8 +264,8 @@ impl TopologyBuilder {
     }
 }
 
-/// `next_hop` sentinel for "no route" (only ever `from == dst`).
-const NO_ROUTE: (u32, u32) = (u32::MAX, u32::MAX);
+/// Routing-row sentinel for "no route" (only ever `from == dst`).
+const NO_ROUTE: u32 = u32::MAX;
 
 /// A declarative topology: what to generate, plus the link/switch
 /// parameters and credit-drain model to generate it with. `build`
@@ -738,22 +725,29 @@ impl Delivery {
 
 /// The switched fabric: links, routes, and per-node traffic accounting.
 ///
-/// The first four fields are static configuration: they are fixed by
-/// the [`TopologyBuilder`]/[`TopoSpec`] that produced this fabric and
-/// never change during a run, so `snapshot`/`restore` intentionally
-/// skip them — a restoring process rebuilds the identical topology from
-/// the same spec before calling [`Fabric::restore`] (which verifies the
-/// link and node counts match). Only the link occupancy and traffic
-/// counters below are dynamic state.
+/// Every field but the link occupancy and traffic counters is static
+/// configuration: fixed by the [`TopologyBuilder`]/[`TopoSpec`] that
+/// produced this fabric, so `snapshot`/`restore` intentionally skip it —
+/// a restoring process rebuilds the identical topology from the same
+/// spec before calling [`Fabric::restore`] (which verifies the link and
+/// node counts match). The lazily built routing rows are a pure
+/// function of that topology, so building them in any order, or again
+/// after a restore, yields the same routes.
+///
+/// The rows sit in [`OnceCell`]s, so a `Fabric` is `Send` but not
+/// `Sync`: one simulation owns it, as it owns the rest of its cluster.
 #[derive(Debug)]
 pub struct Fabric {
     kinds: Vec<NodeKind>,                  // asan-lint: allow(snapshot-completeness)
     switch_specs: Vec<Option<SwitchSpec>>, // asan-lint: allow(snapshot-completeness)
     links: Vec<Link>,
-    /// `next_hop[dst * n + from] = (neighbor node, link index)`, dense
-    /// and destination-major (row `dst` holds every node's first hop
-    /// toward `dst`), [`NO_ROUTE`] on the diagonal.
-    next_hop: Vec<(u32, u32)>, // asan-lint: allow(snapshot-completeness)
+    /// `link_to[l]`: the node link `l` leads to.
+    link_to: Vec<u32>, // asan-lint: allow(snapshot-completeness)
+    /// `out_links[u]`: the links leaving node `u`, in edge-insertion order.
+    out_links: Vec<Vec<u32>>, // asan-lint: allow(snapshot-completeness)
+    /// `routes[dst][from]`: the first link from `from` toward `dst`,
+    /// [`NO_ROUTE`] at `from == dst`; built on the first query for `dst`.
+    routes: Vec<OnceCell<Box<[u32]>>>, // asan-lint: allow(snapshot-completeness)
     /// Credit-drain model (see [`TopologyBuilder::set_hop_backpressure`]).
     hop_backpressure: bool, // asan-lint: allow(snapshot-completeness)
     traffic: Vec<Traffic>,
@@ -781,16 +775,35 @@ impl Fabric {
         self.traffic[node.0 as usize]
     }
 
+    /// Every node's first link toward `dst`, from one BFS out of `dst`
+    /// over the reversed links (neighbors in edge-insertion order). The
+    /// row doubles as the visited set: [`NO_ROUTE`] is unvisited, and
+    /// `dst` itself is skipped.
+    fn bfs_row(&self, dst: usize) -> Box<[u32]> {
+        let mut row = vec![NO_ROUTE; self.kinds.len()].into_boxed_slice();
+        let mut queue = Vec::with_capacity(self.kinds.len());
+        queue.push(dst as u32);
+        let mut head = 0;
+        while let Some(&u) = queue.get(head) {
+            head += 1;
+            for &l_uv in &self.out_links[u as usize] {
+                let v = self.link_to[l_uv as usize];
+                if v as usize != dst && row[v as usize] == NO_ROUTE {
+                    // First hop from v toward dst is the link v→u.
+                    row[v as usize] = l_uv ^ 1;
+                    queue.push(v);
+                }
+            }
+        }
+        row
+    }
+
     /// The routing-table entry `(neighbor, link)` for the first hop
     /// from `from` toward `dst`; `None` when `from == dst`.
     #[inline]
     fn route(&self, from: usize, dst: usize) -> Option<(usize, usize)> {
-        let (nb, link) = self.next_hop[dst * self.kinds.len() + from];
-        if nb == u32::MAX {
-            None
-        } else {
-            Some((nb as usize, link as usize))
-        }
+        let link = self.routes[dst].get_or_init(|| self.bfs_row(dst))[from];
+        (link != NO_ROUTE).then(|| (self.link_to[link as usize] as usize, link as usize))
     }
 
     /// Number of hops on the route from `src` to `dst` (0 if equal).
@@ -1012,8 +1025,8 @@ impl Fabric {
 
     /// Writes the fabric's dynamic state: every link direction (wire
     /// occupancy, credits, in-flight drains, counters) and per-node
-    /// traffic accounting. The topology itself (kinds, routes, drain
-    /// model) is static and rebuilt by the caller.
+    /// traffic accounting. The topology itself (kinds, links' ends,
+    /// routes, drain model) is static and rebuilt by the caller.
     pub fn snapshot(&self, w: &mut SnapWriter) {
         w.section("fabric");
         w.usize(self.links.len());
@@ -1427,16 +1440,17 @@ mod tests {
         ));
     }
 
-    /// Hop count from `src` to `dst` by a fresh BFS over `adj`: a naive
-    /// per-pair oracle sharing no code with `try_build`.
-    fn oracle_hops(adj: &[Vec<usize>], src: usize, dst: usize) -> Option<usize> {
+    fn rows_built(f: &Fabric) -> usize {
+        f.routes.iter().filter(|r| r.get().is_some()).count()
+    }
+
+    /// Hop distances from every node to `dst` by a plain BFS over `adj`:
+    /// a naive oracle sharing no code with the fabric's routing.
+    fn oracle_dist(adj: &[Vec<usize>], dst: usize) -> Vec<usize> {
         let mut dist = vec![usize::MAX; adj.len()];
-        dist[src] = 0;
-        let mut q = VecDeque::from([src]);
+        dist[dst] = 0;
+        let mut q = VecDeque::from([dst]);
         while let Some(u) = q.pop_front() {
-            if u == dst {
-                return Some(dist[u]);
-            }
             for &v in &adj[u] {
                 if dist[v] == usize::MAX {
                     dist[v] = dist[u] + 1;
@@ -1444,13 +1458,16 @@ mod tests {
                 }
             }
         }
-        None
+        dist
     }
 
-    /// Checks every route of `spec` against [`oracle_hops`]: each path
-    /// is shortest, and each hop crosses the directed link from the
-    /// current node to an adjacent node one hop closer to `dst`.
-    fn check_routes_against_oracle(spec: &TopoSpec) {
+    /// Checks the routes of `spec` against [`oracle_dist`]: `dsts`
+    /// destinations in a seeded shuffled order, each from every source
+    /// (`srcs: None`) or from that many seeded random ones. Each path is
+    /// shortest, and each hop crosses the directed link from the current
+    /// node to an adjacent node one hop closer to the destination.
+    /// Routing rows must exist for exactly the destinations queried.
+    fn check_routes_against_oracle(spec: &TopoSpec, dsts: usize, srcs: Option<usize>) {
         let (b, _) = spec.builder();
         let n = b.kinds.len();
         let mut adj = vec![Vec::new(); n];
@@ -1463,33 +1480,46 @@ mod tests {
             link_of.insert((bn, a), 2 * i + 1);
         }
         let f = b.build();
-        let dist: Vec<Vec<usize>> = (0..n)
-            .map(|src| {
-                (0..n)
-                    .map(|dst| oracle_hops(&adj, src, dst).expect("connected"))
-                    .collect()
-            })
-            .collect();
-        for (src, row) in dist.iter().enumerate() {
-            for (dst, &hops) in row.iter().enumerate() {
+        assert_eq!(rows_built(&f), 0, "rows are built on demand");
+        let mut rng = asan_sim::SimRng::from_label(&format!("routes-{n}"));
+        let mut order: Vec<usize> = (0..n).collect();
+        for i in (1..n).rev() {
+            order.swap(i, rng.below(i as u64 + 1) as usize);
+        }
+        let queried = &order[..dsts.min(n)];
+        for (k, &dst) in queried.iter().enumerate() {
+            assert!(f.routes[dst].get().is_none(), "row {dst} built early");
+            let dist = oracle_dist(&adj, dst);
+            let sources: Vec<usize> = match srcs {
+                None => (0..n).collect(),
+                Some(m) => (0..m).map(|_| rng.below(n as u64) as usize).collect(),
+            };
+            for src in sources {
                 let (s, d) = (NodeId(src as u16), NodeId(dst as u16));
-                assert_eq!(f.path_len(s, d), hops, "{s} -> {d}");
+                assert_eq!(f.path_len(s, d), dist[src], "{s} -> {d}");
                 assert_eq!(f.route(src, dst).is_none(), src == dst);
                 let mut cur = src;
                 while let Some((nb, link)) = f.route(cur, dst) {
                     assert_eq!(link_of.get(&(cur, nb)), Some(&link), "{cur} -> {nb}");
-                    assert_eq!(dist[nb][dst] + 1, dist[cur][dst], "{cur} -> {nb}");
+                    assert_eq!(dist[nb] + 1, dist[cur], "{cur} -> {nb}");
                     cur = nb;
                 }
                 assert_eq!(cur, dst);
             }
+            assert_eq!(rows_built(&f), k + 1, "only queried rows exist");
+        }
+        for (v, row) in f.routes.iter().enumerate() {
+            assert_eq!(row.get().is_some(), queried.contains(&v), "row {v}");
         }
     }
 
     #[test]
     fn routes_match_naive_bfs_oracle() {
         use NodeKind::{Host, Switch, Tca};
-        check_routes_against_oracle(&TopoSpec::fat_tree(4, 64, 1));
+        let fat = TopoSpec::fat_tree(4, 64, 1);
+        // Every pair, and a run that leaves some rows unbuilt.
+        check_routes_against_oracle(&fat, usize::MAX, None);
+        check_routes_against_oracle(&fat, 20, None);
         // A five-switch ring s0..s4 with a chord s1-s3; host 8 is
         // dual-homed on s4 and s1.
         let mesh = TopoSpec::explicit(
@@ -1511,7 +1541,14 @@ mod tests {
                 (9, 2),
             ],
         );
-        check_routes_against_oracle(&mesh);
+        check_routes_against_oracle(&mesh, usize::MAX, None);
+    }
+
+    #[test]
+    fn fat_tree_of_4096_hosts_routes_sampled_pairs() {
+        // 8 191 nodes: the old dense table of 8-byte entries would take
+        // 537 MB; here 48 rows of 32 KB are built.
+        check_routes_against_oracle(&TopoSpec::fat_tree(4, 4096, 0), 48, Some(48));
     }
 
     #[test]

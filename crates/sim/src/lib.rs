@@ -66,5 +66,5 @@ pub use rng::SimRng;
 pub use sched::{Scheduler, Traceable};
 pub use series::{TimeSeries, Timeline, Track};
 pub use snap::{SnapError, SnapReader, SnapWriter};
-pub use time::{SimDuration, SimTime};
+pub use time::{Period, SimDuration, SimTime};
 pub use trace::{JsonlSink, NullSink, RingSink, Span, SpanKind, TraceCtx, TraceSink};

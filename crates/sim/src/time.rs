@@ -243,6 +243,59 @@ impl SimDuration {
     }
 }
 
+/// A rate — a clock in Hz or a bandwidth in bytes per second — with
+/// its picosecond period precomputed, for the per-access model paths.
+///
+/// When the rate divides 10^12 (2 GHz, 500 MHz, 1 GB/s, 1.6 GB/s all
+/// do), [`Period::times`] is one multiply; otherwise it takes the u128
+/// path of [`SimDuration::transfer`]. Both give the same picoseconds.
+///
+/// # Example
+///
+/// ```
+/// use asan_sim::time::Period;
+/// use asan_sim::SimDuration;
+/// let clock = Period::of(2_000_000_000);
+/// assert_eq!(clock.times(4), SimDuration::cycles(4, 2_000_000_000));
+/// ```
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Period {
+    per_sec: u64,
+    /// `10^12 / per_sec` when that is exact, else 0.
+    ps: u64,
+}
+
+impl Period {
+    /// The period of `per_sec` events (cycles, bytes) per second.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `per_sec` is zero.
+    pub fn of(per_sec: u64) -> Self {
+        assert!(per_sec > 0, "zero rate");
+        let ps = if PS_PER_SEC.is_multiple_of(per_sec) {
+            PS_PER_SEC / per_sec
+        } else {
+            0
+        };
+        Period { per_sec, ps }
+    }
+
+    /// The duration of `n` periods, rounded up to the next picosecond:
+    /// equal to `SimDuration::transfer(n, per_sec)` and
+    /// `SimDuration::cycles(n, per_sec)`.
+    #[inline]
+    pub fn times(self, n: u64) -> SimDuration {
+        match n.checked_mul(self.ps) {
+            Some(ps) if self.ps != 0 => SimDuration(ps),
+            _ => SimDuration::transfer(n, self.per_sec),
+        }
+    }
+}
+
+/// Picoseconds per second.
+const PS_PER_SEC: u64 = 1_000_000_000_000;
+
 impl Add<SimDuration> for SimTime {
     type Output = SimTime;
     #[inline]
@@ -401,6 +454,42 @@ mod tests {
         assert_eq!(d.as_us(), 655);
         // 512 B at 320 MB/s (SCSI) = 1.6 us.
         assert_eq!(SimDuration::transfer(512, 320_000_000).as_ns(), 1_600);
+    }
+
+    #[test]
+    fn period_matches_the_division_path() {
+        let mut rng = crate::SimRng::from_label("period");
+        let rates = [
+            1,
+            3,
+            320_000_000,
+            500_000_000,
+            1_000_000_000,
+            1_600_000_000,
+            2_000_000_000,
+            3_000_000_000,
+            1_000_000_000_000,
+            u64::MAX,
+        ];
+        for per_sec in rates {
+            let p = Period::of(per_sec);
+            let mut ns: Vec<u64> = (0..200).map(|_| rng.below(1 << 20)).collect();
+            ns.extend([0, 1, 8, 512, u64::MAX / 1_000, u64::MAX]);
+            for n in ns {
+                assert_eq!(
+                    p.times(n),
+                    SimDuration::transfer(n, per_sec),
+                    "{n} at {per_sec}"
+                );
+                assert_eq!(
+                    p.times(n),
+                    SimDuration::cycles(n, per_sec),
+                    "{n} at {per_sec}"
+                );
+            }
+        }
+        assert_eq!(Period::of(2_000_000_000).ps, 500);
+        assert_eq!(Period::of(3).ps, 0);
     }
 
     #[test]
