@@ -10,11 +10,9 @@
 //! `normal+pref` beats plain `active`; `active+pref` is best; active
 //! host utilization is ≈ 0 and host traffic ≈ 0.
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{HandlerId, NodeId};
+use asan_net::{Bytes, HandlerId, NodeId};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
@@ -65,7 +63,7 @@ impl Params {
 
 /// Normal-case host program: DFA over every DMA'd block.
 struct NormalGrep {
-    corpus: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
+    corpus: Bytes, // asan-lint: allow(snapshot-completeness)
     reader: BlockReader,
     dfa: LiteralDfa, // asan-lint: allow(snapshot-completeness)
     state: usize,
@@ -317,7 +315,7 @@ fn run_inner(
     cfg: ClusterConfig,
     background: asan_sim::SimDuration,
 ) -> (AppRun, Option<asan_sim::SimTime>, asan_sim::SimDuration) {
-    let corpus = Arc::new(data::grep_corpus(
+    let corpus = Bytes::from(data::grep_corpus(
         p.file_bytes as usize,
         p.pattern,
         p.matches,
@@ -328,9 +326,7 @@ fn run_inner(
 
     let build = || {
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, cfg.clone());
-        let file = cl
-            .add_file(ts[0], corpus.as_ref().clone())
-            .expect("cluster setup");
+        let file = cl.add_file(ts[0], corpus.clone()).expect("cluster setup");
         let host = hs[0];
 
         if variant.is_active() {

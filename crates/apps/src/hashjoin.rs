@@ -18,11 +18,9 @@
 //! host caches; the switch CPU sees misses on its 128 KB bit-vector
 //! (≫ its 1 KB D-cache) but the impact is small.
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{HandlerId, NodeId};
+use asan_net::{Bytes, HandlerId, NodeId};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
@@ -84,22 +82,26 @@ pub fn hash_bit(key: u64, bits: u64) -> u64 {
 }
 
 /// Pure-Rust reference: (bit-vector pass count, true join matches).
+///
+/// Independent of the simulated join state: R's keys go into a
+/// sorted `Vec` that S probes by binary search.
 pub fn reference(r: &[u8], s: &[u8], p: &Params) -> (u64, u64) {
     let rb = p.record_bytes as usize;
     let mut bv = vec![false; p.bits as usize];
-    let mut keys = std::collections::BTreeSet::new();
+    let mut keys = Vec::with_capacity(r.len() / rb);
     for i in 0..r.len() / rb {
         let k = data::record_key(r, rb, i);
         bv[hash_bit(k, p.bits) as usize] = true;
-        keys.insert(k);
+        keys.push(k);
     }
+    keys.sort_unstable();
     let mut pass = 0u64;
     let mut matches = 0u64;
     for i in 0..s.len() / rb {
         let k = data::record_key(s, rb, i);
         if bv[hash_bit(k, p.bits) as usize] {
             pass += 1;
-            if keys.contains(&k) {
+            if keys.binary_search(&k).is_ok() {
                 matches += 1;
             }
         }
@@ -169,9 +171,9 @@ const BITVEC: u64 = 0x7000_0000;
 
 /// Normal-case host program: build then probe, all on the host.
 struct NormalJoin {
-    r: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    s: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    p: Params,       // asan-lint: allow(snapshot-completeness)
+    r: Bytes,  // asan-lint: allow(snapshot-completeness)
+    s: Bytes,  // asan-lint: allow(snapshot-completeness)
+    p: Params, // asan-lint: allow(snapshot-completeness)
     phase: u8,
     reader: BlockReader,
     s_plan: BlockPlan,
@@ -543,17 +545,12 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
         p.record_bytes as usize,
     );
     let (want_pass, want_matches) = reference(&r, &s, p);
-    let r = Arc::new(r);
-    let s = Arc::new(s);
+    let (r, s) = (Bytes::from(r), Bytes::from(s));
 
     let build = || {
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, cfg.clone());
-        let rf = cl
-            .add_file(ts[0], r.as_ref().clone())
-            .expect("cluster setup");
-        let sf = cl
-            .add_file(ts[0], s.as_ref().clone())
-            .expect("cluster setup");
+        let rf = cl.add_file(ts[0], r.clone()).expect("cluster setup");
+        let sf = cl.add_file(ts[0], s.clone()).expect("cluster setup");
         let host = hs[0];
 
         let filter = std::rc::Rc::new(std::cell::RefCell::new(JoinFilter::new(p.clone(), host)));

@@ -10,12 +10,10 @@
 //! Digests are real (RFC 1321): the simulated runs produce exactly the
 //! digest of the reference implementation.
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::active::ActiveSwitchConfig;
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx, MsgInfo};
-use asan_net::{HandlerId, NodeId, MTU};
+use asan_net::{Bytes, HandlerId, NodeId, MTU};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
@@ -76,7 +74,7 @@ fn digest_tag(d: &[u8; 16]) -> u64 {
 /// Normal-case host program: read and hash the whole file (original
 /// single-chain MD5).
 struct NormalMd5 {
-    input: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
+    input: Bytes, // asan-lint: allow(snapshot-completeness)
     reader: BlockReader,
     hasher: Option<Md5>,
     digest: Option<[u8; 16]>,
@@ -269,7 +267,7 @@ impl HostProgram for ActiveMd5 {
 ///
 /// Panics if the digest is wrong.
 pub fn run(variant: Variant, p: &Params) -> AppRun {
-    let input = Arc::new(data::md5_input(p.input_bytes as usize));
+    let input = Bytes::from(data::md5_input(p.input_bytes as usize));
     // Reference: single chain for normal, K-way interleave (per MTU
     // packet) for active.
     let want = if variant.is_active() {
@@ -282,9 +280,7 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
         let mut cfg = ClusterConfig::paper();
         cfg.active = ActiveSwitchConfig::with_cpus(p.switch_cpus);
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, cfg);
-        let file = cl
-            .add_file(ts[0], input.as_ref().clone())
-            .expect("cluster setup");
+        let file = cl.add_file(ts[0], input.clone()).expect("cluster setup");
         let host = hs[0];
 
         if variant.is_active() {

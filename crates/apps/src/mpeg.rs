@@ -16,11 +16,9 @@
 //! (`active`), 1.36 (`active+pref`) over `normal`; host traffic reduced
 //! by 36.5 % in both active cases.
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{HandlerId, NodeId};
+use asan_net::{Bytes, HandlerId, NodeId};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
@@ -73,7 +71,7 @@ pub fn reference_i_bytes(video: &[u8]) -> u64 {
 
 /// Normal-case host program: filter + colour-reduce per block.
 struct NormalMpeg {
-    video: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
+    video: Bytes, // asan-lint: allow(snapshot-completeness)
     reader: BlockReader,
     scanner: FrameScanner,
     i_bytes: u64,
@@ -323,13 +321,11 @@ impl HostProgram for ActiveMpeg {
 ///
 /// Panics if the filtered byte count disagrees with the reference.
 pub fn run(variant: Variant, p: &Params) -> AppRun {
-    let video = Arc::new(data::mpeg_stream(p.video_bytes as usize));
+    let video = Bytes::from(data::mpeg_stream(p.video_bytes as usize));
     let want = reference_i_bytes(&video);
     let build = || {
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, ClusterConfig::paper());
-        let file = cl
-            .add_file(ts[0], video.as_ref().clone())
-            .expect("cluster setup");
+        let file = cl.add_file(ts[0], video.clone()).expect("cluster setup");
         let host = hs[0];
 
         if variant.is_active() {

@@ -12,8 +12,6 @@
 //! (both jobs done) shows the throughput effect that execution time
 //! alone hides.
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::cluster::ClusterConfig;
 use asan_sim::{SimDuration, SimTime};
 
@@ -40,15 +38,6 @@ pub struct MultiprogRun {
 ///
 /// Panics if the Grep result fails its reference validation.
 pub fn run(variant: Variant, p: &grep::Params, background: SimDuration) -> MultiprogRun {
-    // Reuses the Grep wiring but keeps hold of the cluster so the
-    // background job can be attached.
-    let corpus = Arc::new(crate::data::grep_corpus(
-        p.file_bytes as usize,
-        p.pattern,
-        p.matches,
-    ));
-    let _ = corpus; // the grep module regenerates it deterministically
-
     let (report, bg_done, bg_left) =
         grep::run_with_background(variant, p, ClusterConfig::paper(), background);
     let grep_done = report;

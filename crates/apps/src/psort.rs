@@ -15,11 +15,9 @@
 //! Shape (Figures 13–14): like Grep; per-node traffic in the active
 //! case is ~40 % of normal at p = 4 (limit `p/(3p−2)` → 1/3).
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{HandlerId, NodeId};
+use asan_net::{Bytes, HandlerId, NodeId};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
@@ -84,10 +82,10 @@ pub fn reference_counts(shares: &[Vec<u8>], p: usize) -> Vec<u64> {
 
 /// Normal-case host program for one node.
 struct NormalSortNode {
-    share: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    p: Params,           // asan-lint: allow(snapshot-completeness)
-    me: usize,           // asan-lint: allow(snapshot-completeness)
-    peers: Vec<NodeId>,  // asan-lint: allow(snapshot-completeness)
+    share: Bytes,       // asan-lint: allow(snapshot-completeness)
+    p: Params,          // asan-lint: allow(snapshot-completeness)
+    me: usize,          // asan-lint: allow(snapshot-completeness)
+    peers: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
     reader: BlockReader,
     /// Index of the next unprocessed record (alignment carry).
     next_rec: usize,
@@ -447,6 +445,7 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
         .map(|i| data::datamation(per_node as usize, &format!("sort-share-{i}")))
         .collect();
     let want = reference_counts(&shares, p.nodes);
+    let shares: Vec<Bytes> = shares.into_iter().map(Bytes::from).collect();
 
     let share_bytes = per_node * SORT_RECORD as u64;
     let build = || {
@@ -497,7 +496,7 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
                 cl.set_program(
                     hs[i],
                     Box::new(NormalSortNode {
-                        share: Arc::new(shares[i].clone()),
+                        share: shares[i].clone(),
                         p: p.clone(),
                         me: i,
                         peers: hs.clone(),

@@ -12,11 +12,9 @@
 //! the normal cases is ~21× that of the active cases*; active host I/O
 //! traffic is ~25 % of normal.
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{HandlerId, NodeId};
+use asan_net::{Bytes, HandlerId, NodeId};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
@@ -73,8 +71,8 @@ pub fn reference_count(table: &[u8], p: &Params) -> u64 {
 
 /// Normal-case host program: scan every record of every block.
 struct NormalSelect {
-    table: Arc<Vec<u8>>, // asan-lint: allow(snapshot-completeness)
-    p: Params,           // asan-lint: allow(snapshot-completeness)
+    table: Bytes, // asan-lint: allow(snapshot-completeness)
+    p: Params,    // asan-lint: allow(snapshot-completeness)
     reader: BlockReader,
     matches: u64,
     buf_base: u64, // asan-lint: allow(snapshot-completeness)
@@ -309,17 +307,21 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
 /// [`run`] with an explicit cluster configuration (used by the fault
 /// injection experiments to attach a [`asan_sim::faults::FaultPlan`]).
 pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppRun {
-    let table = Arc::new(data::db_table(
+    let table = Bytes::from(data::db_table(
         p.table_bytes as usize,
         p.record_bytes as usize,
         "select-table",
     ));
-    let want = reference_count(&table, p);
+    run_on(variant, p, cfg, &table)
+}
+
+/// [`run_with_config`] over a caller-supplied `table`, which the
+/// cluster and the host program share without copying.
+fn run_on(variant: Variant, p: &Params, cfg: ClusterConfig, table: &Bytes) -> AppRun {
+    let want = reference_count(table, p);
     let build = || {
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, cfg.clone());
-        let file = cl
-            .add_file(ts[0], table.as_ref().clone())
-            .expect("cluster setup");
+        let file = cl.add_file(ts[0], table.clone()).expect("cluster setup");
         let host = hs[0];
 
         if variant.is_active() {
@@ -402,6 +404,23 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn chaos_leaves_the_shared_input_untouched() {
+        let p = Params::small();
+        let table = Bytes::from(data::db_table(p.table_bytes as usize, 128, "select-table"));
+        let mut cfg = ClusterConfig::paper_db();
+        cfg.faults = Some(asan_sim::faults::FaultPlan::chaos(7));
+        for v in [Variant::NormalPref, Variant::ActivePref] {
+            let run = run_on(v, &p, cfg.clone(), &table);
+            assert!(
+                run.faults.packet_corrupt.injected > 0,
+                "{v:?}: no packet corrupted"
+            );
+            let fresh = data::db_table(p.table_bytes as usize, 128, "select-table");
+            assert!(table.as_slice() == fresh.as_slice(), "{v:?}: input changed");
+        }
+    }
 
     #[test]
     fn reference_selectivity_near_25pct() {

@@ -13,11 +13,9 @@
 //! (I/O-bound); active host utilization ≈ 0; active host I/O traffic is
 //! just the 512 B headers per file.
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::cluster::{ClusterConfig, Dest, FileId, HostCtx, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{HandlerId, NodeId};
+use asan_net::{Bytes, HandlerId, NodeId};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
@@ -70,8 +68,8 @@ impl Params {
 struct NormalTar {
     p: Params,
     files: Vec<FileId>,
-    contents: Arc<Vec<Vec<u8>>>, // asan-lint: allow(snapshot-completeness)
-    archive: NodeId,             // asan-lint: allow(snapshot-completeness)
+    contents: Vec<Bytes>, // asan-lint: allow(snapshot-completeness)
+    archive: NodeId,      // asan-lint: allow(snapshot-completeness)
     outstanding: u64,
     current: usize,
     reader: Option<BlockReader>,
@@ -262,7 +260,10 @@ impl HostProgram for ActiveTar {
 ///
 /// Panics if the archive stream does not carry the expected bytes.
 pub fn run(variant: Variant, p: &Params) -> AppRun {
-    let contents = Arc::new(data::file_set(p.files, p.file_bytes as usize));
+    let contents: Vec<Bytes> = data::file_set(p.files, p.file_bytes as usize)
+        .into_iter()
+        .map(Bytes::from)
+        .collect();
     let build = || {
         // Input files on TCA 0; the archive target is TCA 1.
         let (mut cl, hs, ts, sw) = standard_cluster(1, 2, ClusterConfig::paper());

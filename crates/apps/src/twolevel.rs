@@ -17,8 +17,6 @@
 //! level further down: the active disk also relieves the *SAN* links,
 //! and the switch can still add value on top (here, aggregation).
 
-use std::sync::Arc; // asan-lint: allow(domain-isolation) — immutable payload handoff, no locks or threads
-
 use asan_core::active::ActiveSwitchConfig;
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
@@ -192,17 +190,15 @@ pub fn run(placement: Placement, p: &select::Params) -> PlacementRun {
         _ => {}
     }
 
-    let table = Arc::new(data::db_table(
+    let table = data::db_table(
         p.table_bytes as usize,
         p.record_bytes as usize,
         "select-table",
-    ));
+    );
     let want = select::reference_count(&table, p);
 
     let (mut cl, hs, ts, sw) = standard_cluster(1, 1, ClusterConfig::paper_db());
-    let file = cl
-        .add_file(ts[0], table.as_ref().clone())
-        .expect("cluster setup");
+    let file = cl.add_file(ts[0], table).expect("cluster setup");
     let host = hs[0];
     let tca = ts[0];
 

@@ -18,7 +18,7 @@ use asan_net::{HandlerId, Packet};
 use asan_net::{NodeId, MTU};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::{Counter, TimeBreakdown};
-use asan_sim::{SimDuration, SimTime};
+use asan_sim::{Period, SimDuration, SimTime};
 
 use crate::atb::Atb;
 use crate::buffer::line_schedule;
@@ -131,6 +131,10 @@ pub struct ActiveSwitch {
     /// The send unit's injection port busy-until time.
     send_unit_free: SimTime,
     stats: ActiveStats,
+    /// The dispatch unit's latency, `cfg.dispatch_cycles` at the CPU clock.
+    dispatch_lat: SimDuration, // asan-lint: allow(snapshot-completeness)
+    /// The send unit's per-byte injection time.
+    injection: Period, // asan-lint: allow(snapshot-completeness)
 }
 
 impl std::fmt::Debug for dyn Handler {
@@ -161,6 +165,8 @@ impl ActiveSwitch {
             jump,
             send_unit_free: SimTime::ZERO,
             stats: ActiveStats::default(),
+            dispatch_lat: SimDuration::cycles(cfg.dispatch_cycles, cfg.cpu.hz),
+            injection: Period::of(cfg.injection_bytes_per_sec),
             cfg,
         }
     }
@@ -373,8 +379,7 @@ impl ActiveSwitch {
         let window_base = msg.addr - (msg.addr % MTU as u32);
         self.atbs[cpu_idx].map(window_base, buf);
 
-        let dispatch_lat = SimDuration::cycles(self.cfg.dispatch_cycles, self.cfg.cpu.hz);
-        let start = granted.max(header_at + dispatch_lat);
+        let start = granted.max(header_at + self.dispatch_lat);
         let cpu = &mut self.cpus[cpu_idx];
         cpu.idle_until(start);
 
@@ -396,7 +401,7 @@ impl ActiveSwitch {
                 input_freed: false,
                 send_unit_cycles: self.cfg.send_unit_cycles,
                 send_unit_free: &mut self.send_unit_free,
-                injection_bps: self.cfg.injection_bytes_per_sec,
+                injection: self.injection,
                 atb_enabled: self.cfg.atb_enabled,
             };
             handler.on_message(&mut ctx);

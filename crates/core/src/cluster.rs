@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use asan_cpu::CpuConfig;
 use asan_io::{OsCost, StorageConfig};
 use asan_net::topo::{NodeKind, TopoMap, TopoSpec, TopologyBuilder};
-use asan_net::{Fabric, HandlerId, HcaConfig, NodeId};
+use asan_net::{Bytes, Fabric, HandlerId, HcaConfig, NodeId};
 use asan_sim::faults::{FaultInjector, FaultPlan, FaultStats};
 use asan_sim::perfetto::PerfettoSink;
 use asan_sim::sched::Scheduler;
@@ -291,10 +291,16 @@ impl Cluster {
 
     /// Stores `data` as a file on `tca`'s array, returning its ID.
     ///
+    /// The cluster adopts the buffer without copying it: pass a `Vec`
+    /// to hand it over, or a clone of a [`Bytes`] to share it with the
+    /// caller (simulated corruption is copy-on-write, so a shared file
+    /// never changes).
+    ///
     /// # Errors
     ///
     /// Returns [`SimError::NotATca`] if `tca` is not a TCA node.
-    pub fn add_file(&mut self, tca: NodeId, data: Vec<u8>) -> Result<FileId, SimError> {
+    pub fn add_file(&mut self, tca: NodeId, data: impl Into<Bytes>) -> Result<FileId, SimError> {
+        let data = data.into();
         let stripe = self.cfg.storage.stripe_bytes;
         let disk_offset = self.storage.alloc(tca, data.len() as u64, stripe)?;
         Ok(self.files.push(
@@ -688,5 +694,20 @@ impl Cluster {
             Subsystem::Dispatch => self.dispatch.on_event(t, ev, &mut bus),
             Subsystem::Storage => self.storage.on_event(t, ev, &mut bus),
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn add_file_shares_the_callers_buffer() {
+        let (mut cl, map) =
+            Cluster::from_spec(&TopoSpec::single_switch(1, 1), ClusterConfig::paper());
+        let input = Bytes::from(vec![0x5Au8; 64 * 1024]);
+        let file = cl.add_file(map.tcas[0], input.clone()).unwrap();
+        assert_eq!(cl.files.data(file).as_ptr(), input.as_ptr());
+        assert_eq!(cl.files.meta()[file.0].len, input.len() as u64);
     }
 }

@@ -86,7 +86,7 @@ impl Rig {
                 len: len as u64,
                 disk_offset: 0,
             },
-            vec![0xAB; len],
+            vec![0xAB; len].into(),
         )
     }
 

@@ -238,11 +238,11 @@ impl FileStore {
         &self.data[file.0]
     }
 
-    /// Appends a file, returning its ID.
-    pub(crate) fn push(&mut self, meta: FileMeta, data: Vec<u8>) -> FileId {
+    /// Appends a file without copying its bytes, returning its ID.
+    pub(crate) fn push(&mut self, meta: FileMeta, data: Bytes) -> FileId {
         let id = FileId(self.meta.len());
         self.meta.push(meta);
-        self.data.push(Bytes::from(data));
+        self.data.push(data);
         id
     }
 }
@@ -972,5 +972,22 @@ mod tests {
             IoState::restore(&mut r).unwrap_err(),
             SnapError::Malformed("io lens-count exceeds snapshot")
         );
+    }
+
+    #[test]
+    fn corrupted_packet_keeps_its_icrc_mismatch_through_the_codec() {
+        let data: Vec<u8> = (0..700u32).map(|i| (i * 13) as u8).collect();
+        let mut pkt = asan_net::packetize(NodeId(0), NodeId(1), None, 0, &data).remove(1);
+        assert!(pkt.icrc_ok());
+        pkt.corrupt_payload_bit(41);
+        assert!(!pkt.icrc_ok());
+        let mut w = SnapWriter::new();
+        snap_packet(&mut w, &pkt);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        let back = read_packet(&mut r).unwrap();
+        assert_eq!(back, pkt);
+        assert_eq!(back.icrc(), pkt.icrc());
+        assert!(!back.icrc_ok(), "the mismatch survives the codec");
     }
 }

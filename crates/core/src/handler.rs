@@ -16,7 +16,7 @@
 use asan_cpu::Cpu;
 use asan_net::{HandlerId, NodeId};
 use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
-use asan_sim::SimTime;
+use asan_sim::{Period, SimTime};
 
 use crate::atb::Atb;
 use crate::buffer::{BufId, LINE_BYTES};
@@ -105,8 +105,8 @@ pub struct HandlerCtx<'a> {
     /// The send unit's injection port: busy-until time (shared across
     /// invocations; models crossbar injection serialization).
     pub(crate) send_unit_free: &'a mut SimTime,
-    /// Injection bandwidth toward the crossbar (bytes/second).
-    pub(crate) injection_bps: u64,
+    /// Per-byte injection time toward the crossbar.
+    pub(crate) injection: Period,
     /// Whether the hardware ATB translates addresses (see
     /// [`crate::active::ActiveSwitchConfig::atb_enabled`]).
     pub(crate) atb_enabled: bool,
@@ -118,7 +118,7 @@ impl HandlerCtx<'_> {
     /// absorbed it. Returns the drain time.
     fn schedule_drain(&mut self, buf: BufId, wire_bytes: u64, ready: SimTime) -> SimTime {
         let start = ready.max(*self.send_unit_free);
-        let drain = start + asan_sim::SimDuration::transfer(wire_bytes, self.injection_bps);
+        let drain = start + self.injection.times(wire_bytes);
         *self.send_unit_free = drain;
         self.dba.release(buf, drain);
         drain

@@ -51,14 +51,191 @@ pub struct TlbStats {
 #[derive(Debug, Clone)]
 pub struct Tlb {
     cfg: TlbConfig,
-    /// (page number, recency stamp) pairs; vector scan is fine at 64 entries.
+    /// (page number, recency stamp) pairs in slot order; a victim's
+    /// slot is reused in place.
     entries: Vec<(u64, u64)>,
     stamp: u64,
     stats: TlbStats,
     page_shift: u32, // asan-lint: allow(snapshot-completeness)
-    /// Index of the entry touched last, checked before the scan. Only a
-    /// hint: pages are unique, so it finds the entry the scan would.
+    /// Index of the entry touched last, checked before any search. Only
+    /// a hint: pages are unique, so it finds the entry a search would.
     mru: usize, // asan-lint: allow(snapshot-completeness)
+    /// Page lookup and recency order over `entries`, built when the TLB
+    /// first fills (until then nothing is evicted, and a scan finds a
+    /// page among the few resident ones). Rebuilt on restore, dropped
+    /// on flush.
+    index: Option<Index>,
+}
+
+/// "No slot" in [`Index`] links.
+const NIL: u8 = u8::MAX;
+
+/// A page→slot hash index and a most- to least-recent list over the
+/// slots of a [`Tlb`], in one allocation of `u8` links.
+///
+/// Stamps are unique and increase with every access, so the list tail
+/// is the entry with the smallest stamp: the LRU victim a scan finds.
+#[derive(Debug, Clone)]
+struct Index {
+    /// `prev[0..cap]`, `next[0..cap]`, then an open-addressed table of
+    /// `1 << bits` cells holding `slot + 1` (0 = empty).
+    links: Box<[u8]>,
+    cap: usize,
+    bits: u32,
+    head: u8,
+    tail: u8,
+}
+
+impl Index {
+    /// Indexes `entries`, a TLB's slots.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError::Malformed`] if a page is resident twice or
+    /// two entries share a stamp.
+    fn build(entries: &[(u64, u64)]) -> Result<Self, SnapError> {
+        let cap = entries.len();
+        let cells = (2 * cap).next_power_of_two().max(2);
+        let mut links = vec![0; 2 * cap + cells];
+        links[..2 * cap].fill(NIL);
+        let mut index = Index {
+            links: links.into_boxed_slice(),
+            cap,
+            bits: cells.trailing_zeros(),
+            head: NIL,
+            tail: NIL,
+        };
+        for (slot, &(page, _)) in entries.iter().enumerate() {
+            if index.find(page, &entries[..slot]).is_some() {
+                return Err(SnapError::Malformed("TLB page resident twice"));
+            }
+            index.insert(page, slot);
+        }
+        let mut order: Vec<u8> = (0..cap as u8).collect();
+        order.sort_unstable_by_key(|&slot| entries[usize::from(slot)].1);
+        if order
+            .windows(2)
+            .any(|w| entries[usize::from(w[0])].1 == entries[usize::from(w[1])].1)
+        {
+            return Err(SnapError::Malformed("TLB stamp shared by two entries"));
+        }
+        for slot in order {
+            index.push_front(slot);
+        }
+        Ok(index)
+    }
+
+    fn mask(&self) -> usize {
+        (1 << self.bits) - 1
+    }
+
+    /// The page's home cell in the table.
+    fn home(&self, page: u64) -> usize {
+        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize
+    }
+
+    fn cell(&self, i: usize) -> u8 {
+        self.links[2 * self.cap + i]
+    }
+
+    fn set_cell(&mut self, i: usize, v: u8) {
+        self.links[2 * self.cap + i] = v;
+    }
+
+    /// The table cell holding `page`, if it is resident.
+    fn find_cell(&self, page: u64, entries: &[(u64, u64)]) -> Option<usize> {
+        let mask = self.mask();
+        let mut i = self.home(page);
+        loop {
+            match self.cell(i) {
+                0 => return None,
+                v if entries[usize::from(v - 1)].0 == page => return Some(i),
+                _ => i = (i + 1) & mask,
+            }
+        }
+    }
+
+    /// The slot holding `page`, if it is resident.
+    fn find(&self, page: u64, entries: &[(u64, u64)]) -> Option<usize> {
+        self.find_cell(page, entries)
+            .map(|i| usize::from(self.cell(i) - 1))
+    }
+
+    /// Indexes `slot` under `page`, which must not be resident.
+    fn insert(&mut self, page: u64, slot: usize) {
+        let mask = self.mask();
+        let mut i = self.home(page);
+        while self.cell(i) != 0 {
+            i = (i + 1) & mask;
+        }
+        self.set_cell(i, slot as u8 + 1);
+    }
+
+    /// Unindexes resident `page` (backward-shift deletion, so probe
+    /// chains stay unbroken without tombstones).
+    fn remove(&mut self, page: u64, entries: &[(u64, u64)]) {
+        let mask = self.mask();
+        let mut hole = self.find_cell(page, entries).expect("resident page");
+        let mut j = hole;
+        loop {
+            j = (j + 1) & mask;
+            let v = self.cell(j);
+            if v == 0 {
+                break;
+            }
+            let home = self.home(entries[usize::from(v - 1)].0);
+            // The entry at `j` may fill the hole unless its home lies
+            // cyclically in `(hole, j]`.
+            if (j.wrapping_sub(home) & mask) >= (j.wrapping_sub(hole) & mask) {
+                self.set_cell(hole, v);
+                hole = j;
+            }
+        }
+        self.set_cell(hole, 0);
+    }
+
+    fn prev(&self, slot: u8) -> u8 {
+        self.links[usize::from(slot)]
+    }
+
+    fn next(&self, slot: u8) -> u8 {
+        self.links[self.cap + usize::from(slot)]
+    }
+
+    fn set_prev(&mut self, slot: u8, v: u8) {
+        self.links[usize::from(slot)] = v;
+    }
+
+    fn set_next(&mut self, slot: u8, v: u8) {
+        self.links[self.cap + usize::from(slot)] = v;
+    }
+
+    /// Makes `slot` (not currently listed) the most recent.
+    fn push_front(&mut self, slot: u8) {
+        self.set_prev(slot, NIL);
+        self.set_next(slot, self.head);
+        if self.head == NIL {
+            self.tail = slot;
+        } else {
+            self.set_prev(self.head, slot);
+        }
+        self.head = slot;
+    }
+
+    /// Moves listed `slot` to the front.
+    fn touch(&mut self, slot: u8) {
+        if self.head == slot {
+            return;
+        }
+        let (p, n) = (self.prev(slot), self.next(slot));
+        self.set_next(p, n); // `slot` is not the head, so `p` is a slot
+        if n == NIL {
+            self.tail = p;
+        } else {
+            self.set_prev(n, p);
+        }
+        self.push_front(slot);
+    }
 }
 
 impl Tlb {
@@ -66,10 +243,15 @@ impl Tlb {
     ///
     /// # Panics
     ///
-    /// Panics if `page_bytes` is not a power of two or `entries` is zero.
+    /// Panics if `page_bytes` is not a power of two or `entries` is not
+    /// in `1..=255`.
     pub fn new(cfg: TlbConfig) -> Self {
         assert!(cfg.page_bytes.is_power_of_two(), "page size must be 2^k");
         assert!(cfg.entries > 0, "TLB needs at least one entry");
+        assert!(
+            cfg.entries <= usize::from(NIL),
+            "TLB holds at most 255 entries"
+        );
         Tlb {
             page_shift: cfg.page_bytes.trailing_zeros(),
             cfg,
@@ -77,6 +259,7 @@ impl Tlb {
             stamp: 0,
             stats: TlbStats::default(),
             mru: 0,
+            index: None,
         }
     }
 
@@ -90,36 +273,51 @@ impl Tlb {
         &self.stats
     }
 
-    /// Looks up the page containing `addr`, inserting it on miss.
-    /// Returns `true` on hit.
+    /// Looks up the page containing `addr`, inserting it on miss and
+    /// evicting the least recently used entry when full. Returns `true`
+    /// on hit.
     pub fn access(&mut self, addr: u64) -> bool {
         let page = addr >> self.page_shift;
         self.stamp += 1;
         let found = match self.entries.get(self.mru) {
             Some(e) if e.0 == page => Some(self.mru),
-            _ => self.entries.iter().position(|e| e.0 == page),
+            _ => self.find(page),
         };
         if let Some(i) = found {
             self.entries[i].1 = self.stamp;
+            if let Some(index) = &mut self.index {
+                index.touch(i as u8);
+            }
             self.mru = i;
             self.stats.hits.inc();
             return true;
         }
         self.stats.misses.inc();
-        if self.entries.len() < self.cfg.entries {
+        if let Some(index) = &mut self.index {
+            let victim = index.tail;
+            let v = usize::from(victim);
+            index.remove(self.entries[v].0, &self.entries);
+            self.entries[v] = (page, self.stamp);
+            index.insert(page, v);
+            index.touch(victim);
+            self.mru = v;
+        } else {
             self.mru = self.entries.len();
             self.entries.push((page, self.stamp));
-        } else {
-            let (victim, _) = self
-                .entries
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, e)| e.1)
-                .expect("non-empty");
-            self.entries[victim] = (page, self.stamp);
-            self.mru = victim;
+            if self.entries.len() == self.cfg.entries {
+                self.index =
+                    Some(Index::build(&self.entries).expect("live entries are consistent"));
+            }
         }
         false
+    }
+
+    /// The slot holding `page`, if it is resident.
+    fn find(&self, page: u64) -> Option<usize> {
+        match &self.index {
+            Some(index) => index.find(page, &self.entries),
+            None => self.entries.iter().position(|e| e.0 == page),
+        }
     }
 
     /// Bulk-records `n` lookups that are known to hit resident
@@ -134,17 +332,17 @@ impl Tlb {
 
     /// Checks residency without updating LRU, statistics, or contents.
     pub fn probe(&self, addr: u64) -> bool {
-        let page = addr >> self.page_shift;
-        self.entries.iter().any(|e| e.0 == page)
+        self.find(addr >> self.page_shift).is_some()
     }
 
     /// Drops all translations.
     pub fn flush(&mut self) {
         self.entries.clear();
+        self.index = None;
     }
 
-    /// Writes the resident translations (in insertion order), the
-    /// recency stamp and the statistics.
+    /// Writes the resident translations (in slot order), the recency
+    /// stamp and the statistics.
     pub fn snapshot(&self, w: &mut SnapWriter) {
         w.u64(self.stamp);
         self.stats.hits.snapshot(w);
@@ -158,6 +356,13 @@ impl Tlb {
 
     /// Overwrites this TLB's dynamic state from a snapshot taken of a
     /// TLB with the same configuration.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SnapError::Malformed`] for more entries than the TLB
+    /// holds, a page resident twice, two entries with one stamp, or a
+    /// stamp above the saved clock: the recency order is rebuilt from
+    /// the stamps and needs all of them to hold.
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stamp = r.u64()?;
         self.stats = TlbStats {
@@ -168,12 +373,17 @@ impl Tlb {
         if n > self.cfg.entries {
             return Err(SnapError::Malformed("TLB snapshot exceeds capacity"));
         }
-        self.entries.clear();
+        self.flush();
         for _ in 0..n {
             let page = r.u64()?;
             let lru = r.u64()?;
+            if lru > self.stamp {
+                return Err(SnapError::Malformed("TLB stamp above its clock"));
+            }
             self.entries.push((page, lru));
         }
+        let index = Index::build(&self.entries)?;
+        self.index = (n == self.cfg.entries).then_some(index);
         Ok(())
     }
 }
@@ -237,6 +447,147 @@ mod tests {
         assert!(!back.access(0x2000));
         assert!(back.probe(0x0000));
         assert!(!back.probe(0x1000));
+    }
+
+    /// The scan-LRU TLB the indexed one must match: the same slot
+    /// order, stamps and snapshot layout, with a linear search for the
+    /// page and a second one for the smallest stamp.
+    struct ScanLru {
+        cap: usize, // asan-lint: allow(snapshot-completeness)
+        entries: Vec<(u64, u64)>,
+        stamp: u64,
+        hits: u64,
+        misses: u64,
+    }
+
+    impl ScanLru {
+        fn new(cap: usize) -> Self {
+            ScanLru {
+                cap,
+                entries: Vec::new(),
+                stamp: 0,
+                hits: 0,
+                misses: 0,
+            }
+        }
+
+        fn access(&mut self, page: u64) -> bool {
+            self.stamp += 1;
+            if let Some(e) = self.entries.iter_mut().find(|e| e.0 == page) {
+                e.1 = self.stamp;
+                self.hits += 1;
+                return true;
+            }
+            self.misses += 1;
+            if self.entries.len() < self.cap {
+                self.entries.push((page, self.stamp));
+            } else {
+                let victim = (0..self.entries.len())
+                    .min_by_key(|&i| self.entries[i].1)
+                    .expect("full");
+                self.entries[victim] = (page, self.stamp);
+            }
+            false
+        }
+
+        fn snapshot_bytes(&self) -> Vec<u8> {
+            let mut w = SnapWriter::new();
+            w.u64(self.stamp);
+            for n in [self.hits, self.misses] {
+                let mut c = Counter::default();
+                c.add(n);
+                c.snapshot(&mut w);
+            }
+            w.usize(self.entries.len());
+            for &(page, lru) in &self.entries {
+                w.u64(page);
+                w.u64(lru);
+            }
+            w.into_bytes()
+        }
+    }
+
+    fn snapshot_bytes(t: &Tlb) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        t.snapshot(&mut w);
+        w.into_bytes()
+    }
+
+    fn restored(cfg: TlbConfig, bytes: &[u8]) -> Result<Tlb, SnapError> {
+        let mut t = Tlb::new(cfg);
+        let mut r = SnapReader::new(bytes)?;
+        t.restore(&mut r)?;
+        r.finish()?;
+        Ok(t)
+    }
+
+    #[test]
+    fn matches_scan_lru_reference_model() {
+        let tiny = TlbConfig {
+            entries: 2,
+            page_bytes: 4096,
+        };
+        for cfg in [TlbConfig::paper(), tiny] {
+            for working_set in [32u64, 64, 65, 200] {
+                let label = format!("tlb-{}-{working_set}", cfg.entries);
+                let mut rng = asan_sim::SimRng::from_label(&label);
+                let mut tlb = Tlb::new(cfg);
+                let mut model = ScanLru::new(cfg.entries);
+                let steps = 20_000;
+                for step in 0..steps {
+                    if step % (steps / 4) == steps / 8 {
+                        let bytes = snapshot_bytes(&tlb);
+                        assert_eq!(bytes, model.snapshot_bytes(), "{label} step {step}");
+                        tlb = restored(cfg, &bytes).unwrap();
+                        assert_eq!(snapshot_bytes(&tlb), bytes, "{label} step {step}");
+                    }
+                    // Half the accesses revisit a hot eighth of the set.
+                    let page = if rng.chance(0.5) {
+                        rng.below(working_set.div_ceil(8))
+                    } else {
+                        rng.below(working_set)
+                    };
+                    let addr = page * cfg.page_bytes + rng.below(cfg.page_bytes);
+                    assert_eq!(tlb.access(addr), model.access(page), "{label} step {step}");
+                    assert!(tlb.probe(addr), "{label} step {step}");
+                }
+                assert_eq!(snapshot_bytes(&tlb), model.snapshot_bytes(), "{label}");
+                assert!(model.hits > 0, "{label}");
+                if working_set > cfg.entries as u64 {
+                    assert!(model.misses > cfg.entries as u64, "{label}: no evictions");
+                }
+            }
+        }
+    }
+
+    /// A snapshot of a 2-entry TLB with clock `clock` and `entries`.
+    fn crafted(clock: u64, entries: &[(u64, u64)]) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(clock);
+        Counter::default().snapshot(&mut w);
+        Counter::default().snapshot(&mut w);
+        w.usize(entries.len());
+        for &(page, lru) in entries {
+            w.u64(page);
+            w.u64(lru);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn restore_rejects_inconsistent_entries() {
+        let cfg = tiny().cfg;
+        assert!(restored(cfg, &crafted(9, &[(1, 8), (2, 9)])).is_ok());
+        for (entries, why) in [
+            (&[(1, 8), (1, 9)], "TLB page resident twice"),
+            (&[(1, 9), (2, 9)], "TLB stamp shared by two entries"),
+            (&[(1, 8), (2, 10)], "TLB stamp above its clock"),
+        ] {
+            assert_eq!(
+                restored(cfg, &crafted(9, entries)).unwrap_err(),
+                SnapError::Malformed(why)
+            );
+        }
     }
 
     #[test]

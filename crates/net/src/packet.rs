@@ -230,83 +230,87 @@ pub fn crc32(crc: u32, bytes: &[u8]) -> u32 {
 /// The payload is a [`Bytes`] view, so cloning a packet (fallback
 /// forwarding, retransmit caching) or slicing a file region into
 /// per-MTU payloads never copies the data.
-#[derive(Debug, Clone, PartialEq, Eq)]
+///
+/// The ICRC is computed on demand: an intact packet's ICRC is a pure
+/// function of its contents, so nothing is stored until simulated
+/// corruption (or a snapshot restore) pins an explicit stamp. Every
+/// [`icrc`](Packet::icrc) value and [`icrc_ok`](Packet::icrc_ok)
+/// verdict is the same as if the ICRC had been stamped at
+/// construction.
+#[derive(Debug, Clone)]
 pub struct Packet {
     /// Wire header.
     pub header: Header,
     /// Payload (≤ [`MTU`] bytes; real data, actually processed by
     /// handlers and hosts).
     pub payload: Bytes,
-    /// ICRC computed at construction; receivers compare against a
-    /// recomputation to detect in-flight corruption.
-    icrc: u32,
+    /// Explicit ICRC, or `None` while it equals the contents' CRC.
+    stamp: Option<u32>,
 }
 
 impl Packet {
-    /// Builds a packet, checking the payload fits the MTU, and stamps
-    /// its ICRC.
+    /// Builds a packet, checking the payload fits the MTU.
     ///
     /// # Panics
     ///
     /// Panics if `payload.len() > MTU`.
     pub fn new(header: Header, payload: impl Into<Bytes>) -> Self {
-        let payload = payload.into();
-        assert!(
-            payload.len() <= MTU,
-            "payload {} exceeds MTU {MTU}",
-            payload.len()
-        );
-        debug_assert_eq!(header.len as usize, payload.len(), "header length mismatch");
-        let icrc = crc32(crc32(0, &header.encode()), &payload);
-        Packet {
-            header,
-            payload,
-            icrc,
-        }
+        Packet::build(header, payload.into(), None)
     }
 
-    /// Rebuilds a packet from its wire parts *without* recomputing the
-    /// ICRC. Snapshot restore uses this: a packet whose simulated
-    /// corruption made the stored ICRC mismatch its contents must
-    /// round-trip with the mismatch intact, so the receiver still
+    /// Rebuilds a packet from its wire parts, keeping `icrc` as an
+    /// explicit stamp. Snapshot restore uses this: a packet whose
+    /// simulated corruption made the stored ICRC mismatch its contents
+    /// must round-trip with the mismatch intact, so the receiver still
     /// detects it after a restore.
     ///
     /// # Panics
     ///
     /// Panics if `payload.len() > MTU`.
     pub fn from_parts(header: Header, payload: impl Into<Bytes>, icrc: u32) -> Self {
-        let payload = payload.into();
+        Packet::build(header, payload.into(), Some(icrc))
+    }
+
+    fn build(header: Header, payload: Bytes, stamp: Option<u32>) -> Self {
         assert!(
             payload.len() <= MTU,
             "payload {} exceeds MTU {MTU}",
             payload.len()
         );
+        debug_assert_eq!(header.len as usize, payload.len(), "header length mismatch");
         Packet {
             header,
             payload,
-            icrc,
+            stamp,
         }
     }
 
-    /// The ICRC stamped at construction.
+    /// CRC-32 over the encoded header and the payload as they are now.
+    fn contents_crc(&self) -> u32 {
+        crc32(crc32(0, &self.header.encode()), &self.payload)
+    }
+
+    /// The packet's ICRC: the explicit stamp if one is pinned, else
+    /// the CRC of its (intact) contents.
     pub fn icrc(&self) -> u32 {
-        self.icrc
+        self.stamp.unwrap_or_else(|| self.contents_crc())
     }
 
     /// Whether the packet's contents still match its ICRC.
     pub fn icrc_ok(&self) -> bool {
-        crc32(crc32(0, &self.header.encode()), &self.payload) == self.icrc
+        self.stamp.is_none_or(|stamp| stamp == self.contents_crc())
     }
 
-    /// Simulates in-flight bit corruption: flips payload bit
-    /// `bit % (len * 8)` *without* updating the stored ICRC, so the
-    /// receiver's check fails.
+    /// Simulates in-flight bit corruption: pins the pre-corruption ICRC
+    /// as an explicit stamp, then flips payload bit `bit % (len * 8)`,
+    /// so the receiver's check fails.
     ///
     /// # Panics
     ///
     /// Panics on an empty payload (nothing to corrupt).
     pub fn corrupt_payload_bit(&mut self, bit: usize) {
         assert!(!self.payload.is_empty(), "cannot corrupt an empty payload");
+        self.stamp = Some(self.icrc());
         let bit = bit % (self.payload.len() * 8);
         // Copy-on-write: the payload may be a view into a shared file
         // buffer, which must never observe simulated wire corruption.
@@ -320,6 +324,16 @@ impl Packet {
         (HEADER_BYTES + self.payload.len()) as u64
     }
 }
+
+impl PartialEq for Packet {
+    /// Equal header, payload bytes and [`icrc`](Packet::icrc), whether
+    /// the ICRC is stamped or computed.
+    fn eq(&self, other: &Self) -> bool {
+        self.header == other.header && self.payload == other.payload && self.icrc() == other.icrc()
+    }
+}
+
+impl Eq for Packet {}
 
 /// Splits `data` into MTU-sized packets of a flow from `src` to `dst`,
 /// mapping payload `i` at `base_addr + i * MTU` (the address field the
@@ -558,6 +572,37 @@ mod tests {
         let rebuilt = Packet::from_parts(p.header, p.payload.clone(), p.icrc());
         assert_eq!(rebuilt, p);
         assert!(!rebuilt.icrc_ok(), "corruption must survive the rebuild");
+    }
+
+    #[test]
+    fn on_demand_icrc_covers_header_and_payload_at_every_length() {
+        let data: Vec<u8> = (0..MTU as u32).map(|i| (i * 7 + 3) as u8).collect();
+        for len in 0..=MTU {
+            let p = packetize(
+                NodeId(2),
+                NodeId(5),
+                Some(HandlerId::new(9)),
+                64,
+                &data[..len],
+            )
+            .remove(0);
+            let want = crc32(crc32(0, &p.header.encode()), &p.payload);
+            assert_eq!(p.icrc(), want, "len {len}");
+            assert!(p.icrc_ok(), "len {len}");
+        }
+    }
+
+    #[test]
+    fn corruption_pins_the_pre_corruption_icrc() {
+        let data: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        let mut p = packetize(NodeId(0), NodeId(1), None, 0, &data).remove(0);
+        let intact = p.icrc();
+        p.corrupt_payload_bit(5);
+        assert_eq!(p.icrc(), intact, "the stamp is the pre-corruption ICRC");
+        assert!(!p.icrc_ok());
+        p.corrupt_payload_bit(900);
+        assert_eq!(p.icrc(), intact, "a second flip keeps the first stamp");
+        assert!(!p.icrc_ok());
     }
 
     #[test]
