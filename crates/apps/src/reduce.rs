@@ -66,10 +66,17 @@ impl Mode {
 }
 
 /// The reduction result as computed by the simulation, for validation.
+/// A `p` below 1 counts as 1.
 pub fn reference_sum(p: usize) -> Vec<u8> {
-    let mut acc = reduce_vector(0);
-    for i in 1..p {
-        vector_add(&mut acc, &reduce_vector(i));
+    let vectors: Vec<Vec<u8>> = (0..p.max(1)).map(reduce_vector).collect();
+    sum_vectors(&vectors)
+}
+
+/// The element-wise sum of `vectors` (at least one).
+fn sum_vectors(vectors: &[Vec<u8>]) -> Vec<u8> {
+    let mut acc = vectors[0].clone();
+    for v in &vectors[1..] {
+        vector_add(&mut acc, v);
     }
     acc
 }
@@ -565,6 +572,7 @@ fn run_spec(
     cfg: ClusterConfig,
     tag: &str,
 ) -> ReduceRun {
+    let vectors: Vec<Vec<u8>> = (0..p).map(reduce_vector).collect();
     let build = || {
         let (mut cl, map) = Cluster::from_spec(spec, cfg.clone());
         let hosts = map.hosts.clone();
@@ -618,7 +626,7 @@ fn run_spec(
                     active,
                     peers: hosts.clone(),
                     leaf: ingress[i],
-                    vector: reduce_vector(i),
+                    vector: vectors[i].clone(),
                     round: 0,
                     got_result: None,
                     done: false,
@@ -632,7 +640,7 @@ fn run_spec(
     let (mut cl, hosts, report) = drive(tag, build);
 
     // Validate against the scalar reference.
-    let want = reference_sum(p);
+    let want = sum_vectors(&vectors);
     let check_slice = |node: usize, got: &[u8]| {
         let slice = (VECTOR_BYTES / p).max(4);
         let lo = match mode {

@@ -422,6 +422,33 @@ mod tests {
     }
 
     #[test]
+    fn cloned_warm_core_allocates_only_code_chunks() {
+        // Cache lines are stored in chunks of whole sets (here 32 two-way
+        // sets, 64 lines), allocated on first write. The warm-up fetches the
+        // code footprint once; its I-TLB walks read two page-table lines
+        // through the L2, which map to sets the code already occupies.
+        // The L1D is never touched.
+        for (name, cfg, l1i, l2) in [
+            // 16 KiB of code: 256 L1I lines fill all 256 sets (8 chunks),
+            // 128 L2 lines fill sets 0..128 (4 chunks).
+            ("host", CpuConfig::host(), 8, Some(4)),
+            ("host_db", CpuConfig::host_db(), 8, Some(4)),
+            // 2 KiB of code in a 32-set, one-chunk I-cache and no L2.
+            ("switch_cpu", CpuConfig::switch_cpu(), 1, None),
+        ] {
+            let clone = Cpu::new(cfg).clone();
+            let mem = clone.memory();
+            assert_eq!(mem.l1i().allocated_lines(), l1i * 64, "{name}");
+            assert_eq!(mem.l1d().allocated_lines(), 0, "{name}");
+            assert_eq!(
+                mem.l2().map(asan_mem::Cache::allocated_lines),
+                l2.map(|n| n * 64),
+                "{name}"
+            );
+        }
+    }
+
+    #[test]
     fn compute_charges_one_cycle_per_instruction() {
         let mut c = host();
         c.compute(2000);

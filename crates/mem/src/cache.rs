@@ -212,7 +212,15 @@ impl Line {
     fn holds(self, tag: u64) -> bool {
         self.word & !DIRTY == tag | VALID
     }
+
+    /// Whether this line is indistinguishable from one never written.
+    fn is_zero(self) -> bool {
+        self.word == 0 && self.lru == 0
+    }
 }
+
+/// Target size of a storage chunk, in lines: 64 lines of 16 B, 1 KiB.
+const CHUNK_LINES: usize = 64;
 
 /// A set-associative, write-back, write-allocate cache with LRU
 /// replacement.
@@ -228,8 +236,16 @@ impl Line {
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig, // asan-lint: allow(snapshot-completeness)
-    /// Every line, set-major: set `i` is `lines[i * assoc..(i + 1) * assoc]`.
-    lines: Vec<Line>,
+    /// The lines in chunks of `1 << chunk_bits` whole sets, set-major:
+    /// set `i` is in chunk `i >> chunk_bits`, at the position of
+    /// `i % (1 << chunk_bits)` among its sets ([`Cache::locate`]). A
+    /// chunk is allocated when one of its sets is first written; until
+    /// then it is empty (which allocates nothing) and reads as all-zero
+    /// (invalid) lines, so a clone copies only the chunks a run has
+    /// touched.
+    chunks: Vec<Box<[Line]>>,
+    /// `log2` of the sets per chunk.
+    chunk_bits: u32, // asan-lint: allow(snapshot-completeness)
     stamp: u64,
     stats: CacheStats,
     line_shift: u32, // asan-lint: allow(snapshot-completeness)
@@ -248,7 +264,11 @@ impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
         let num_sets = cfg.num_sets();
         assert!(num_sets.is_power_of_two(), "set count must be 2^k");
-        let lines = vec![Line::default(); num_sets as usize * cfg.assoc];
+        // As many whole sets as fit in a chunk (at least one, at most
+        // all), a power of two so a set's chunk is a shift away.
+        let fit = (CHUNK_LINES / cfg.assoc).max(1) as u64;
+        let chunk_bits = fit.ilog2().min(num_sets.trailing_zeros());
+        let chunks = vec![Box::default(); (num_sets >> chunk_bits) as usize];
         let line_shift = cfg.line_bytes.trailing_zeros();
         let set_bits = num_sets.trailing_zeros();
         assert!(
@@ -262,7 +282,8 @@ impl Cache {
             set_bits,
             line_shift,
             cfg,
-            lines,
+            chunks,
+            chunk_bits,
             stamp: 0,
             stats: CacheStats::default(),
         }
@@ -284,11 +305,24 @@ impl Cache {
         addr >> self.line_shift << self.line_shift
     }
 
-    /// The range of `lines` holding the ways of set `set_idx`.
+    /// Lines per chunk.
+    fn chunk_len(&self) -> usize {
+        self.cfg.assoc << self.chunk_bits
+    }
+
+    /// Lines allocated so far: the lines of every chunk that has been
+    /// written. The rest read as invalid without taking memory.
+    pub fn allocated_lines(&self) -> usize {
+        self.chunks.iter().map(|c| c.len()).sum()
+    }
+
+    /// The chunk holding set `set_idx`, and the range of the set's ways
+    /// within it. A chunk never written is empty, so indexing it with
+    /// `get` finds no ways.
     #[inline]
-    fn ways(&self, set_idx: usize) -> Range<usize> {
-        let assoc = self.cfg.assoc;
-        set_idx * assoc..(set_idx + 1) * assoc
+    fn locate(&self, set_idx: usize) -> (usize, Range<usize>) {
+        let first = (set_idx & ((1 << self.chunk_bits) - 1)) * self.cfg.assoc;
+        (set_idx >> self.chunk_bits, first..first + self.cfg.assoc)
     }
 
     #[inline]
@@ -302,8 +336,15 @@ impl Cache {
         let (set_idx, tag) = self.index(addr);
         self.stamp += 1;
         let stamp = self.stamp;
-        let ways = self.ways(set_idx);
-        let set = &mut self.lines[ways];
+        let (chunk, ways) = self.locate(set_idx);
+        let set = match self.chunks[chunk].get_mut(ways.clone()) {
+            Some(set) => set,
+            None => {
+                // A chunk never written: allocate it (every way invalid).
+                self.chunks[chunk] = zero_chunk(self.chunk_len());
+                &mut self.chunks[chunk][ways]
+            }
+        };
 
         if let Some(line) = set.iter_mut().find(|l| l.holds(tag)) {
             line.lru = stamp;
@@ -357,15 +398,21 @@ impl Cache {
     /// Checks residency without updating LRU or statistics.
     pub fn probe(&self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
-        self.lines[self.ways(set_idx)].iter().any(|l| l.holds(tag))
+        let (chunk, ways) = self.locate(set_idx);
+        self.chunks[chunk]
+            .get(ways)
+            .is_some_and(|set| set.iter().any(|l| l.holds(tag)))
     }
 
     /// Invalidates the line containing `addr` if present, returning
     /// whether it was dirty.
     pub fn invalidate(&mut self, addr: u64) -> bool {
         let (set_idx, tag) = self.index(addr);
-        let ways = self.ways(set_idx);
-        for l in &mut self.lines[ways] {
+        let (chunk, ways) = self.locate(set_idx);
+        let Some(set) = self.chunks[chunk].get_mut(ways) else {
+            return false;
+        };
+        for l in set {
             if l.holds(tag) {
                 let dirty = l.dirty();
                 l.word &= !FLAGS;
@@ -376,9 +423,16 @@ impl Cache {
     }
 
     /// Invalidates everything (e.g. between benchmark configurations).
+    /// Tags and recency stamps stay, as the snapshot shows; a chunk left
+    /// all zero is freed.
     pub fn flush(&mut self) {
-        for l in &mut self.lines {
-            l.word &= !FLAGS;
+        for chunk in &mut self.chunks {
+            for l in chunk.iter_mut() {
+                l.word &= !FLAGS;
+            }
+            if chunk.iter().all(|l| l.is_zero()) {
+                *chunk = Box::default();
+            }
         }
     }
 
@@ -388,11 +442,18 @@ impl Cache {
     pub fn snapshot(&self, w: &mut SnapWriter) {
         w.u64(self.stamp);
         self.stats.snapshot(w);
-        for &line in &self.lines {
+        let put = |w: &mut SnapWriter, line: Line| {
             w.u64(line.tag());
             w.bool(line.valid());
             w.bool(line.dirty());
             w.u64(line.lru);
+        };
+        for chunk in &self.chunks {
+            if chunk.is_empty() {
+                (0..self.chunk_len()).for_each(|_| put(w, Line::default()));
+            } else {
+                chunk.iter().for_each(|&l| put(w, l));
+            }
         }
     }
 
@@ -406,18 +467,32 @@ impl Cache {
     pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         self.stamp = r.u64()?;
         self.stats = CacheStats::restore(r)?;
-        for line in &mut self.lines {
-            let tag = r.u64()?;
-            if tag & FLAGS != 0 {
-                return Err(SnapError::Malformed("cache tag overlaps the flag bits"));
+        let mut buf = zero_chunk(self.chunk_len());
+        for chunk in &mut self.chunks {
+            for line in buf.iter_mut() {
+                let tag = r.u64()?;
+                if tag & FLAGS != 0 {
+                    return Err(SnapError::Malformed("cache tag overlaps the flag bits"));
+                }
+                let valid = r.bool()?;
+                let dirty = r.bool()?;
+                line.word = tag | if valid { VALID } else { 0 } | if dirty { DIRTY } else { 0 };
+                line.lru = r.u64()?;
             }
-            let valid = r.bool()?;
-            let dirty = r.bool()?;
-            line.word = tag | if valid { VALID } else { 0 } | if dirty { DIRTY } else { 0 };
-            line.lru = r.u64()?;
+            *chunk = if buf.iter().all(|l| l.is_zero()) {
+                Box::default()
+            } else {
+                buf.clone()
+            };
         }
         Ok(())
     }
+}
+
+/// A chunk of `len` never-written lines.
+#[cold]
+fn zero_chunk(len: usize) -> Box<[Line]> {
+    vec![Line::default(); len].into_boxed_slice()
 }
 
 #[cfg(test)]
@@ -465,7 +540,7 @@ mod tests {
 
     #[test]
     fn restore_rejects_tags_reaching_the_flag_bits() {
-        let lines = tiny().lines.len();
+        let lines = 8;
         let write = |tag3: u64| {
             let mut w = SnapWriter::new();
             w.u64(0);
@@ -562,26 +637,59 @@ mod tests {
         w.into_bytes()
     }
 
+    /// One step of the reference-model streams: addresses over twice
+    /// the capacity, half of them in a hot eighth, 30 % writes — a mix of
+    /// hits, misses and dirty evictions.
+    fn random_access(rng: &mut asan_sim::SimRng, cfg: &CacheConfig) -> (u64, AccessKind) {
+        let span = 2 * cfg.size_bytes;
+        let addr = if rng.chance(0.5) {
+            rng.below(span / 8)
+        } else {
+            rng.below(span)
+        };
+        let kind = if rng.chance(0.3) {
+            AccessKind::Write
+        } else {
+            AccessKind::Read
+        };
+        (addr, kind)
+    }
+
+    /// A geometry for the reference streams: `sets` sets of `assoc`
+    /// ways of `line_bytes` lines.
+    fn geometry(name: &'static str, sets: u64, assoc: usize, line_bytes: u64) -> CacheConfig {
+        CacheConfig {
+            name,
+            size_bytes: sets * assoc as u64 * line_bytes,
+            line_bytes,
+            assoc,
+        }
+    }
+
+    /// Reference-stream geometries beyond the paper's: a non-power-of-
+    /// two associativity, a cache smaller than one storage chunk, and
+    /// sets wider than a chunk (one set per chunk).
+    fn odd_geometries() -> [CacheConfig; 4] {
+        [
+            geometry("toy", 4, 4, 32),
+            geometry("three-way", 64, 3, 32),
+            geometry("five-way-sub-chunk", 4, 5, 32),
+            geometry("wide-sets", 4, 80, 16),
+        ]
+    }
+
     #[test]
     fn matches_naive_lru_reference_model() {
-        let toy = CacheConfig {
-            name: "toy",
-            size_bytes: 4 * 4 * 32,
-            line_bytes: 32,
-            assoc: 4,
-        };
-        for cfg in [
+        // The switch D-cache (32 lines) is also smaller than one chunk.
+        let paper = [
             CacheConfig::host_l1d(),
             CacheConfig::host_l2(),
             CacheConfig::switch_dcache(),
-            toy,
-        ] {
+        ];
+        for cfg in paper.into_iter().chain(odd_geometries()) {
             let mut rng = asan_sim::SimRng::from_label(cfg.name);
             let mut cache = Cache::new(cfg.clone());
             let mut model = LruModel::new(&cfg);
-            // Addresses over twice the capacity, half of them in a hot
-            // eighth, give a mix of hits, misses and dirty evictions.
-            let span = 2 * cfg.size_bytes;
             let steps = 20_000;
             for step in 0..steps {
                 if step == steps / 2 {
@@ -593,16 +701,7 @@ mod tests {
                     assert_eq!(snapshot_bytes(&back), bytes, "{}", cfg.name);
                     cache = back;
                 }
-                let addr = if rng.chance(0.5) {
-                    rng.below(span / 8)
-                } else {
-                    rng.below(span)
-                };
-                let kind = if rng.chance(0.3) {
-                    AccessKind::Write
-                } else {
-                    AccessKind::Read
-                };
+                let (addr, kind) = random_access(&mut rng, &cfg);
                 assert_eq!(
                     cache.access(addr, kind),
                     model.access(addr, kind),
@@ -616,6 +715,142 @@ mod tests {
             assert_eq!(stats.writebacks.get(), model.writebacks, "{}", cfg.name);
             assert!(model.hits > 0 && model.writebacks > 0, "{}", cfg.name);
         }
+    }
+
+    /// The snapshot of a cache of `lines` lines in the flat layout, set
+    /// by set and way by way, written by hand: every line zero except
+    /// `set` = `(index, tag, valid, dirty, lru)`.
+    fn flat_snapshot(
+        stamp: u64,
+        (hits, misses, writebacks): (u64, u64, u64),
+        lines: usize,
+        set: &[(usize, u64, bool, bool, u64)],
+    ) -> Vec<u8> {
+        let mut w = SnapWriter::new();
+        w.u64(stamp);
+        for n in [hits, misses, writebacks] {
+            let mut c = Counter::default();
+            c.add(n);
+            c.snapshot(&mut w);
+        }
+        for i in 0..lines {
+            let (tag, valid, dirty, lru) = set
+                .iter()
+                .find(|l| l.0 == i)
+                .map_or((0, false, false, 0), |l| (l.1, l.2, l.3, l.4));
+            w.u64(tag);
+            w.bool(valid);
+            w.bool(dirty);
+            w.u64(lru);
+        }
+        w.into_bytes()
+    }
+
+    #[test]
+    fn chunked_snapshot_matches_flat_layout() {
+        // 128 sets of 2 ways of 64 B lines: four chunks of 32 sets.
+        let cfg = geometry("four-chunks", 128, 2, 64);
+        let lines = 256;
+        let mut c = Cache::new(cfg.clone());
+        assert_eq!(c.allocated_lines(), 0);
+        assert_eq!(snapshot_bytes(&c), flat_snapshot(0, (0, 0, 0), lines, &[]));
+
+        // Set 0 and set 100 (chunk 3); the tag is the line number >> 7.
+        c.access(0, AccessKind::Write);
+        c.access(100 * 64, AccessKind::Read);
+        c.access(128 * 64, AccessKind::Read); // set 0, tag 1, way 1
+        c.access(100 * 64, AccessKind::Read); // hit
+        assert_eq!(c.allocated_lines(), 2 * 64);
+        let warm = [
+            (0, 0, true, true, 1),
+            (1, 1, true, false, 3),
+            (200, 0, true, false, 4),
+        ];
+        assert_eq!(
+            snapshot_bytes(&c),
+            flat_snapshot(4, (1, 3, 0), lines, &warm)
+        );
+
+        // A flush keeps tags and stamps, so both chunks stay.
+        c.flush();
+        assert_eq!(c.allocated_lines(), 2 * 64);
+        let flushed = warm.map(|(i, tag, _, _, lru)| (i, tag, false, false, lru));
+        assert_eq!(
+            snapshot_bytes(&c),
+            flat_snapshot(4, (1, 3, 0), lines, &flushed)
+        );
+    }
+
+    #[test]
+    fn restoring_zero_lines_allocates_nothing() {
+        for cfg in [CacheConfig::host_l2(), geometry("wide-sets", 4, 80, 16)] {
+            let fresh = snapshot_bytes(&Cache::new(cfg.clone()));
+            let mut c = Cache::new(cfg.clone());
+            let mut rng = asan_sim::SimRng::from_label(cfg.name);
+            for _ in 0..1000 {
+                let (addr, kind) = random_access(&mut rng, &cfg);
+                c.access(addr, kind);
+            }
+            assert!(c.allocated_lines() > 0, "{}", cfg.name);
+            let mut r = SnapReader::new(&fresh).unwrap();
+            c.restore(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(c.allocated_lines(), 0, "{}", cfg.name);
+            assert_eq!(snapshot_bytes(&c), fresh, "{}", cfg.name);
+        }
+    }
+
+    #[test]
+    fn allocated_chunks_hold_valid_lines() {
+        // The host warm-up pattern: one pass over a code range. Only the
+        // chunks of the sets it maps to may be allocated, and a clone
+        // copies exactly those.
+        let cfg = CacheConfig::host_l2();
+        let mut c = Cache::new(cfg.clone());
+        for addr in (0x0040_0000..0x0040_4000).step_by(64) {
+            c.access(addr, AccessKind::Read);
+        }
+        // 128 lines of 128 B in 128 consecutive sets: 4 chunks of 32.
+        assert_eq!(c.allocated_lines(), 4 * 64);
+        let clone = c.clone();
+        assert_eq!(clone.allocated_lines(), 4 * 64);
+        assert_eq!(snapshot_bytes(&clone), snapshot_bytes(&c));
+        for chunk in clone.chunks.iter().filter(|c| !c.is_empty()) {
+            assert!(chunk.iter().any(|l| l.valid()));
+        }
+    }
+
+    #[test]
+    fn restore_survives_seeded_mutations() {
+        let mut bases = Vec::new();
+        for cfg in [CacheConfig::switch_dcache(), CacheConfig::host_l1d_db()]
+            .into_iter()
+            .chain(odd_geometries())
+        {
+            let mut rng = asan_sim::SimRng::from_label(cfg.name);
+            let mut c = Cache::new(cfg.clone());
+            for step in 0..2_000 {
+                if step % 500 == 0 {
+                    bases.push((cfg.clone(), snapshot_bytes(&c)));
+                }
+                let (addr, kind) = random_access(&mut rng, &cfg);
+                c.access(addr, kind);
+            }
+        }
+        let per_base = 2_000 / bases.len() + 1;
+        let mut ok = 0;
+        for (k, (cfg, base)) in bases.iter().enumerate() {
+            ok += crate::mutate::check_restore(
+                &format!("cache-mutations-{k}"),
+                std::slice::from_ref(base),
+                per_base,
+                || Cache::new(cfg.clone()),
+                Cache::restore,
+                Cache::snapshot,
+            );
+        }
+        let total = per_base * bases.len();
+        assert!(0 < ok && ok < total, "{ok} of {total} mutations restored");
     }
 
     #[test]

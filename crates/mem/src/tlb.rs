@@ -560,6 +560,37 @@ mod tests {
         }
     }
 
+    #[test]
+    fn restore_survives_seeded_mutations() {
+        let tiny = TlbConfig {
+            entries: 2,
+            page_bytes: 4096,
+        };
+        for cfg in [TlbConfig::paper(), tiny] {
+            // Snapshots along a seeded stream over 100 pages: filling,
+            // full and thrashing.
+            let label = format!("tlb-mutations-{}", cfg.entries);
+            let mut rng = asan_sim::SimRng::from_label(&label);
+            let mut tlb = Tlb::new(cfg);
+            let mut bases = Vec::new();
+            for step in 0..4_000 {
+                if step % 250 == 0 {
+                    bases.push(snapshot_bytes(&tlb));
+                }
+                tlb.access(rng.below(100) * cfg.page_bytes);
+            }
+            let ok = crate::mutate::check_restore(
+                &label,
+                &bases,
+                2_000,
+                || Tlb::new(cfg),
+                Tlb::restore,
+                Tlb::snapshot,
+            );
+            assert!(0 < ok && ok < 2_000, "{label}: {ok} of 2000 restored");
+        }
+    }
+
     /// A snapshot of a 2-entry TLB with clock `clock` and `entries`.
     fn crafted(clock: u64, entries: &[(u64, u64)]) -> Vec<u8> {
         let mut w = SnapWriter::new();

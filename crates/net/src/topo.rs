@@ -14,12 +14,16 @@
 //! switch's parent, and the root — so higher layers can place handlers
 //! without re-deriving the shape.
 //!
-//! Routing is deterministic shortest-path: one breadth-first search per
-//! destination fills that destination's next-hop row, visiting
-//! neighbors in edge-insertion order so equal-length paths always
-//! resolve the same way (see docs/DETERMINISM.md). A row is built the
-//! first time a packet heads for its destination, so a run pays only
-//! for the destinations it uses. Multi-hop packets pay per-link
+//! Routing is deterministic shortest-path. On a tree (every
+//! [`TopoSpec::single_switch`] and [`TopoSpec::fat_tree`], and any
+//! explicit spec without a cycle) each pair has exactly one path, and a
+//! route is read off that path from each node's parent link and Euler
+//! interval, with no per-destination storage. On a graph with cycles,
+//! one breadth-first search per destination fills that destination's
+//! next-hop row, visiting neighbors in edge-insertion order so
+//! equal-length paths always resolve the same way (see
+//! docs/DETERMINISM.md); a row is built the first time a packet heads
+//! for its destination. Multi-hop packets pay per-link
 //! credits at *each* hop; with [`TopoSpec`]-generated fabrics an
 //! upstream link's credit is held until the packet has left the
 //! *downstream* hop (chained backpressure), while hand-built and
@@ -188,9 +192,39 @@ impl TopologyBuilder {
         self
     }
 
-    /// Finalizes into a [`Fabric`] whose deterministic shortest-path
-    /// routes (BFS per destination, neighbors visited in
-    /// edge-insertion order) are built on first use.
+    /// Numbers the links and indexes them by node: links come in
+    /// `(a→b, b→a)` pairs at even/odd indices in edge order, so the
+    /// reverse of link `l` is `l ^ 1`. Returns `out_links[u]`, the links
+    /// leaving `u` in edge-insertion order, and `link_to[l]`, link `l`'s
+    /// far end.
+    ///
+    /// # Errors
+    ///
+    /// [`TopoError::DuplicateLink`] if an unordered node pair is
+    /// connected twice.
+    fn wire(&self) -> Result<(Vec<Vec<u32>>, Vec<u32>), TopoError> {
+        let mut seen_pairs = BTreeSet::new();
+        let mut out_links: Vec<Vec<u32>> = vec![Vec::new(); self.kinds.len()];
+        let mut link_to = Vec::with_capacity(self.edges.len() * 2);
+        for &(a, b, _) in &self.edges {
+            if !seen_pairs.insert((a.min(b), a.max(b))) {
+                return Err(TopoError::DuplicateLink {
+                    a: NodeId(a as u16),
+                    b: NodeId(b as u16),
+                });
+            }
+            for (from, to) in [(a, b), (b, a)] {
+                out_links[from].push(link_to.len() as u32);
+                link_to.push(to as u32);
+            }
+        }
+        Ok((out_links, link_to))
+    }
+
+    /// Finalizes into a [`Fabric`] with deterministic shortest-path
+    /// routes: the unique path on a tree, otherwise a BFS per
+    /// destination (neighbors visited in edge-insertion order) built on
+    /// first use.
     ///
     /// # Errors
     ///
@@ -204,25 +238,12 @@ impl TopologyBuilder {
         if n == 0 {
             return Err(TopoError::EmptyTopology);
         }
-        let mut seen_pairs = BTreeSet::new();
-        // Links come in `(a→b, b→a)` pairs at even/odd indices, so the
-        // reverse of link `l` is `l ^ 1`; `link_to[l]` is its far end.
-        let mut out_links: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut links = Vec::with_capacity(self.edges.len() * 2);
-        let mut link_to = Vec::with_capacity(self.edges.len() * 2);
-        for &(a, b, cfg) in &self.edges {
-            if !seen_pairs.insert((a.min(b), a.max(b))) {
-                return Err(TopoError::DuplicateLink {
-                    a: NodeId(a as u16),
-                    b: NodeId(b as u16),
-                });
-            }
-            for (from, to) in [(a, b), (b, a)] {
-                out_links[from].push(links.len() as u32);
-                links.push(Link::new(cfg));
-                link_to.push(to as u32);
-            }
-        }
+        let (out_links, link_to) = self.wire()?;
+        let links = self
+            .edges
+            .iter()
+            .flat_map(|&(_, _, cfg)| [Link::new(cfg), Link::new(cfg)])
+            .collect();
         if n > 1 {
             for (i, kind) in self.kinds.iter().enumerate() {
                 if *kind == NodeKind::Switch && out_links[i].is_empty() {
@@ -230,27 +251,34 @@ impl TopologyBuilder {
                 }
             }
         }
-        let fabric = Fabric {
-            kinds: self.kinds,
-            switch_specs: self.switch_specs,
-            links,
-            link_to,
-            out_links,
-            routes: (0..n).map(|_| OnceCell::new()).collect(),
-            hop_backpressure: self.hop_backpressure,
-            traffic: vec![Traffic::default(); n],
-        };
         // Links are bidirectional, so every pair is routable iff node 0
         // reaches every node; the first node it misses is the first
         // unroutable pair a BFS per destination would have found.
-        let row = fabric.bfs_row(0);
+        let row = bfs_row(&out_links, &link_to, 0);
         if let Some(v) = (1..n).find(|&v| row[v] == NO_ROUTE) {
             return Err(TopoError::Disconnected {
                 from: NodeId(v as u16),
                 to: NodeId(0),
             });
         }
-        Ok(fabric)
+        // A connected graph with one edge fewer than nodes is a tree.
+        let routes = if self.edges.len() + 1 == n {
+            Routes::Tree(euler_tour(&out_links, &link_to))
+        } else {
+            Routes::Rows {
+                rows: (0..n).map(|_| OnceCell::new()).collect(),
+                out_links,
+            }
+        };
+        Ok(Fabric {
+            kinds: self.kinds,
+            switch_specs: self.switch_specs,
+            links,
+            link_to,
+            routes,
+            hop_backpressure: self.hop_backpressure,
+            traffic: vec![Traffic::default(); n],
+        })
     }
 
     /// Finalizes into a [`Fabric`], computing shortest-path routes.
@@ -264,8 +292,102 @@ impl TopologyBuilder {
     }
 }
 
-/// Routing-row sentinel for "no route" (only ever `from == dst`).
+/// Routing-row sentinel for "no route" (only ever `from == dst`), and
+/// the root's parent in a [`TreeNode`].
 const NO_ROUTE: u32 = u32::MAX;
+
+/// Every node's first link toward `dst`, from one BFS out of `dst` over
+/// the reversed links (neighbors in edge-insertion order). The row
+/// doubles as the visited set: [`NO_ROUTE`] is unvisited, and `dst`
+/// itself is skipped.
+fn bfs_row(out_links: &[Vec<u32>], link_to: &[u32], dst: usize) -> Box<[u32]> {
+    let mut row = vec![NO_ROUTE; out_links.len()].into_boxed_slice();
+    let mut queue = Vec::with_capacity(out_links.len());
+    queue.push(dst as u32);
+    let mut head = 0;
+    while let Some(&u) = queue.get(head) {
+        head += 1;
+        for &l_uv in &out_links[u as usize] {
+            let v = link_to[l_uv as usize];
+            if v as usize != dst && row[v as usize] == NO_ROUTE {
+                // First hop from v toward dst is the link v→u.
+                row[v as usize] = l_uv ^ 1;
+                queue.push(v);
+            }
+        }
+    }
+    row
+}
+
+/// One node of a tree fabric rooted at node 0.
+#[derive(Debug, Clone, Copy)]
+struct TreeNode {
+    /// The parent node ([`NO_ROUTE`] at the root).
+    parent: u32,
+    /// The link from this node to its parent; its reverse (`up ^ 1`)
+    /// leads down from the parent.
+    up: u32,
+    /// Euler interval: the node's subtree is exactly the nodes whose
+    /// `tin` lies in `[tin, tout)`.
+    tin: u32,
+    tout: u32,
+}
+
+/// One depth-first walk of a connected tree from node 0, recording each
+/// node's parent link and Euler interval.
+fn euler_tour(out_links: &[Vec<u32>], link_to: &[u32]) -> Box<[TreeNode]> {
+    let root = TreeNode {
+        parent: NO_ROUTE,
+        up: NO_ROUTE,
+        tin: 0,
+        tout: 0,
+    };
+    let mut nodes = vec![root; out_links.len()].into_boxed_slice();
+    // (node, next out-link position to explore)
+    let mut stack = vec![(0u32, 0usize)];
+    let mut clock = 1;
+    while let Some((u, next)) = stack.last_mut() {
+        let u = *u as usize;
+        match out_links[u].get(*next) {
+            Some(&l) => {
+                *next += 1;
+                let v = link_to[l as usize];
+                if v != nodes[u].parent {
+                    nodes[v as usize] = TreeNode {
+                        parent: u as u32,
+                        up: l ^ 1,
+                        tin: clock,
+                        tout: 0,
+                    };
+                    clock += 1;
+                    stack.push((v, 0));
+                }
+            }
+            None => {
+                nodes[u].tout = clock;
+                stack.pop();
+            }
+        }
+    }
+    nodes
+}
+
+/// How a [`Fabric`] answers "first link from `from` toward `dst`".
+#[derive(Debug)]
+enum Routes {
+    /// A tree: the unique path, from parent links and Euler intervals.
+    Tree(Box<[TreeNode]>),
+    /// A graph with cycles.
+    Rows {
+        /// `rows[dst][from]`: the first link from `from` toward `dst`,
+        /// [`NO_ROUTE`] at `from == dst`; built by [`bfs_row`] on the
+        /// first query for `dst`.
+        rows: Vec<OnceCell<Box<[u32]>>>,
+        /// `out_links[u]`: the links leaving node `u`, in
+        /// edge-insertion order.
+        out_links: Vec<Vec<u32>>,
+    },
+}
 
 /// A declarative topology: what to generate, plus the link/switch
 /// parameters and credit-drain model to generate it with. `build`
@@ -640,9 +762,10 @@ pub struct TopoMap {
 impl TopoMap {
     /// The leaf switch `host` attaches to, if `host` is a known host.
     pub fn leaf_of(&self, host: NodeId) -> Option<NodeId> {
+        // Hosts are created, and so numbered, in ascending order.
         self.hosts
-            .iter()
-            .position(|&h| h == host)
+            .binary_search(&host)
+            .ok()
             .map(|i| self.host_leaf[i])
     }
 
@@ -730,12 +853,17 @@ impl Delivery {
 /// produced this fabric, so `snapshot`/`restore` intentionally skip it —
 /// a restoring process rebuilds the identical topology from the same
 /// spec before calling [`Fabric::restore`] (which verifies the link and
-/// node counts match). The lazily built routing rows are a pure
-/// function of that topology, so building them in any order, or again
-/// after a restore, yields the same routes.
+/// node counts match).
 ///
-/// The rows sit in [`OnceCell`]s, so a `Fabric` is `Send` but not
-/// `Sync`: one simulation owns it, as it owns the rest of its cluster.
+/// Routes are a pure function of that topology. A tree (edges = nodes
+/// − 1, connected) has one path per pair, so a route is the first link
+/// of that path, read off each node's parent link and Euler interval;
+/// this is exactly the hop a BFS from the destination would pick, with
+/// no tie to break. A graph with cycles keeps lazily built BFS rows,
+/// and building them in any order, or again after a restore, yields the
+/// same routes. The rows sit in [`OnceCell`]s, so a `Fabric` is `Send`
+/// but not `Sync`: one simulation owns it, as it owns the rest of its
+/// cluster.
 #[derive(Debug)]
 pub struct Fabric {
     kinds: Vec<NodeKind>,                  // asan-lint: allow(snapshot-completeness)
@@ -743,11 +871,7 @@ pub struct Fabric {
     links: Vec<Link>,
     /// `link_to[l]`: the node link `l` leads to.
     link_to: Vec<u32>, // asan-lint: allow(snapshot-completeness)
-    /// `out_links[u]`: the links leaving node `u`, in edge-insertion order.
-    out_links: Vec<Vec<u32>>, // asan-lint: allow(snapshot-completeness)
-    /// `routes[dst][from]`: the first link from `from` toward `dst`,
-    /// [`NO_ROUTE`] at `from == dst`; built on the first query for `dst`.
-    routes: Vec<OnceCell<Box<[u32]>>>, // asan-lint: allow(snapshot-completeness)
+    routes: Routes, // asan-lint: allow(snapshot-completeness)
     /// Credit-drain model (see [`TopologyBuilder::set_hop_backpressure`]).
     hop_backpressure: bool, // asan-lint: allow(snapshot-completeness)
     traffic: Vec<Traffic>,
@@ -775,35 +899,34 @@ impl Fabric {
         self.traffic[node.0 as usize]
     }
 
-    /// Every node's first link toward `dst`, from one BFS out of `dst`
-    /// over the reversed links (neighbors in edge-insertion order). The
-    /// row doubles as the visited set: [`NO_ROUTE`] is unvisited, and
-    /// `dst` itself is skipped.
-    fn bfs_row(&self, dst: usize) -> Box<[u32]> {
-        let mut row = vec![NO_ROUTE; self.kinds.len()].into_boxed_slice();
-        let mut queue = Vec::with_capacity(self.kinds.len());
-        queue.push(dst as u32);
-        let mut head = 0;
-        while let Some(&u) = queue.get(head) {
-            head += 1;
-            for &l_uv in &self.out_links[u as usize] {
-                let v = self.link_to[l_uv as usize];
-                if v as usize != dst && row[v as usize] == NO_ROUTE {
-                    // First hop from v toward dst is the link v→u.
-                    row[v as usize] = l_uv ^ 1;
-                    queue.push(v);
-                }
-            }
-        }
-        row
-    }
-
-    /// The routing-table entry `(neighbor, link)` for the first hop
-    /// from `from` toward `dst`; `None` when `from == dst`.
+    /// The first hop `(neighbor, link)` from `from` toward `dst`;
+    /// `None` when `from == dst`.
     #[inline]
     fn route(&self, from: usize, dst: usize) -> Option<(usize, usize)> {
-        let link = self.routes[dst].get_or_init(|| self.bfs_row(dst))[from];
-        (link != NO_ROUTE).then(|| (self.link_to[link as usize] as usize, link as usize))
+        match &self.routes {
+            Routes::Tree(nodes) => {
+                if from == dst {
+                    return None;
+                }
+                let f = nodes[from];
+                let t = nodes[dst].tin;
+                if t < f.tin || t >= f.tout {
+                    // `dst` is outside `from`'s subtree: go up.
+                    return Some((f.parent as usize, f.up as usize));
+                }
+                // Down to the child whose subtree holds `dst`: walk up
+                // from `dst` until the parent is `from`.
+                let mut c = dst;
+                while nodes[c].parent as usize != from {
+                    c = nodes[c].parent as usize;
+                }
+                Some((c, (nodes[c].up ^ 1) as usize))
+            }
+            Routes::Rows { rows, out_links } => {
+                let link = rows[dst].get_or_init(|| bfs_row(out_links, &self.link_to, dst))[from];
+                (link != NO_ROUTE).then(|| (self.link_to[link as usize] as usize, link as usize))
+            }
+        }
     }
 
     /// Number of hops on the route from `src` to `dst` (0 if equal).
@@ -1440,8 +1563,16 @@ mod tests {
         ));
     }
 
+    /// Whether `dst`'s routing row exists (never on a tree fabric).
+    fn row_built(f: &Fabric, dst: usize) -> bool {
+        match &f.routes {
+            Routes::Tree(_) => false,
+            Routes::Rows { rows, .. } => rows[dst].get().is_some(),
+        }
+    }
+
     fn rows_built(f: &Fabric) -> usize {
-        f.routes.iter().filter(|r| r.get().is_some()).count()
+        (0..f.num_nodes()).filter(|&v| row_built(f, v)).count()
     }
 
     /// Hop distances from every node to `dst` by a plain BFS over `adj`:
@@ -1466,10 +1597,12 @@ mod tests {
     /// (`srcs: None`) or from that many seeded random ones. Each path is
     /// shortest, and each hop crosses the directed link from the current
     /// node to an adjacent node one hop closer to the destination.
-    /// Routing rows must exist for exactly the destinations queried.
+    /// A tree fabric must never build a routing row; a graph with
+    /// cycles must have rows for exactly the destinations queried.
     fn check_routes_against_oracle(spec: &TopoSpec, dsts: usize, srcs: Option<usize>) {
         let (b, _) = spec.builder();
         let n = b.kinds.len();
+        let tree = b.edges.len() + 1 == n;
         let mut adj = vec![Vec::new(); n];
         // Edge `i` owns links `2i` (a→b) and `2i + 1` (b→a).
         let mut link_of = BTreeMap::new();
@@ -1480,6 +1613,7 @@ mod tests {
             link_of.insert((bn, a), 2 * i + 1);
         }
         let f = b.build();
+        assert_eq!(matches!(f.routes, Routes::Tree(_)), tree);
         assert_eq!(rows_built(&f), 0, "rows are built on demand");
         let mut rng = asan_sim::SimRng::from_label(&format!("routes-{n}"));
         let mut order: Vec<usize> = (0..n).collect();
@@ -1488,7 +1622,7 @@ mod tests {
         }
         let queried = &order[..dsts.min(n)];
         for (k, &dst) in queried.iter().enumerate() {
-            assert!(f.routes[dst].get().is_none(), "row {dst} built early");
+            assert!(!row_built(&f, dst), "row {dst} built early");
             let dist = oracle_dist(&adj, dst);
             let sources: Vec<usize> = match srcs {
                 None => (0..n).collect(),
@@ -1506,10 +1640,11 @@ mod tests {
                 }
                 assert_eq!(cur, dst);
             }
-            assert_eq!(rows_built(&f), k + 1, "only queried rows exist");
+            let want = if tree { 0 } else { k + 1 };
+            assert_eq!(rows_built(&f), want, "only queried rows exist");
         }
-        for (v, row) in f.routes.iter().enumerate() {
-            assert_eq!(row.get().is_some(), queried.contains(&v), "row {v}");
+        for v in 0..n {
+            assert_eq!(row_built(&f, v), !tree && queried.contains(&v), "row {v}");
         }
     }
 
@@ -1544,10 +1679,88 @@ mod tests {
         check_routes_against_oracle(&mesh, usize::MAX, None);
     }
 
+    /// Checks every `(from, dst)` route of the tree `b` builds against
+    /// the BFS row of `dst` over the same wiring.
+    fn check_tree_routes_against_bfs_rows(b: TopologyBuilder, label: &str) {
+        let (out_links, link_to) = b.wire().unwrap();
+        let f = b.build();
+        assert!(matches!(f.routes, Routes::Tree(_)), "{label}: not a tree");
+        let n = f.num_nodes();
+        for dst in 0..n {
+            let row = bfs_row(&out_links, &link_to, dst);
+            for from in 0..n {
+                let want = (from != dst).then(|| {
+                    let link = row[from] as usize;
+                    (link_to[link] as usize, link)
+                });
+                assert_eq!(f.route(from, dst), want, "{label}: {from} -> {dst}");
+            }
+        }
+    }
+
+    #[test]
+    fn tree_routes_equal_bfs_rows() {
+        use NodeKind::{Host, Switch, Tca};
+        for spec in [
+            TopoSpec::fat_tree(4, 64, 1),
+            TopoSpec::single_switch(16, 16),
+        ] {
+            check_tree_routes_against_bfs_rows(spec.builder().0, &spec.label());
+        }
+        for k in 0..20 {
+            let label = format!("random-tree-{k}");
+            let mut rng = asan_sim::SimRng::from_label(&label);
+            let n = 2 + rng.below(60) as usize;
+            // Node i > 0 hangs off a random earlier node; inner nodes
+            // are switches, so every host or TCA leaf sits on a switch.
+            let edges: Vec<(usize, usize)> =
+                (1..n).map(|i| (rng.below(i as u64) as usize, i)).collect();
+            let mut degree = vec![0; n];
+            for &(a, b) in &edges {
+                degree[a] += 1;
+                degree[b] += 1;
+            }
+            let kinds: Vec<NodeKind> = (0..n)
+                .map(
+                    |v| match (degree[v] > 1 || n == 2 && v == 0, rng.below(3)) {
+                        (true, _) | (false, 0) => Switch,
+                        (false, 1) => Host,
+                        _ => Tca,
+                    },
+                )
+                .collect();
+            // Shuffle node ids, edge order and each edge's orientation.
+            let mut perm: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                perm.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let mut shuffled = vec![Switch; n];
+            for v in 0..n {
+                shuffled[perm[v]] = kinds[v];
+            }
+            let mut order: Vec<(u16, u16)> = edges
+                .iter()
+                .map(|&(a, b)| {
+                    let (a, b) = (perm[a] as u16, perm[b] as u16);
+                    if rng.chance(0.5) {
+                        (a, b)
+                    } else {
+                        (b, a)
+                    }
+                })
+                .collect();
+            for i in (1..order.len()).rev() {
+                order.swap(i, rng.below(i as u64 + 1) as usize);
+            }
+            let spec = TopoSpec::explicit(shuffled, order);
+            check_tree_routes_against_bfs_rows(spec.builder().0, &label);
+        }
+    }
+
     #[test]
     fn fat_tree_of_4096_hosts_routes_sampled_pairs() {
         // 8 191 nodes: the old dense table of 8-byte entries would take
-        // 537 MB; here 48 rows of 32 KB are built.
+        // 537 MB; a tree needs no rows at all.
         check_routes_against_oracle(&TopoSpec::fat_tree(4, 4096, 0), 48, Some(48));
     }
 
