@@ -6,7 +6,7 @@
 //! with exactly 16 matching lines, Datamation-format sort records, and
 //! so on. All randomness is seeded from stable labels.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::SimRng;
 
 /// MPEG-like frame types used by the filter benchmark.
@@ -16,6 +16,25 @@ pub enum FrameType {
     I,
     /// Predicted frame (dropped by the filter).
     P,
+}
+
+/// One tag byte: 0 for I, 1 for P.
+impl Snap for FrameType {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.u8(match self {
+            FrameType::I => 0,
+            FrameType::P => 1,
+        });
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match r.u8()? {
+            0 => FrameType::I,
+            1 => FrameType::P,
+            _ => return Err(SnapError::Malformed("frame type tag")),
+        };
+        Ok(())
+    }
 }
 
 /// Bytes of framing header preceding each frame payload.
@@ -75,6 +94,12 @@ pub struct FrameScanner {
     remaining: usize,
     current: FrameType,
 }
+
+asan_sim::snap_fields!(FrameScanner {
+    hdr,
+    remaining,
+    current,
+});
 
 impl FrameScanner {
     /// Fresh scanner at a frame boundary.
@@ -142,29 +167,6 @@ impl FrameScanner {
             }
         }
         segs
-    }
-
-    /// Serializes the scanner's mid-stream state (partial header,
-    /// remaining payload bytes, current frame type).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.bytes(&self.hdr);
-        w.usize(self.remaining);
-        w.u8(match self.current {
-            FrameType::I => 0,
-            FrameType::P => 1,
-        });
-    }
-
-    /// Restores the state written by [`snapshot`](FrameScanner::snapshot).
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.hdr = r.bytes()?;
-        self.remaining = r.usize()?;
-        self.current = match r.u8()? {
-            0 => FrameType::I,
-            1 => FrameType::P,
-            _ => return Err(SnapError::Malformed("frame type tag")),
-        };
-        Ok(())
     }
 }
 

@@ -13,7 +13,7 @@
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{Bytes, HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -63,13 +63,22 @@ impl Params {
 
 /// Normal-case host program: DFA over every DMA'd block.
 struct NormalGrep {
-    corpus: Bytes, // asan-lint: allow(snapshot-completeness)
+    corpus: Bytes,
     reader: BlockReader,
-    dfa: LiteralDfa, // asan-lint: allow(snapshot-completeness)
+    dfa: LiteralDfa,
     state: usize,
     matches: u64,
-    buf_base: u64, // asan-lint: allow(snapshot-completeness)
+    buf_base: u64,
 }
+
+asan_sim::snap_fields!(NormalGrep {
+    corpus: skip,
+    reader,
+    dfa: skip,
+    state,
+    matches,
+    buf_base: skip,
+});
 
 impl HostProgram for NormalGrep {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -108,32 +117,38 @@ impl HostProgram for NormalGrep {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.usize(self.state);
-        w.u64(self.matches);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.state = r.usize()?;
-        self.matches = r.u64()?;
-        Ok(())
+        self.restore(r)
     }
 }
 
 /// The grep switch handler: DFA over the packet stream, forwarding the
 /// matched lines.
 pub struct GrepHandler {
-    dfa: LiteralDfa, // asan-lint: allow(snapshot-completeness)
+    dfa: LiteralDfa,
     state: usize,
-    host: NodeId,      // asan-lint: allow(snapshot-completeness)
-    expect_bytes: u64, // asan-lint: allow(snapshot-completeness)
+    host: NodeId,
+    expect_bytes: u64,
     seen: u64,
     matches: u64,
     /// Trailing window kept to reconstruct a matched line (64 B lines).
     line_tail: Vec<u8>,
     out_addr: u32,
 }
+
+asan_sim::snap_fields!(GrepHandler {
+    dfa: skip,
+    state,
+    host: skip,
+    expect_bytes: skip,
+    seen,
+    matches,
+    line_tail,
+    out_addr,
+});
 
 impl GrepHandler {
     fn new(pattern: &str, host: NodeId, expect_bytes: u64) -> Self {
@@ -205,20 +220,11 @@ impl Handler for GrepHandler {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.state);
-        w.u64(self.seen);
-        w.u64(self.matches);
-        w.bytes(&self.line_tail);
-        w.u32(self.out_addr);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.state = r.usize()?;
-        self.seen = r.u64()?;
-        self.matches = r.u64()?;
-        self.line_tail = r.bytes()?;
-        self.out_addr = r.u32()?;
-        Ok(())
+        self.restore(r)
     }
 }
 
@@ -228,6 +234,12 @@ struct ActiveGrep {
     lines_in: u64,
     final_count: Option<u64>,
 }
+
+asan_sim::snap_fields!(ActiveGrep {
+    reader,
+    lines_in,
+    final_count,
+});
 
 impl HostProgram for ActiveGrep {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -263,16 +275,11 @@ impl HostProgram for ActiveGrep {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.lines_in);
-        w.opt_u64(self.final_count);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.lines_in = r.u64()?;
-        self.final_count = r.opt_u64()?;
-        Ok(())
+        self.restore(r)
     }
 }
 

@@ -21,7 +21,7 @@
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{Bytes, HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -117,30 +117,11 @@ struct JoinState {
     matches: u64,
 }
 
-impl JoinState {
-    fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.table.len());
-        for (&k, &v) in &self.table {
-            w.u64(k);
-            w.u32(v);
-        }
-        w.u64(self.bv_pass);
-        w.u64(self.matches);
-    }
-
-    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.table.clear();
-        for _ in 0..n {
-            let k = r.u64()?;
-            let v = r.u32()?;
-            self.table.insert(k, v);
-        }
-        self.bv_pass = r.u64()?;
-        self.matches = r.u64()?;
-        Ok(())
-    }
-}
+asan_sim::snap_fields!(JoinState {
+    table,
+    bv_pass,
+    matches,
+});
 
 /// Packs a bit-vector into bytes for snapshotting.
 fn pack_bits(bv: &[bool]) -> Vec<u8> {
@@ -171,9 +152,9 @@ const BITVEC: u64 = 0x7000_0000;
 
 /// Normal-case host program: build then probe, all on the host.
 struct NormalJoin {
-    r: Bytes,  // asan-lint: allow(snapshot-completeness)
-    s: Bytes,  // asan-lint: allow(snapshot-completeness)
-    p: Params, // asan-lint: allow(snapshot-completeness)
+    r: Bytes,
+    s: Bytes,
+    p: Params,
     phase: u8,
     reader: BlockReader,
     s_plan: BlockPlan,
@@ -257,38 +238,57 @@ impl HostProgram for NormalJoin {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u8(self.phase);
-        self.reader.snapshot(w);
-        w.bytes(&pack_bits(&self.bv));
-        self.st.snapshot(w);
+        let NormalJoin {
+            r: _,
+            s: _,
+            p: _,
+            phase,
+            reader,
+            s_plan: _,
+            bv,
+            st,
+        } = self;
+        phase.snapshot(w);
+        reader.snapshot(w);
+        w.bytes(&pack_bits(bv));
+        st.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = r.u8()?;
+        let NormalJoin {
+            r: _,
+            s: _,
+            p: _,
+            phase,
+            reader,
+            s_plan,
+            bv,
+            st,
+        } = self;
+        phase.restore(r)?;
         // The reader is replaced when phase 1 starts; rebuild it over
         // the right plan before restoring its cursor state.
-        if self.phase == 1 {
-            self.reader = BlockReader::new(self.s_plan);
+        if *phase == 1 {
+            *reader = BlockReader::new(*s_plan);
         }
-        self.reader.restore(r)?;
-        self.bv = unpack_bits(&r.bytes()?, self.bv.len())?;
-        self.st.restore(r)?;
-        Ok(())
+        reader.restore(r)?;
+        *bv = unpack_bits(&r.bytes()?, bv.len())?;
+        st.restore(r)
     }
 }
 
 /// The switch handler: builds the bit-vector as R streams by (while
 /// forwarding R to the host), then filters S.
 pub struct JoinFilter {
-    p: Params,    // asan-lint: allow(snapshot-completeness)
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    p: Params,
+    host: NodeId,
     /// The real bit-vector.
     bv: Vec<bool>,
     /// Base address of the bit-vector in switch-local memory.
-    bv_base: u64, // asan-lint: allow(snapshot-completeness)
+    bv_base: u64,
     seen: u64,
-    expect_r: u64, // asan-lint: allow(snapshot-completeness)
-    expect_s: u64, // asan-lint: allow(snapshot-completeness)
+    expect_r: u64,
+    expect_s: u64,
     pass: u64,
     batch: Vec<u8>,
     batch_buf: Option<asan_core::BufId>,
@@ -389,29 +389,47 @@ impl Handler for JoinFilter {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.bytes(&pack_bits(&self.bv));
-        w.u64(self.seen);
-        w.u64(self.pass);
-        w.bytes(&self.batch);
-        w.opt_u64(self.batch_buf.map(|b| u64::from(b.0)));
-        w.u32(self.out_addr);
+        let JoinFilter {
+            p: _,
+            host: _,
+            bv,
+            bv_base: _,
+            seen,
+            expect_r: _,
+            expect_s: _,
+            pass,
+            batch,
+            batch_buf,
+            out_addr,
+        } = self;
+        w.bytes(&pack_bits(bv));
+        seen.snapshot(w);
+        pass.snapshot(w);
+        batch.snapshot(w);
+        batch_buf.snapshot(w);
+        out_addr.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.bv = unpack_bits(&r.bytes()?, self.bv.len())?;
-        self.seen = r.u64()?;
-        self.pass = r.u64()?;
-        self.batch = r.bytes()?;
-        self.batch_buf = match r.opt_u64()? {
-            Some(v) => {
-                Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                    SnapError::Malformed("buffer id out of range")
-                })?))
-            }
-            None => None,
-        };
-        self.out_addr = r.u32()?;
-        Ok(())
+        let JoinFilter {
+            p: _,
+            host: _,
+            bv,
+            bv_base: _,
+            seen,
+            expect_r: _,
+            expect_s: _,
+            pass,
+            batch,
+            batch_buf,
+            out_addr,
+        } = self;
+        *bv = unpack_bits(&r.bytes()?, bv.len())?;
+        seen.restore(r)?;
+        pass.restore(r)?;
+        batch.restore(r)?;
+        batch_buf.restore(r)?;
+        out_addr.restore(r)
     }
 }
 
@@ -439,7 +457,7 @@ impl Handler for SharedFilter {
 /// Active-case host program: R arrives via the switch (hash-table
 /// build); filtered S arrives as batches (probe).
 struct ActiveJoin {
-    p: Params, // asan-lint: allow(snapshot-completeness)
+    p: Params,
     reader: BlockReader,
     s_plan: BlockPlan,
     phase: u8,
@@ -506,23 +524,40 @@ impl HostProgram for ActiveJoin {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u8(self.phase);
-        self.reader.snapshot(w);
-        self.st.snapshot(w);
-        w.opt_u64(self.bv_pass_reported);
-        w.u64(self.r_bytes_in);
+        let ActiveJoin {
+            p: _,
+            reader,
+            s_plan: _,
+            phase,
+            st,
+            bv_pass_reported,
+            r_bytes_in,
+        } = self;
+        phase.snapshot(w);
+        reader.snapshot(w);
+        st.snapshot(w);
+        bv_pass_reported.snapshot(w);
+        r_bytes_in.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.phase = r.u8()?;
-        if self.phase == 1 {
-            self.reader = BlockReader::new(self.s_plan);
+        let ActiveJoin {
+            p: _,
+            reader,
+            s_plan,
+            phase,
+            st,
+            bv_pass_reported,
+            r_bytes_in,
+        } = self;
+        phase.restore(r)?;
+        if *phase == 1 {
+            *reader = BlockReader::new(*s_plan);
         }
-        self.reader.restore(r)?;
-        self.st.restore(r)?;
-        self.bv_pass_reported = r.opt_u64()?;
-        self.r_bytes_in = r.u64()?;
-        Ok(())
+        reader.restore(r)?;
+        st.restore(r)?;
+        bv_pass_reported.restore(r)?;
+        r_bytes_in.restore(r)
     }
 }
 

@@ -6,7 +6,7 @@
 //! chain. The resulting K digests themselves form a message, which can
 //! be MD5-encoded using a single-block algorithm").
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 /// Incremental MD5 state.
 #[derive(Debug, Clone)]
@@ -44,31 +44,6 @@ impl Md5 {
             buf: [0; 64],
             buf_len: 0,
         }
-    }
-
-    /// Serializes the chain state mid-stream.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        for s in self.state {
-            w.u32(s);
-        }
-        w.u64(self.len_bytes);
-        w.bytes(&self.buf[..self.buf_len]);
-    }
-
-    /// Restores a chain state written by [`snapshot`](Md5::snapshot).
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let mut md5 = Md5::new();
-        for s in &mut md5.state {
-            *s = r.u32()?;
-        }
-        md5.len_bytes = r.u64()?;
-        let partial = r.bytes()?;
-        if partial.len() >= 64 {
-            return Err(SnapError::Malformed("md5 partial block too long"));
-        }
-        md5.buf[..partial.len()].copy_from_slice(&partial);
-        md5.buf_len = partial.len();
-        Ok(md5)
     }
 
     /// Absorbs `data`.
@@ -159,6 +134,40 @@ impl Md5 {
 impl Default for Md5 {
     fn default() -> Self {
         Md5::new()
+    }
+}
+
+/// The chaining state, the byte count, and the partial block (only its
+/// filled prefix, so an idle hasher costs no block of zeros).
+impl Snap for Md5 {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let Md5 {
+            state,
+            len_bytes,
+            buf,
+            buf_len,
+        } = self;
+        state.snapshot(w);
+        len_bytes.snapshot(w);
+        w.bytes(&buf[..*buf_len]);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Md5 {
+            state,
+            len_bytes,
+            buf,
+            buf_len,
+        } = self;
+        state.restore(r)?;
+        len_bytes.restore(r)?;
+        let partial = r.bytes()?;
+        if partial.len() >= 64 {
+            return Err(SnapError::Malformed("md5 partial block too long"));
+        }
+        buf[..partial.len()].copy_from_slice(&partial);
+        *buf_len = partial.len();
+        Ok(())
     }
 }
 

@@ -14,7 +14,7 @@ use asan_core::active::ActiveSwitchConfig;
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx, MsgInfo};
 use asan_net::{Bytes, HandlerId, NodeId, MTU};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -66,6 +66,25 @@ impl Params {
     }
 }
 
+/// Writes a finished digest as a presence byte, then its bytes.
+fn snapshot_digest(w: &mut SnapWriter, digest: &Option<[u8; 16]>) {
+    w.bool(digest.is_some());
+    if let Some(d) = digest {
+        w.bytes(d);
+    }
+}
+
+/// Reads a digest written by [`snapshot_digest`].
+fn restore_digest(r: &mut SnapReader<'_>) -> Result<Option<[u8; 16]>, SnapError> {
+    if !r.bool()? {
+        return Ok(None);
+    }
+    let d = r.bytes()?;
+    let d = <[u8; 16]>::try_from(d.as_slice())
+        .map_err(|_| SnapError::Malformed("md5 digest length"))?;
+    Ok(Some(d))
+}
+
 /// First 8 bytes of a digest, used as the validation artifact.
 fn digest_tag(d: &[u8; 16]) -> u64 {
     u64::from_le_bytes(d[..8].try_into().expect("8 bytes"))
@@ -74,7 +93,7 @@ fn digest_tag(d: &[u8; 16]) -> u64 {
 /// Normal-case host program: read and hash the whole file (original
 /// single-chain MD5).
 struct NormalMd5 {
-    input: Bytes, // asan-lint: allow(snapshot-completeness)
+    input: Bytes,
     reader: BlockReader,
     hasher: Option<Md5>,
     digest: Option<[u8; 16]>,
@@ -111,33 +130,30 @@ impl HostProgram for NormalMd5 {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.bool(self.hasher.is_some());
-        if let Some(h) = &self.hasher {
+        let NormalMd5 {
+            input: _,
+            reader,
+            hasher,
+            digest,
+        } = self;
+        reader.snapshot(w);
+        w.bool(hasher.is_some());
+        if let Some(h) = hasher {
             h.snapshot(w);
         }
-        w.bool(self.digest.is_some());
-        if let Some(d) = &self.digest {
-            w.bytes(d);
-        }
+        snapshot_digest(w, digest);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.hasher = if r.bool()? {
-            Some(Md5::restore(r)?)
-        } else {
-            None
-        };
-        self.digest = if r.bool()? {
-            let d = r.bytes()?;
-            Some(
-                <[u8; 16]>::try_from(d.as_slice())
-                    .map_err(|_| SnapError::Malformed("md5 digest length"))?,
-            )
-        } else {
-            None
-        };
+        let NormalMd5 {
+            input: _,
+            reader,
+            hasher,
+            digest,
+        } = self;
+        reader.restore(r)?;
+        *hasher = if r.bool()? { Some(r.read()?) } else { None };
+        *digest = restore_digest(r)?;
         Ok(())
     }
 }
@@ -146,12 +162,20 @@ impl HostProgram for NormalMd5 {
 /// pinned to switch CPU `seq % K` (the paper's added "switch CPU Id
 /// field in the message header").
 pub struct Md5Handler {
-    k: usize, // asan-lint: allow(snapshot-completeness)
+    k: usize,
     chains: Vec<Md5>,
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    host: NodeId,
     seen: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
+    expect: u64,
 }
+
+asan_sim::snap_fields!(Md5Handler {
+    k: skip,
+    chains,
+    host: skip,
+    seen,
+    expect: skip,
+});
 
 impl Md5Handler {
     fn new(k: usize, host: NodeId, expect: u64) -> Self {
@@ -195,18 +219,11 @@ impl Handler for Md5Handler {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.chains.len());
-        for c in &self.chains {
-            c.snapshot(w);
-        }
-        w.u64(self.seen);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.chains = (0..n).map(|_| Md5::restore(r)).collect::<Result<_, _>>()?;
-        self.seen = r.u64()?;
-        Ok(())
+        self.restore(r)
     }
 }
 
@@ -238,24 +255,15 @@ impl HostProgram for ActiveMd5 {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.bool(self.digest.is_some());
-        if let Some(d) = &self.digest {
-            w.bytes(d);
-        }
+        let ActiveMd5 { reader, digest } = self;
+        reader.snapshot(w);
+        snapshot_digest(w, digest);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.digest = if r.bool()? {
-            let d = r.bytes()?;
-            Some(
-                <[u8; 16]>::try_from(d.as_slice())
-                    .map_err(|_| SnapError::Malformed("md5 digest length"))?,
-            )
-        } else {
-            None
-        };
+        let ActiveMd5 { reader, digest } = self;
+        reader.restore(r)?;
+        *digest = restore_digest(r)?;
         Ok(())
     }
 }

@@ -19,7 +19,7 @@
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{Bytes, HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -71,12 +71,20 @@ pub fn reference_i_bytes(video: &[u8]) -> u64 {
 
 /// Normal-case host program: filter + colour-reduce per block.
 struct NormalMpeg {
-    video: Bytes, // asan-lint: allow(snapshot-completeness)
+    video: Bytes,
     reader: BlockReader,
     scanner: FrameScanner,
     i_bytes: u64,
-    buf_base: u64, // asan-lint: allow(snapshot-completeness)
+    buf_base: u64,
 }
+
+asan_sim::snap_fields!(NormalMpeg {
+    video: skip,
+    reader,
+    scanner,
+    i_bytes,
+    buf_base: skip,
+});
 
 impl HostProgram for NormalMpeg {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -125,31 +133,37 @@ impl HostProgram for NormalMpeg {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        self.scanner.snapshot(w);
-        w.u64(self.i_bytes);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.scanner.restore(r)?;
-        self.i_bytes = r.u64()?;
-        Ok(())
+        self.restore(r)
     }
 }
 
 /// The switch handler: per-packet frame filtering.
 pub struct MpegFilter {
     scanner: FrameScanner,
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    host: NodeId,
     seen: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
+    expect: u64,
     i_bytes: u64,
     out_addr: u32,
     /// Partial outgoing packet of I-frame bytes.
     batch: Vec<u8>,
     batch_buf: Option<asan_core::BufId>,
 }
+
+asan_sim::snap_fields!(MpegFilter {
+    scanner,
+    host: skip,
+    seen,
+    expect: skip,
+    i_bytes,
+    out_addr,
+    batch,
+    batch_buf,
+});
 
 impl MpegFilter {
     fn new(host: NodeId, expect: u64) -> Self {
@@ -235,29 +249,11 @@ impl Handler for MpegFilter {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.scanner.snapshot(w);
-        w.u64(self.seen);
-        w.u64(self.i_bytes);
-        w.u32(self.out_addr);
-        w.bytes(&self.batch);
-        w.opt_u64(self.batch_buf.map(|b| u64::from(b.0)));
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.scanner.restore(r)?;
-        self.seen = r.u64()?;
-        self.i_bytes = r.u64()?;
-        self.out_addr = r.u32()?;
-        self.batch = r.bytes()?;
-        self.batch_buf = match r.opt_u64()? {
-            Some(v) => {
-                Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                    SnapError::Malformed("buffer id out of range")
-                })?))
-            }
-            None => None,
-        };
-        Ok(())
+        self.restore(r)
     }
 }
 
@@ -267,6 +263,12 @@ struct ActiveMpeg {
     i_bytes_in: u64,
     reported: Option<u64>,
 }
+
+asan_sim::snap_fields!(ActiveMpeg {
+    reader,
+    i_bytes_in,
+    reported,
+});
 
 impl HostProgram for ActiveMpeg {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -301,16 +303,11 @@ impl HostProgram for ActiveMpeg {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.i_bytes_in);
-        w.opt_u64(self.reported);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.i_bytes_in = r.u64()?;
-        self.reported = r.opt_u64()?;
-        Ok(())
+        self.restore(r)
     }
 }
 

@@ -18,7 +18,7 @@
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{Bytes, HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -82,10 +82,10 @@ pub fn reference_counts(shares: &[Vec<u8>], p: usize) -> Vec<u64> {
 
 /// Normal-case host program for one node.
 struct NormalSortNode {
-    share: Bytes,       // asan-lint: allow(snapshot-completeness)
-    p: Params,          // asan-lint: allow(snapshot-completeness)
-    me: usize,          // asan-lint: allow(snapshot-completeness)
-    peers: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    share: Bytes,
+    p: Params,
+    me: usize,
+    peers: Vec<NodeId>,
     reader: BlockReader,
     /// Index of the next unprocessed record (alignment carry).
     next_rec: usize,
@@ -95,11 +95,29 @@ struct NormalSortNode {
     received: u64,
     recv_bytes: u64,
     received_from_peers: u64,
-    expected: u64, // asan-lint: allow(snapshot-completeness)
+    expected: u64,
     read_done: bool,
     sent_eof: bool,
     eofs_seen: usize,
 }
+
+asan_sim::snap_fields!(NormalSortNode {
+    share: skip,
+    p: skip,
+    me: skip,
+    peers: skip,
+    reader,
+    next_rec,
+    batches: fixed,
+    kept,
+    received,
+    recv_bytes,
+    received_from_peers,
+    expected: skip,
+    read_done,
+    sent_eof,
+    eofs_seen,
+});
 
 impl NormalSortNode {
     /// Processes every record fully contained in the data available so
@@ -194,47 +212,19 @@ impl HostProgram for NormalSortNode {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.usize(self.next_rec);
-        w.usize(self.batches.len());
-        for b in &self.batches {
-            w.bytes(b);
-        }
-        w.u64(self.kept);
-        w.u64(self.received);
-        w.u64(self.recv_bytes);
-        w.u64(self.received_from_peers);
-        w.bool(self.read_done);
-        w.bool(self.sent_eof);
-        w.usize(self.eofs_seen);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.next_rec = r.usize()?;
-        let n = r.usize()?;
-        if n != self.batches.len() {
-            return Err(SnapError::Malformed("sort batch count"));
-        }
-        for b in &mut self.batches {
-            *b = r.bytes()?;
-        }
-        self.kept = r.u64()?;
-        self.received = r.u64()?;
-        self.recv_bytes = r.u64()?;
-        self.received_from_peers = r.u64()?;
-        self.read_done = r.bool()?;
-        self.sent_eof = r.bool()?;
-        self.eofs_seen = r.usize()?;
-        Ok(())
+        self.restore(r)
     }
 }
 
 /// The redistribution handler: splits the record stream by key range
 /// and forwards each record to its owner, batching per destination.
 pub struct SortHandler {
-    p: Params,          // asan-lint: allow(snapshot-completeness)
-    hosts: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    p: Params,
+    hosts: Vec<NodeId>,
     /// Partial record carried across packet boundaries, per source
     /// stream (the four nodes' shares interleave at the switch).
     carry: std::collections::BTreeMap<NodeId, Vec<u8>>,
@@ -243,7 +233,7 @@ pub struct SortHandler {
     batch_bufs: Vec<Option<asan_core::BufId>>,
     out_addr: Vec<u32>,
     seen: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
+    expect: u64,
     counts: Vec<u64>,
 }
 
@@ -320,48 +310,52 @@ impl Handler for SortHandler {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.carry.len());
-        for (node, tail) in &self.carry {
-            w.u16(node.0);
-            w.bytes(tail);
+        let SortHandler {
+            p: _,
+            hosts: _,
+            carry,
+            batches,
+            batch_bufs,
+            out_addr,
+            seen,
+            expect: _,
+            counts,
+        } = self;
+        carry.snapshot(w);
+        // One record per destination, its four fields interleaved.
+        w.usize(batches.len());
+        for i in 0..batches.len() {
+            batches[i].snapshot(w);
+            batch_bufs[i].snapshot(w);
+            out_addr[i].snapshot(w);
+            counts[i].snapshot(w);
         }
-        w.usize(self.batches.len());
-        for i in 0..self.batches.len() {
-            w.bytes(&self.batches[i]);
-            w.opt_u64(self.batch_bufs[i].map(|b| u64::from(b.0)));
-            w.u32(self.out_addr[i]);
-            w.u64(self.counts[i]);
-        }
-        w.u64(self.seen);
+        seen.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let n = r.usize()?;
-        self.carry.clear();
-        for _ in 0..n {
-            let node = NodeId(r.u16()?);
-            let tail = r.bytes()?;
-            self.carry.insert(node, tail);
-        }
-        let n = r.usize()?;
-        if n != self.batches.len() {
+        let SortHandler {
+            p: _,
+            hosts: _,
+            carry,
+            batches,
+            batch_bufs,
+            out_addr,
+            seen,
+            expect: _,
+            counts,
+        } = self;
+        carry.restore(r)?;
+        if r.usize()? != batches.len() {
             return Err(SnapError::Malformed("sort handler batch count"));
         }
-        for i in 0..n {
-            self.batches[i] = r.bytes()?;
-            self.batch_bufs[i] = match r.opt_u64()? {
-                Some(v) => {
-                    Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                        SnapError::Malformed("buffer id out of range")
-                    })?))
-                }
-                None => None,
-            };
-            self.out_addr[i] = r.u32()?;
-            self.counts[i] = r.u64()?;
+        for i in 0..batches.len() {
+            batches[i].restore(r)?;
+            batch_bufs[i].restore(r)?;
+            out_addr[i].restore(r)?;
+            counts[i].restore(r)?;
         }
-        self.seen = r.u64()?;
-        Ok(())
+        seen.restore(r)
     }
 }
 
@@ -369,10 +363,18 @@ impl Handler for SortHandler {
 struct ActiveSortNode {
     reader: BlockReader,
     received: u64,
-    expected: u64, // asan-lint: allow(snapshot-completeness)
+    expected: u64,
     eof: bool,
     read_done: bool,
 }
+
+asan_sim::snap_fields!(ActiveSortNode {
+    reader,
+    received,
+    expected: skip,
+    eof,
+    read_done,
+});
 
 impl HostProgram for ActiveSortNode {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -410,18 +412,11 @@ impl HostProgram for ActiveSortNode {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.reader.snapshot(w);
-        w.u64(self.received);
-        w.bool(self.eof);
-        w.bool(self.read_done);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.reader.restore(r)?;
-        self.received = r.u64()?;
-        self.eof = r.bool()?;
-        self.read_done = r.bool()?;
-        Ok(())
+        self.restore(r)
     }
 }
 

@@ -18,7 +18,7 @@ use asan_core::cluster::{Cluster, ClusterConfig, HostCtx, HostMsg, HostProgram};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_core::{aggregation_tree, HandlerPlacement};
 use asan_net::{HandlerId, NodeId, TopoSpec};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::SimTime;
 
 use crate::cost;
@@ -120,19 +120,19 @@ pub fn reduction_cluster(p: usize, cfg: ClusterConfig) -> ReductionCluster {
 /// The combine handler on one switch of the tree.
 pub struct ReduceHandler {
     /// Vectors expected at this switch (hosts below, or child switches).
-    expect: usize, // asan-lint: allow(snapshot-completeness)
+    expect: usize,
     received: usize,
     acc: Vec<u8>,
     acc_buf: Option<asan_core::BufId>,
     /// Where the combined vector goes: parent switch, or (at the root)
     /// the result distribution.
-    parent: Option<NodeId>, // asan-lint: allow(snapshot-completeness)
-    mode: Mode,         // asan-lint: allow(snapshot-completeness)
-    hosts: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    parent: Option<NodeId>,
+    mode: Mode,
+    hosts: Vec<NodeId>,
     /// Hosts attached directly below this switch (broadcast fan-out).
-    host_children: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    host_children: Vec<NodeId>,
     /// Switches attached directly below this switch.
-    switch_children: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
+    switch_children: Vec<NodeId>,
 }
 
 impl ReduceHandler {
@@ -235,38 +235,51 @@ impl Handler for ReduceHandler {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.received);
-        w.bytes(&self.acc);
-        w.opt_u64(self.acc_buf.map(|b| u64::from(b.0)));
+        let ReduceHandler {
+            expect: _,
+            received,
+            acc,
+            acc_buf,
+            parent: _,
+            mode: _,
+            hosts: _,
+            host_children: _,
+            switch_children: _,
+        } = self;
+        received.snapshot(w);
+        acc.snapshot(w);
+        acc_buf.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.received = r.usize()?;
-        let acc = r.bytes()?;
+        let ReduceHandler {
+            expect: _,
+            received,
+            acc,
+            acc_buf,
+            parent: _,
+            mode: _,
+            hosts: _,
+            host_children: _,
+            switch_children: _,
+        } = self;
+        received.restore(r)?;
+        acc.restore(r)?;
         if acc.len() != VECTOR_BYTES {
             return Err(SnapError::Malformed("reduce accumulator length"));
         }
-        self.acc = acc;
-        self.acc_buf = match r.opt_u64()? {
-            Some(v) => {
-                Some(asan_core::BufId(u8::try_from(v).map_err(|_| {
-                    SnapError::Malformed("buffer id out of range")
-                })?))
-            }
-            None => None,
-        };
-        Ok(())
+        acc_buf.restore(r)
     }
 }
 
 /// One node of the collective, normal (MST) or active.
 struct ReduceNode {
-    me: usize,          // asan-lint: allow(snapshot-completeness)
-    p: usize,           // asan-lint: allow(snapshot-completeness)
-    mode: Mode,         // asan-lint: allow(snapshot-completeness)
-    active: bool,       // asan-lint: allow(snapshot-completeness)
-    peers: Vec<NodeId>, // asan-lint: allow(snapshot-completeness)
-    leaf: NodeId,       // asan-lint: allow(snapshot-completeness)
+    me: usize,
+    p: usize,
+    mode: Mode,
+    active: bool,
+    peers: Vec<NodeId>,
+    leaf: NodeId,
     vector: Vec<u8>,
     /// MST round (normal case).
     round: u32,
@@ -453,25 +466,47 @@ impl HostProgram for ReduceNode {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.bytes(&self.vector);
-        w.u32(self.round);
-        w.bool(self.got_result.is_some());
-        if let Some(res) = &self.got_result {
-            w.bytes(res);
+        let ReduceNode {
+            me: _,
+            p: _,
+            mode: _,
+            active: _,
+            peers: _,
+            leaf: _,
+            vector,
+            round,
+            got_result,
+            done,
+        } = self;
+        vector.snapshot(w);
+        round.snapshot(w);
+        w.bool(got_result.is_some());
+        if let Some(res) = got_result {
+            res.snapshot(w);
         }
-        w.bool(self.done);
+        done.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let vector = r.bytes()?;
+        let ReduceNode {
+            me: _,
+            p: _,
+            mode: _,
+            active: _,
+            peers: _,
+            leaf: _,
+            vector,
+            round,
+            got_result,
+            done,
+        } = self;
+        vector.restore(r)?;
         if vector.len() != VECTOR_BYTES {
             return Err(SnapError::Malformed("reduce vector length"));
         }
-        self.vector = vector;
-        self.round = r.u32()?;
-        self.got_result = if r.bool()? { Some(r.bytes()?) } else { None };
-        self.done = r.bool()?;
-        Ok(())
+        round.restore(r)?;
+        *got_result = if r.bool()? { Some(r.read()?) } else { None };
+        done.restore(r)
     }
 }
 

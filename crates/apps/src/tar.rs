@@ -16,7 +16,7 @@
 use asan_core::cluster::{ClusterConfig, Dest, FileId, HostCtx, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::{Bytes, HandlerId, NodeId};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
@@ -68,8 +68,8 @@ impl Params {
 struct NormalTar {
     p: Params,
     files: Vec<FileId>,
-    contents: Vec<Bytes>, // asan-lint: allow(snapshot-completeness)
-    archive: NodeId,      // asan-lint: allow(snapshot-completeness)
+    contents: Vec<Bytes>,
+    archive: NodeId,
     outstanding: u64,
     current: usize,
     reader: Option<BlockReader>,
@@ -141,34 +141,55 @@ impl HostProgram for NormalTar {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.usize(self.current);
-        w.u64(self.sent);
-        w.bool(self.reader.is_some());
-        if let Some(reader) = &self.reader {
+        let NormalTar {
+            p: _,
+            files: _,
+            contents: _,
+            archive: _,
+            outstanding: _,
+            current,
+            reader,
+            sent,
+        } = self;
+        current.snapshot(w);
+        sent.snapshot(w);
+        w.bool(reader.is_some());
+        if let Some(reader) = reader {
             reader.snapshot(w);
         }
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.current = r.usize()?;
-        self.sent = r.u64()?;
-        if r.bool()? {
-            let file = *self
-                .files
-                .get(self.current)
+        let NormalTar {
+            p,
+            files,
+            contents: _,
+            archive: _,
+            outstanding,
+            current,
+            reader,
+            sent,
+        } = self;
+        current.restore(r)?;
+        sent.restore(r)?;
+        // The reader is rebuilt over the current file's plan before its
+        // cursor state is restored.
+        *reader = if r.bool()? {
+            let file = *files
+                .get(*current)
                 .ok_or(SnapError::Malformed("tar file cursor out of range"))?;
-            let mut reader = BlockReader::new(BlockPlan {
+            let mut rd = BlockReader::new(BlockPlan {
                 file,
-                total: self.p.file_bytes,
-                block: self.p.io_block,
-                outstanding: self.outstanding,
+                total: p.file_bytes,
+                block: p.io_block,
+                outstanding: *outstanding,
                 dest: Dest::HostBuf { addr: 0x1000_0000 },
             });
-            reader.restore(r)?;
-            self.reader = Some(reader);
+            rd.restore(r)?;
+            Some(rd)
         } else {
-            self.reader = None;
-        }
+            None
+        };
         Ok(())
     }
 }
@@ -177,10 +198,16 @@ impl HostProgram for NormalTar {
 /// header, forwards the header to the archive, then pulls the file from
 /// its TCA straight to the archive node.
 pub struct TarHandler {
-    tca: NodeId,     // asan-lint: allow(snapshot-completeness)
-    archive: NodeId, // asan-lint: allow(snapshot-completeness)
+    tca: NodeId,
+    archive: NodeId,
     files_streamed: u64,
 }
+
+asan_sim::snap_fields!(TarHandler {
+    tca: skip,
+    archive: skip,
+    files_streamed,
+});
 
 impl TarHandler {
     fn new(tca: NodeId, archive: NodeId) -> Self {
@@ -214,12 +241,11 @@ impl Handler for TarHandler {
     }
 
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u64(self.files_streamed);
+        self.snapshot(w);
     }
 
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.files_streamed = r.u64()?;
-        Ok(())
+        self.restore(r)
     }
 }
 

@@ -16,7 +16,7 @@
 use asan_cpu::{Cpu, CpuConfig};
 use asan_net::{HandlerId, Packet};
 use asan_net::{NodeId, MTU};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{FixedShape, Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::{Counter, TimeBreakdown};
 use asan_sim::{Period, SimDuration, SimTime};
 
@@ -96,6 +96,14 @@ pub struct ActiveStats {
     pub io_reqs: Counter,
 }
 
+asan_sim::snap_fields!(ActiveStats {
+    invocations,
+    bytes_in,
+    bytes_out,
+    msgs_out,
+    io_reqs,
+});
+
 /// Effects of dispatching one active message: what the cluster layer
 /// must inject into the fabric / I/O system, and when the CPU finished.
 #[derive(Debug)]
@@ -121,7 +129,7 @@ pub struct DispatchResult {
 #[derive(Debug)]
 pub struct ActiveSwitch {
     node: NodeId,
-    cfg: ActiveSwitchConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: ActiveSwitchConfig,
     cpus: Vec<Cpu>,
     atbs: Vec<Atb>,
     dba: BufferAdmin,
@@ -132,9 +140,9 @@ pub struct ActiveSwitch {
     send_unit_free: SimTime,
     stats: ActiveStats,
     /// The dispatch unit's latency, `cfg.dispatch_cycles` at the CPU clock.
-    dispatch_lat: SimDuration, // asan-lint: allow(snapshot-completeness)
+    dispatch_lat: SimDuration,
     /// The send unit's per-byte injection time.
-    injection: Period, // asan-lint: allow(snapshot-completeness)
+    injection: Period,
 }
 
 impl std::fmt::Debug for dyn Handler {
@@ -240,80 +248,6 @@ impl ActiveSwitch {
             let (buf, granted) = self.dba.alloc(SimTime::ZERO);
             self.dba.release(buf, until.max(granted));
         }
-    }
-
-    /// Writes the switch's dynamic state: CPUs, ATBs, buffer file,
-    /// send-unit occupancy, statistics, and each installed handler's
-    /// persistent state (via [`Handler::snapshot_state`]).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("active");
-        w.u16(self.node.0);
-        w.usize(self.cpus.len());
-        for c in &self.cpus {
-            c.snapshot(w);
-        }
-        for a in &self.atbs {
-            a.snapshot(w);
-        }
-        self.dba.snapshot(w);
-        for slot in &self.jump {
-            match slot {
-                Some(h) => {
-                    w.bool(true);
-                    h.snapshot_state(w);
-                }
-                None => w.bool(false),
-            }
-        }
-        w.time(self.send_unit_free);
-        self.stats.invocations.snapshot(w);
-        self.stats.bytes_in.snapshot(w);
-        self.stats.bytes_out.snapshot(w);
-        self.stats.msgs_out.snapshot(w);
-        self.stats.io_reqs.snapshot(w);
-    }
-
-    /// Overwrites this switch's dynamic state from a snapshot taken of
-    /// a switch with the same node, configuration, and registered
-    /// handler set.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed or the
-    /// snapshotted switch's shape (node, CPU count, jump-table
-    /// occupancy) does not match this one.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("active")?;
-        if r.u16()? != self.node.0 {
-            return Err(SnapError::Malformed("active switch node mismatch"));
-        }
-        if r.usize()? != self.cpus.len() {
-            return Err(SnapError::Malformed("switch CPU count mismatch"));
-        }
-        for c in &mut self.cpus {
-            c.restore(r)?;
-        }
-        for a in &mut self.atbs {
-            a.restore(r)?;
-        }
-        self.dba.restore(r)?;
-        for slot in &mut self.jump {
-            let present = r.bool()?;
-            match (present, slot.as_mut()) {
-                (true, Some(h)) => h.restore_state(r)?,
-                (false, None) => {}
-                _ => return Err(SnapError::Malformed("jump table occupancy mismatch")),
-            }
-        }
-        self.send_unit_free = r.time()?;
-        self.stats = ActiveStats {
-            invocations: Counter::restore(r)?,
-            bytes_in: Counter::restore(r)?,
-            bytes_out: Counter::restore(r)?,
-            msgs_out: Counter::restore(r)?,
-            io_reqs: Counter::restore(r)?,
-        };
-        Ok(())
     }
 
     /// Dispatches an arriving active message.
@@ -429,6 +363,73 @@ impl ActiveSwitch {
             done,
             cpu: cpu_idx,
         }
+    }
+}
+
+/// The switch's dynamic state: CPUs, ATBs, buffer file, each installed
+/// handler's persistent state (via [`Handler::snapshot_state`]),
+/// send-unit occupancy and statistics. Restore takes a snapshot of a
+/// switch with the same node, configuration, and registered handler
+/// set, and rejects one whose shape (node, CPU count, jump-table
+/// occupancy) differs.
+impl Snap for ActiveSwitch {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let ActiveSwitch {
+            node,
+            cfg: _,
+            cpus,
+            atbs,
+            dba,
+            jump,
+            send_unit_free,
+            stats,
+            dispatch_lat: _,
+            injection: _,
+        } = self;
+        w.section("active");
+        node.snapshot(w);
+        cpus.snapshot_fixed(w);
+        atbs.iter().for_each(|a| a.snapshot(w));
+        dba.snapshot(w);
+        for slot in jump {
+            w.bool(slot.is_some());
+            if let Some(h) = slot {
+                h.snapshot_state(w);
+            }
+        }
+        send_unit_free.snapshot(w);
+        stats.snapshot(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let ActiveSwitch {
+            node,
+            cfg: _,
+            cpus,
+            atbs,
+            dba,
+            jump,
+            send_unit_free,
+            stats,
+            dispatch_lat: _,
+            injection: _,
+        } = self;
+        r.section("active")?;
+        if r.read::<NodeId>()? != *node {
+            return Err(SnapError::Malformed("active switch node mismatch"));
+        }
+        cpus.restore_fixed(r)?;
+        atbs.iter_mut().try_for_each(|a| a.restore(r))?;
+        dba.restore(r)?;
+        for slot in jump {
+            match (r.bool()?, slot.as_mut()) {
+                (true, Some(h)) => h.restore_state(r)?,
+                (false, None) => {}
+                _ => return Err(SnapError::Malformed("jump table occupancy mismatch")),
+            }
+        }
+        send_unit_free.restore(r)?;
+        stats.restore(r)
     }
 }
 

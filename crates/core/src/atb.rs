@@ -12,7 +12,7 @@
 //! streaming ("in order") arrival of mapped data: consecutive MTU-sized
 //! chunks of a mapped file land in consecutive ATB slots.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 
 use crate::buffer::{BufId, BUFFER_BYTES};
@@ -158,27 +158,44 @@ impl Atb {
     pub fn conflict_evictions(&self) -> u64 {
         self.conflict_evictions.get()
     }
+}
 
-    /// Writes every live mapping and the translation counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        for e in &self.entries {
-            match e {
-                Some(entry) => {
-                    w.bool(true);
-                    w.u32(entry.base);
-                    w.u8(entry.buf.0);
-                }
-                None => w.bool(false),
+impl Default for Atb {
+    fn default() -> Self {
+        Atb::new()
+    }
+}
+
+/// Every slot as a presence byte plus, when live, its mapping; then the
+/// translation counters. The slot count is fixed, so it is not written.
+impl Snap for Atb {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let Atb {
+            entries,
+            hits,
+            misses,
+            conflict_evictions,
+        } = self;
+        for e in entries {
+            w.bool(e.is_some());
+            if let Some(Entry { base, buf }) = e {
+                w.u32(*base);
+                w.u8(buf.0);
             }
         }
-        self.hits.snapshot(w);
-        self.misses.snapshot(w);
-        self.conflict_evictions.snapshot(w);
+        hits.snapshot(w);
+        misses.snapshot(w);
+        conflict_evictions.snapshot(w);
     }
 
-    /// Overwrites this ATB's mappings and counters from a snapshot.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        for e in &mut self.entries {
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Atb {
+            entries,
+            hits,
+            misses,
+            conflict_evictions,
+        } = self;
+        for e in entries {
             *e = if r.bool()? {
                 let base = r.u32()?;
                 let buf = BufId(r.u8()?);
@@ -187,16 +204,9 @@ impl Atb {
                 None
             };
         }
-        self.hits = Counter::restore(r)?;
-        self.misses = Counter::restore(r)?;
-        self.conflict_evictions = Counter::restore(r)?;
-        Ok(())
-    }
-}
-
-impl Default for Atb {
-    fn default() -> Self {
-        Atb::new()
+        hits.restore(r)?;
+        misses.restore(r)?;
+        conflict_evictions.restore(r)
     }
 }
 

@@ -13,7 +13,7 @@
 //! while the tail of the packet is still on the wire — the overlap the
 //! paper credits for much of the active switch's efficiency.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::SimTime;
 
 /// Bytes per data buffer (one MTU).
@@ -26,8 +26,21 @@ pub const LINE_BYTES: usize = 32;
 pub const LINES: usize = BUFFER_BYTES / LINE_BYTES;
 
 /// Index of a data buffer within the switch's buffer file.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct BufId(pub u8);
+
+/// Written as a `u64`: the width handler snapshots hold buffer ids in.
+impl Snap for BufId {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.u64(u64::from(self.0));
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.0 =
+            u8::try_from(r.u64()?).map_err(|_| SnapError::Malformed("buffer id out of range"))?;
+        Ok(())
+    }
+}
 
 /// One on-chip data buffer: real bytes plus per-line valid times.
 ///
@@ -164,35 +177,6 @@ impl DataBuffer {
         self.valid = [None; LINES];
     }
 
-    /// Writes the full byte array, payload length, and per-line valid
-    /// times. The whole array is written (not just `len` bytes) because
-    /// a later extending [`write`](DataBuffer::write) can expose bytes
-    /// beyond the current payload.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.bytes(&self.data);
-        w.usize(self.len);
-        for v in &self.valid {
-            w.opt_time(*v);
-        }
-    }
-
-    /// Overwrites this buffer from a snapshot.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let data = r.bytes()?;
-        if data.len() != BUFFER_BYTES {
-            return Err(SnapError::Malformed("data buffer size mismatch"));
-        }
-        self.data.copy_from_slice(&data);
-        self.len = r.usize()?;
-        if self.len > BUFFER_BYTES {
-            return Err(SnapError::Malformed("data buffer payload too long"));
-        }
-        for v in &mut self.valid {
-            *v = r.opt_time()?;
-        }
-        Ok(())
-    }
-
     /// The latest line-valid time, i.e. when the whole payload is
     /// present. `None` for an empty buffer.
     pub fn all_valid_at(&self) -> Option<SimTime> {
@@ -228,6 +212,32 @@ pub fn line_schedule(payload_len: usize, first: SimTime, last: SimTime) -> Vec<S
             first + asan_sim::SimDuration::from_ps(frac as u64)
         })
         .collect()
+}
+
+/// The full byte array, payload length, and per-line valid times. The
+/// whole array is written (not just `len` bytes) because a later
+/// extending [`write`](DataBuffer::write) can expose bytes beyond the
+/// current payload.
+impl Snap for DataBuffer {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let DataBuffer { data, len, valid } = self;
+        w.bytes(data);
+        len.snapshot(w);
+        valid.snapshot(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let DataBuffer { data, len, valid } = self;
+        *data = r
+            .bytes()?
+            .try_into()
+            .map_err(|_| SnapError::Malformed("data buffer size mismatch"))?;
+        len.restore(r)?;
+        if *len > BUFFER_BYTES {
+            return Err(SnapError::Malformed("data buffer payload too long"));
+        }
+        valid.restore(r)
+    }
 }
 
 #[cfg(test)]

@@ -27,7 +27,7 @@ use asan_net::{Bytes, Fabric, HandlerId, HcaConfig, NodeId};
 use asan_sim::faults::{FaultInjector, FaultPlan, FaultStats};
 use asan_sim::perfetto::PerfettoSink;
 use asan_sim::sched::Scheduler;
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::{TimeBreakdown, Traffic};
 use asan_sim::trace::{JsonlSink, NullSink, TraceSink};
 use asan_sim::{SimDuration, SimTime};
@@ -203,14 +203,14 @@ pub struct Cluster {
     host: HostEngine,
     dispatch: DispatchEngine,
     storage: StorageEngine,
-    fabric_engine: FabricEngine, // asan-lint: allow(snapshot-completeness)
-    files: FileStore,            // asan-lint: allow(snapshot-completeness)
+    fabric_engine: FabricEngine,
+    files: FileStore,
     reqs: BTreeMap<ReqId, IoState>,
     /// Armed fault injector (None ⇒ the pre-fault simulator, bit for
     /// bit).
     injector: Option<FaultInjector>,
     /// TCA nodes with an active engine, for delivery routing.
-    active_tca_nodes: BTreeSet<NodeId>, // asan-lint: allow(snapshot-completeness)
+    active_tca_nodes: BTreeSet<NodeId>,
     /// The observability probe: always-on latency histograms plus the
     /// optional trace sink spans are delivered to.
     probe: Probe,
@@ -454,7 +454,7 @@ impl Cluster {
     /// shares can sum past 100% — like the paper's stacked
     /// per-component breakdown bars.
     pub fn metrics(&self, report: &RunReport) -> MetricsReport {
-        let mut m = self.probe.snapshot();
+        let mut m = self.probe.report();
         m.credit_stall = self.fabric.credit_stall_histogram();
         let host_ps: u64 = report
             .hosts
@@ -612,28 +612,37 @@ impl Cluster {
     /// rebuilds the cluster identically first, then calls
     /// [`Cluster::restore`], which overwrites the dynamic state.
     pub fn snapshot(&self) -> Vec<u8> {
+        let Cluster {
+            cfg: _,
+            fabric,
+            sched,
+            host,
+            dispatch,
+            storage,
+            fabric_engine: _,
+            files: _,
+            reqs,
+            injector,
+            active_tca_nodes: _,
+            probe,
+            armed,
+            drain,
+        } = self;
         let mut w = SnapWriter::new();
         w.section("cluster");
-        w.bool(self.armed);
-        w.time(self.drain);
-        self.sched.snapshot_with(&mut w, |w, e| e.snapshot(w));
-        self.fabric.snapshot(&mut w);
-        self.host.snapshot(&mut w);
-        self.dispatch.snapshot(&mut w);
-        self.storage.snapshot(&mut w);
-        w.usize(self.reqs.len());
-        for (req, st) in &self.reqs {
-            w.u64(req.0);
-            st.snapshot(&mut w);
+        armed.snapshot(&mut w);
+        drain.snapshot(&mut w);
+        sched.snapshot_with(&mut w, |w, e| e.snapshot(w));
+        fabric.snapshot(&mut w);
+        host.snapshot(&mut w);
+        dispatch.snapshot(&mut w);
+        storage.snapshot(&mut w);
+        reqs.snapshot(&mut w);
+        w.bool(injector.is_some());
+        if let Some(inj) = injector {
+            inj.snapshot(&mut w);
         }
-        match &self.injector {
-            Some(inj) => {
-                w.bool(true);
-                inj.snapshot(&mut w);
-            }
-            None => w.bool(false),
-        }
-        self.probe.snapshot_state(&mut w);
+        Snap::snapshot(probe, &mut w);
         w.into_bytes()
     }
 
@@ -649,28 +658,38 @@ impl Cluster {
     /// different snapshot version, or describe a cluster of a different
     /// shape.
     pub fn restore(&mut self, bytes: &[u8]) -> Result<(), SnapError> {
+        let Cluster {
+            cfg,
+            fabric,
+            sched,
+            host,
+            dispatch,
+            storage,
+            fabric_engine: _,
+            files: _,
+            reqs,
+            injector,
+            active_tca_nodes: _,
+            probe,
+            armed,
+            drain,
+        } = self;
         let mut r = SnapReader::new(bytes)?;
         r.section("cluster")?;
-        self.armed = r.bool()?;
-        self.drain = r.time()?;
-        self.sched = Scheduler::restore_with(&mut r, Event::restore)?;
-        self.fabric.restore(&mut r)?;
-        self.host.restore(&mut r)?;
-        self.dispatch.restore(&mut r, &self.cfg)?;
-        self.storage.restore(&mut r)?;
-        self.reqs.clear();
-        let nreqs = r.usize()?;
-        for _ in 0..nreqs {
-            let req = ReqId(r.u64()?);
-            self.reqs.insert(req, IoState::restore(&mut r)?);
-        }
-        let has_injector = r.bool()?;
-        match (has_injector, self.injector.as_mut()) {
+        armed.restore(&mut r)?;
+        drain.restore(&mut r)?;
+        *sched = Scheduler::restore_with(&mut r, Event::restore)?;
+        fabric.restore(&mut r)?;
+        host.restore(&mut r)?;
+        dispatch.restore(&mut r, cfg)?;
+        storage.restore(&mut r)?;
+        reqs.restore(&mut r)?;
+        match (r.bool()?, injector.as_mut()) {
             (true, Some(inj)) => inj.restore(&mut r)?,
             (false, None) => {}
             _ => return Err(SnapError::Malformed("fault plan presence mismatch")),
         }
-        self.probe.restore_state(&mut r)?;
+        probe.restore(&mut r)?;
         r.finish()
     }
 

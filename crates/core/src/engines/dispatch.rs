@@ -12,7 +12,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use asan_cpu::Cpu;
 use asan_net::{HandlerId, NodeId, HEADER_BYTES};
 use asan_sim::faults::{BufferSeize, FaultInjector};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{FixedShape, Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::trace::TraceCtx;
 use asan_sim::SimTime;
 
@@ -245,33 +245,26 @@ impl DispatchEngine {
     /// set, every active engine (switches, active TCAs, fallback
     /// engines), and the per-request reorder buffers.
     pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
+        let DispatchEngine {
+            switches,
+            active_tcas,
+            trapped,
+            fallback_engines,
+            fallback_host,
+            fallback_cfg: _,
+            flows,
+        } = self;
         w.section("dispatch");
-        w.opt_u64(self.fallback_host.map(|n| u64::from(n.0)));
-        w.usize(self.trapped.len());
-        for (sw, hid) in &self.trapped {
-            w.u16(sw.0);
+        w.opt_u64(fallback_host.map(|n| u64::from(n.0)));
+        w.usize(trapped.len());
+        for (sw, hid) in trapped {
+            sw.snapshot(w);
             w.u8(hid.as_u8());
         }
-        w.usize(self.switches.len());
-        for (&id, s) in &self.switches {
-            w.u16(id.0);
-            s.snapshot(w);
-        }
-        w.usize(self.active_tcas.len());
-        for (&id, s) in &self.active_tcas {
-            w.u16(id.0);
-            s.snapshot(w);
-        }
-        w.usize(self.fallback_engines.len());
-        for (&id, s) in &self.fallback_engines {
-            w.u16(id.0);
-            s.snapshot(w);
-        }
-        w.usize(self.flows.len());
-        for (req, flow) in &self.flows {
-            w.u64(req.0);
-            flow.snapshot(w);
-        }
+        switches.snapshot_fixed(w);
+        active_tcas.snapshot_fixed(w);
+        fallback_engines.snapshot_fixed(w);
+        flows.snapshot(w);
     }
 
     /// Overwrites the engine's dynamic state from a snapshot taken of
@@ -293,74 +286,55 @@ impl DispatchEngine {
         r: &mut SnapReader<'_>,
         cfg: &ClusterConfig,
     ) -> Result<(), SnapError> {
+        let DispatchEngine {
+            switches,
+            active_tcas,
+            trapped,
+            fallback_engines,
+            fallback_host,
+            fallback_cfg,
+            flows,
+        } = self;
         r.section("dispatch")?;
-        self.fallback_host = match r.opt_u64()? {
+        *fallback_host = match r.opt_u64()? {
             Some(v) => Some(NodeId(
                 u16::try_from(v).map_err(|_| SnapError::Malformed("fallback host id"))?,
             )),
             None => None,
         };
-        let ntrap = r.usize()?;
+        let ntrap = r.len_prefix()?;
         for _ in 0..ntrap {
-            let sw = NodeId(r.u16()?);
+            let sw: NodeId = r.read()?;
             let raw = r.u8()?;
             if raw >= 64 {
                 return Err(SnapError::Malformed("trapped handler id out of range"));
             }
             let hid = HandlerId::new(raw);
-            let handler = self
-                .switches
+            if trapped.last().is_some_and(|&last| last >= (sw, hid)) {
+                return Err(SnapError::Malformed("trapped handlers out of order"));
+            }
+            let handler = switches
                 .get_mut(&sw)
-                .or_else(|| self.active_tcas.get_mut(&sw))
+                .or_else(|| active_tcas.get_mut(&sw))
                 .and_then(|e| e.take_handler(hid))
                 .ok_or(SnapError::Malformed("trapped handler not registered"))?;
-            let fallback_cfg = self.fallback_cfg.get_or_insert_with(|| {
+            let fallback_cfg = fallback_cfg.get_or_insert_with(|| {
                 let mut fcfg = cfg.active.clone();
                 fcfg.cpu = cfg.host_cpu.clone();
                 fcfg.num_cpus = 1;
                 fcfg.dispatch_cycles = 64;
                 fcfg
             });
-            self.fallback_engines
+            fallback_engines
                 .entry(sw)
                 .or_insert_with(|| ActiveSwitch::new(sw, fallback_cfg.clone()))
                 .register(hid, handler);
-            self.trapped.insert((sw, hid));
+            trapped.insert((sw, hid));
         }
-        if r.usize()? != self.switches.len() {
-            return Err(SnapError::Malformed("switch count mismatch"));
-        }
-        for (&id, s) in &mut self.switches {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("switch node mismatch"));
-            }
-            s.restore(r)?;
-        }
-        if r.usize()? != self.active_tcas.len() {
-            return Err(SnapError::Malformed("active TCA count mismatch"));
-        }
-        for (&id, s) in &mut self.active_tcas {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("active TCA node mismatch"));
-            }
-            s.restore(r)?;
-        }
-        if r.usize()? != self.fallback_engines.len() {
-            return Err(SnapError::Malformed("fallback engine count mismatch"));
-        }
-        for (&id, s) in &mut self.fallback_engines {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("fallback engine node mismatch"));
-            }
-            s.restore(r)?;
-        }
-        self.flows.clear();
-        let nflows = r.usize()?;
-        for _ in 0..nflows {
-            let req = ReqId(r.u64()?);
-            self.flows.insert(req, FlowState::restore(r)?);
-        }
-        Ok(())
+        switches.restore_fixed(r)?;
+        active_tcas.restore_fixed(r)?;
+        fallback_engines.restore_fixed(r)?;
+        flows.restore(r)
     }
 
     /// One mapped storage data packet arrived at an active engine under

@@ -13,7 +13,7 @@ use std::collections::BTreeMap;
 use asan_cpu::Cpu;
 use asan_io::OsCost;
 use asan_net::{HandlerId, Hca, NodeId, HEADER_BYTES, MTU};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Traffic;
 use asan_sim::{SimDuration, SimTime};
 
@@ -50,6 +50,8 @@ pub trait HostProgram {
     /// programs (anything whose behaviour depends on values mutated
     /// across hook calls) must override this together with
     /// [`HostProgram::restore_state`]; the default writes nothing.
+    /// Declare the state once with `asan_sim::snap_fields!` and
+    /// delegate both hooks to it.
     fn snapshot_state(&self, _w: &mut SnapWriter) {}
 
     /// Restores the state written by [`HostProgram::snapshot_state`]
@@ -190,6 +192,56 @@ struct HostNode {
     background_done: Option<SimTime>,
 }
 
+/// CPU, HCA, program state (via [`HostProgram::snapshot_state`]) behind
+/// a presence byte that must match the installed program on restore,
+/// finish/background state and traffic.
+impl Snap for HostNode {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let HostNode {
+            cpu,
+            hca,
+            program,
+            finished_at,
+            payload,
+            background_left,
+            background_done,
+        } = self;
+        cpu.snapshot(w);
+        hca.snapshot(w);
+        w.bool(program.is_some());
+        if let Some(p) = program {
+            p.snapshot_state(w);
+        }
+        finished_at.snapshot(w);
+        payload.snapshot(w);
+        background_left.snapshot(w);
+        background_done.snapshot(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let HostNode {
+            cpu,
+            hca,
+            program,
+            finished_at,
+            payload,
+            background_left,
+            background_done,
+        } = self;
+        cpu.restore(r)?;
+        hca.restore(r)?;
+        match (r.bool()?, program.as_mut()) {
+            (true, Some(p)) => p.restore_state(r)?,
+            (false, None) => {}
+            _ => return Err(SnapError::Malformed("program placement mismatch")),
+        }
+        finished_at.restore(r)?;
+        payload.restore(r)?;
+        background_left.restore(r)?;
+        background_done.restore(r)
+    }
+}
+
 /// The host subsystem engine: owns every host node (CPU, HCA, program,
 /// traffic counters) and the request-ID allocator.
 #[derive(Debug, Default)]
@@ -197,6 +249,13 @@ pub struct HostEngine {
     hosts: BTreeMap<NodeId, HostNode>,
     next_req: u64,
 }
+
+// The request-ID allocator, then every host node; the host set is
+// the topology's and must match on restore.
+asan_sim::snap_fields!(HostEngine @ "host" {
+    next_req,
+    hosts: fixed,
+});
 
 impl Engine for HostEngine {
     fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError> {
@@ -390,65 +449,6 @@ impl HostEngine {
                 hca_recvs: h.hca.recvs(),
             })
             .collect()
-    }
-
-    /// Writes the engine's dynamic state: the request-ID allocator and
-    /// every host node (CPU, HCA, finish/background state, traffic,
-    /// program state via [`HostProgram::snapshot_state`]).
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("host");
-        w.u64(self.next_req);
-        w.usize(self.hosts.len());
-        for (&id, h) in &self.hosts {
-            w.u16(id.0);
-            h.cpu.snapshot(w);
-            h.hca.snapshot(w);
-            match &h.program {
-                Some(p) => {
-                    w.bool(true);
-                    p.snapshot_state(w);
-                }
-                None => w.bool(false),
-            }
-            w.opt_time(h.finished_at);
-            h.payload.snapshot(w);
-            w.dur(h.background_left);
-            w.opt_time(h.background_done);
-        }
-    }
-
-    /// Overwrites the engine's dynamic state from a snapshot taken of
-    /// an identically built engine (same hosts, same programs
-    /// installed).
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed or the host
-    /// set / program placement does not match.
-    pub(crate) fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("host")?;
-        self.next_req = r.u64()?;
-        if r.usize()? != self.hosts.len() {
-            return Err(SnapError::Malformed("host count mismatch"));
-        }
-        for (&id, h) in &mut self.hosts {
-            if r.u16()? != id.0 {
-                return Err(SnapError::Malformed("host node mismatch"));
-            }
-            h.cpu.restore(r)?;
-            h.hca.restore(r)?;
-            let has_program = r.bool()?;
-            match (has_program, h.program.as_mut()) {
-                (true, Some(p)) => p.restore_state(r)?,
-                (false, None) => {}
-                _ => return Err(SnapError::Malformed("program placement mismatch")),
-            }
-            h.finished_at = r.opt_time()?;
-            h.payload = Traffic::restore(r)?;
-            h.background_left = r.dur()?;
-            h.background_done = r.opt_time()?;
-        }
-        Ok(())
     }
 
     /// Invokes a host program hook. `io` = completed request;

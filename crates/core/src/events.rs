@@ -23,7 +23,7 @@ use asan_sim::sched::{Scheduler, Traceable};
 use asan_sim::trace::TraceCtx;
 use asan_sim::{SimDuration, SimTime};
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::cluster::ClusterConfig;
 use crate::handler::SwitchIoReq;
@@ -69,16 +69,6 @@ fn read_opt_handler(r: &mut SnapReader<'_>) -> Result<Option<HandlerId>, SnapErr
     }
 }
 
-/// Writes an optional [`ReqId`].
-fn snap_opt_req(w: &mut SnapWriter, req: Option<ReqId>) {
-    w.opt_u64(req.map(|r| r.0));
-}
-
-/// Reads an optional [`ReqId`].
-fn read_opt_req(r: &mut SnapReader<'_>) -> Result<Option<ReqId>, SnapError> {
-    Ok(r.opt_u64()?.map(ReqId))
-}
-
 /// Writes a whole [`asan_net::Packet`]: encoded header, payload bytes,
 /// and the ICRC *as stamped* (so simulated corruption survives a
 /// snapshot/restore round trip).
@@ -105,8 +95,8 @@ pub(crate) fn read_packet(r: &mut SnapReader<'_>) -> Result<asan_net::Packet, Sn
     Ok(asan_net::Packet::from_parts(header, payload, icrc))
 }
 
-impl Dest {
-    /// Writes this destination (tag byte + fields).
+/// A tag byte, then the variant's fields.
+impl Snap for Dest {
     fn snapshot(&self, w: &mut SnapWriter) {
         match self {
             Dest::HostBuf { addr } => {
@@ -119,35 +109,49 @@ impl Dest {
                 base_addr,
             } => {
                 w.u8(1);
-                snap_node(w, *node);
+                node.snapshot(w);
                 w.u8(handler.as_u8());
                 w.u32(*base_addr);
             }
         }
     }
 
-    /// Reads a destination written by [`Dest::snapshot`].
-    fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        match r.u8()? {
-            0 => Ok(Dest::HostBuf { addr: r.u64()? }),
-            1 => Ok(Dest::Mapped {
-                node: read_node(r)?,
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        *self = match r.u8()? {
+            0 => Dest::HostBuf { addr: r.u64()? },
+            1 => Dest::Mapped {
+                node: r.read()?,
                 handler: read_handler(r)?,
                 base_addr: r.u32()?,
-            }),
-            _ => Err(SnapError::Malformed("dest tag")),
-        }
+            },
+            _ => return Err(SnapError::Malformed("dest tag")),
+        };
+        Ok(())
+    }
+}
+
+/// An unmapped host buffer at address 0: the blank a restore overwrites.
+impl Default for Dest {
+    fn default() -> Self {
+        Dest::HostBuf { addr: 0 }
     }
 }
 
 impl HostMsg {
     /// Writes this message (payload as an owned byte copy).
     fn snapshot(&self, w: &mut SnapWriter) {
-        snap_node(w, self.src);
-        snap_opt_handler(w, self.handler);
-        w.u32(self.addr);
-        w.bytes(&self.data);
-        w.u32(self.seq);
+        let HostMsg {
+            src,
+            handler,
+            addr,
+            data,
+            seq,
+        } = self;
+        src.snapshot(w);
+        snap_opt_handler(w, *handler);
+        w.u32(*addr);
+        w.bytes(data);
+        w.u32(*seq);
     }
 
     /// Reads a message written by [`HostMsg::snapshot`].
@@ -163,12 +167,16 @@ impl HostMsg {
 }
 
 /// Identifies an I/O request issued by a host program.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ReqId(pub u64);
 
+asan_sim::snap_fields!(ReqId(id));
+
 /// Identifies a stored file (placed on one TCA's disk array).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct FileId(pub usize);
+
+asan_sim::snap_fields!(FileId(index));
 
 /// Where a read's data should be delivered.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -248,7 +256,7 @@ impl FileStore {
 }
 
 /// Shared in-flight state of one host-issued I/O request.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub(crate) struct IoState {
     pub(crate) host: NodeId,
     pub(crate) dest: Dest,
@@ -422,97 +430,51 @@ pub enum Event {
     },
 }
 
-impl IoState {
-    /// Writes every field of this in-flight request's shared state.
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        snap_node(w, self.host);
-        self.dest.snapshot(w);
-        w.usize(self.remaining);
-        w.u64(self.bytes);
-        snap_node(w, self.tca);
-        w.usize(self.file.0);
-        w.u64(self.offset);
-        w.usize(self.got.len());
-        for g in &self.got {
-            w.bool(*g);
-        }
-        w.usize(self.lens.len());
-        for l in &self.lens {
-            w.u32(*l);
-        }
-        w.bytes(&self.faulted);
-        w.u32(self.attempt);
-        w.dur(self.timeout);
-    }
+// Every field; each length prefix is capped by the bytes left before
+// it sizes an allocation.
+asan_sim::snap_fields!(IoState {
+    host,
+    dest,
+    remaining,
+    bytes,
+    tca,
+    file,
+    offset,
+    got,
+    lens,
+    faulted,
+    attempt,
+    timeout,
+});
 
-    /// Reads a request state written by [`IoState::snapshot`].
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let host = read_node(r)?;
-        let dest = Dest::restore(r)?;
-        let remaining = r.usize()?;
-        let bytes = r.u64()?;
-        let tca = read_node(r)?;
-        let file = FileId(r.usize()?);
-        let offset = r.u64()?;
-        // Each length is checked against the bytes left (1 per `bool`,
-        // 4 per `u32`) before it sizes an allocation.
-        let n = r.usize()?;
-        if n > r.remaining() {
-            return Err(SnapError::Malformed("io got-count exceeds snapshot"));
-        }
-        let mut got = Vec::with_capacity(n);
-        for _ in 0..n {
-            got.push(r.bool()?);
-        }
-        let n = r.usize()?;
-        if n > r.remaining() / 4 {
-            return Err(SnapError::Malformed("io lens-count exceeds snapshot"));
-        }
-        let mut lens = Vec::with_capacity(n);
-        for _ in 0..n {
-            lens.push(r.u32()?);
-        }
-        let faulted = r.bytes()?;
-        let attempt = r.u32()?;
-        let timeout = r.dur()?;
-        Ok(IoState {
-            host,
-            dest,
-            remaining,
-            bytes,
-            tca,
-            file,
-            offset,
-            got,
-            lens,
-            faulted,
-            attempt,
-            timeout,
-        })
-    }
-}
-
-impl FlowState {
-    /// Writes this flow's reorder cursor and parked packets.
-    pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
-        w.u32(self.next_seq);
-        w.usize(self.buffered.len());
-        for (seq, pkt) in &self.buffered {
-            w.u32(*seq);
+/// The reorder cursor, then the parked packets in sequence order.
+impl Snap for FlowState {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let FlowState { next_seq, buffered } = self;
+        next_seq.snapshot(w);
+        w.usize(buffered.len());
+        for (seq, pkt) in buffered {
+            seq.snapshot(w);
             snap_packet(w, pkt);
         }
     }
 
-    /// Reads a flow state written by [`FlowState::snapshot`].
-    pub(crate) fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let next_seq = r.u32()?;
-        let n = r.usize()?;
-        let mut buffered = BTreeMap::new();
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let FlowState { next_seq, buffered } = self;
+        next_seq.restore(r)?;
+        let n = r.len_prefix()?;
+        buffered.clear();
         for _ in 0..n {
-            let seq = r.u32()?;
+            let seq: u32 = r.read()?;
+            if buffered
+                .last_key_value()
+                .is_some_and(|(&last, _)| last >= seq)
+            {
+                return Err(SnapError::Malformed("parked packets out of order"));
+            }
             buffered.insert(seq, read_packet(r)?);
         }
-        Ok(FlowState { next_seq, buffered })
+        Ok(())
     }
 }
 
@@ -528,7 +490,7 @@ impl Event {
                 w.u8(1);
                 snap_node(w, *host);
                 msg.snapshot(w);
-                snap_opt_req(w, *io_req);
+                io_req.snapshot(w);
             }
             Event::PacketToSwitch {
                 sw,
@@ -543,7 +505,7 @@ impl Event {
                 snap_packet(w, pkt);
                 w.time(*payload_start);
                 w.time(*payload_end);
-                snap_opt_req(w, *io_req);
+                io_req.snapshot(w);
                 w.u64(*trace);
             }
             Event::FallbackDispatch { sw, pkt, trace } => {
@@ -615,7 +577,7 @@ impl Event {
                 w.u32(*addr);
                 w.bytes(payload);
                 w.u32(*seq);
-                snap_opt_req(w, *io_req);
+                io_req.snapshot(w);
                 w.u64(*trace);
             }
             Event::Retransmit { req, seq } => {
@@ -638,14 +600,14 @@ impl Event {
             1 => Event::PacketToHost {
                 host: read_node(r)?,
                 msg: HostMsg::restore(r)?,
-                io_req: read_opt_req(r)?,
+                io_req: r.read()?,
             },
             2 => Event::PacketToSwitch {
                 sw: read_node(r)?,
                 pkt: read_packet(r)?,
                 payload_start: r.time()?,
                 payload_end: r.time()?,
-                io_req: read_opt_req(r)?,
+                io_req: r.read()?,
                 trace: r.u64()?,
             },
             3 => Event::FallbackDispatch {
@@ -663,7 +625,7 @@ impl Event {
                 file: FileId(r.usize()?),
                 offset: r.u64()?,
                 len: r.u64()?,
-                dest: Dest::restore(r)?,
+                dest: r.read()?,
                 attempt: r.u32()?,
             },
             6 => Event::SwitchIoAtTca {
@@ -695,7 +657,7 @@ impl Event {
                 addr: r.u32()?,
                 payload: Bytes::from(r.bytes()?),
                 seq: r.u32()?,
-                io_req: read_opt_req(r)?,
+                io_req: r.read()?,
                 trace: r.u64()?,
             },
             10 => Event::Retransmit {
@@ -955,8 +917,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
         assert_eq!(
-            IoState::restore(&mut r).unwrap_err(),
-            SnapError::Malformed("io got-count exceeds snapshot")
+            r.read::<IoState>().unwrap_err(),
+            SnapError::Malformed("length prefix exceeds snapshot")
         );
 
         // Likewise `lens`: 3 bytes left cannot hold even one `u32`.
@@ -969,8 +931,8 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
         assert_eq!(
-            IoState::restore(&mut r).unwrap_err(),
-            SnapError::Malformed("io lens-count exceeds snapshot")
+            r.read::<IoState>().unwrap_err(),
+            SnapError::Malformed("length prefix exceeds snapshot")
         );
     }
 

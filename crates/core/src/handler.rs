@@ -395,7 +395,8 @@ pub trait Handler {
     /// handlers — any handler whose fields evolve across invocations
     /// must override both this and
     /// [`restore_state`](Handler::restore_state) or a restored run will
-    /// diverge from the unbroken one.
+    /// diverge from the unbroken one. Declare the state once with
+    /// `asan_sim::snap_fields!` and delegate both hooks to it.
     fn snapshot_state(&self, _w: &mut SnapWriter) {}
 
     /// Overwrites the handler's persistent state from a snapshot

@@ -23,7 +23,6 @@ use asan_net::{Hop, NodeId};
 use asan_sim::faults::fnv1a_fold;
 use asan_sim::hist::LogHistogram;
 use asan_sim::series::{self, TimeSeries, Timeline};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::trace::{Span, SpanKind, TraceCtx, TraceSink};
 use asan_sim::{SimDuration, SimTime};
 
@@ -95,29 +94,43 @@ pub struct MetricsReport {
 }
 
 impl MetricsReport {
-    /// FNV-1a digest over every counter: the five histograms' full
-    /// bucket state and each phase bucket, in fixed order. Keeps the
-    /// metrics layer under the same determinism contract as
-    /// `ClusterStats::digest` (asan-lint's `digest-completeness` rule
-    /// checks the fold covers every numeric field).
+    /// FNV-1a digest over every counter: the six histograms' full
+    /// bucket state, each phase bucket and the timeline, in fixed
+    /// order. Keeps the metrics layer under the same determinism
+    /// contract as `ClusterStats::digest`; the exhaustive destructure
+    /// makes a new field a compile error until it is folded in.
     pub fn digest(&self) -> u64 {
-        let mut h = self.packet_e2e.fold_digest(0xcbf2_9ce4_8422_2325);
-        h = self.handler_occupancy.fold_digest(h);
-        h = self.disk_service.fold_digest(h);
-        h = self.buffer_wait.fold_digest(h);
-        h = self.credit_stall.fold_digest(h);
-        h = self.packet_hops.fold_digest(h);
+        let MetricsReport {
+            packet_e2e,
+            handler_occupancy,
+            disk_service,
+            buffer_wait,
+            credit_stall,
+            packet_hops,
+            phases,
+            timeline,
+        } = self;
+        let h = [
+            packet_e2e,
+            handler_occupancy,
+            disk_service,
+            buffer_wait,
+            credit_stall,
+            packet_hops,
+        ]
+        .into_iter()
+        .fold(0xcbf2_9ce4_8422_2325, |h, hist| hist.fold_digest(h));
         let PhaseBreakdown {
             host_ps,
             fabric_ps,
             handler_ps,
             storage_ps,
             total_ps,
-        } = self.phases;
-        for v in [host_ps, fabric_ps, handler_ps, storage_ps, total_ps] {
-            h = fnv1a_fold(h, v);
-        }
-        self.timeline.digest(h)
+        } = *phases;
+        let h = [host_ps, fabric_ps, handler_ps, storage_ps, total_ps]
+            .into_iter()
+            .fold(h, fnv1a_fold);
+        timeline.digest(h)
     }
 
     /// The named latency histograms, in canonical order.
@@ -236,10 +249,10 @@ impl fmt::Display for MetricsReport {
 /// configuration pays no formatting or I/O cost.
 #[derive(Debug, Default)]
 pub struct Probe {
-    sink: Option<Box<dyn TraceSink>>, // asan-lint: allow(snapshot-completeness)
+    sink: Option<Box<dyn TraceSink>>,
     /// Scratch buffer for per-hop records, reused across transmits
     /// (always empty between events, so never snapshotted).
-    hop_buf: Vec<Hop>, // asan-lint: allow(snapshot-completeness)
+    hop_buf: Vec<Hop>,
     packet_e2e: LogHistogram,
     handler_occupancy: LogHistogram,
     disk_service: LogHistogram,
@@ -256,6 +269,24 @@ pub struct Probe {
     /// Always-on windowed time-series telemetry.
     series: TimeSeries,
 }
+
+// The histograms, the span and trace cursors, live request traces,
+// and the time-series. The trace sink is a process-local resource and
+// is not captured (a restored run re-installs one if tracing is
+// enabled); the hop buffer is per-packet scratch.
+asan_sim::snap_fields!(Probe {
+    sink: skip,
+    hop_buf: skip,
+    packet_e2e,
+    handler_occupancy,
+    disk_service,
+    buffer_wait,
+    packet_hops,
+    next_id,
+    next_trace,
+    req_traces,
+    series,
+});
 
 impl Probe {
     /// Installs `sink`; subsequent spans are delivered to it.
@@ -491,52 +522,10 @@ impl Probe {
         );
     }
 
-    /// Writes the probe's dynamic state (histograms, the span and
-    /// trace cursors, live request traces, and the time-series). The
-    /// trace sink is a process-local resource and is not captured; a
-    /// restored run re-installs one if tracing is enabled.
-    pub(crate) fn snapshot_state(&self, w: &mut SnapWriter) {
-        self.packet_e2e.snapshot(w);
-        self.handler_occupancy.snapshot(w);
-        self.disk_service.snapshot(w);
-        self.buffer_wait.snapshot(w);
-        self.packet_hops.snapshot(w);
-        w.u64(self.next_id);
-        w.u64(self.next_trace);
-        w.u64(self.req_traces.len() as u64);
-        for (&req, &trace) in &self.req_traces {
-            w.u64(req);
-            w.u64(trace);
-        }
-        self.series.snapshot(w);
-    }
-
-    /// Overwrites the probe's dynamic state from a snapshot, keeping
-    /// any installed sink.
-    pub(crate) fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.packet_e2e = LogHistogram::restore(r)?;
-        self.handler_occupancy = LogHistogram::restore(r)?;
-        self.disk_service = LogHistogram::restore(r)?;
-        self.buffer_wait = LogHistogram::restore(r)?;
-        self.packet_hops = LogHistogram::restore(r)?;
-        self.next_id = r.u64()?;
-        self.next_trace = r.u64()?;
-        let n = r.u64()?;
-        let mut req_traces = BTreeMap::new();
-        for _ in 0..n {
-            let req = r.u64()?;
-            let trace = r.u64()?;
-            req_traces.insert(req, trace);
-        }
-        self.req_traces = req_traces;
-        self.series = TimeSeries::restore(r)?;
-        Ok(())
-    }
-
-    /// Snapshot of the probe-side histograms and timeline as a
+    /// Copy of the probe-side histograms and timeline as a
     /// partially filled report (credit stalls and phases are merged in
     /// by [`Cluster::metrics`](crate::cluster::Cluster::metrics)).
-    pub(crate) fn snapshot(&self) -> MetricsReport {
+    pub(crate) fn report(&self) -> MetricsReport {
         MetricsReport {
             packet_e2e: self.packet_e2e.clone(),
             handler_occupancy: self.handler_occupancy.clone(),
@@ -553,6 +542,7 @@ impl Probe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
     use asan_sim::trace::RingSink;
 
     fn hop(link: u32, from: u16, to: u16, wait_ns: u64, start_ns: u64, ser_ns: u64) -> Hop {
@@ -602,7 +592,7 @@ mod tests {
             512,
             TraceCtx::NONE,
         );
-        let m = p.snapshot();
+        let m = p.report();
         assert_eq!(m.packet_e2e.count(), 1);
         assert_eq!(m.handler_occupancy.count(), 1);
         assert_eq!(m.disk_service.count(), 1);
@@ -694,15 +684,15 @@ mod tests {
         );
         p.sample_queue_depth(SimTime::from_ns(3), 17);
         let mut w = SnapWriter::new();
-        p.snapshot_state(&mut w);
+        p.snapshot(&mut w);
         let bytes = w.into_bytes();
         let mut q = Probe::default();
         let mut r = SnapReader::new(&bytes).unwrap();
-        q.restore_state(&mut r).unwrap();
+        q.restore(&mut r).unwrap();
         r.finish().unwrap();
         assert_eq!(q.trace_for_req(42).trace, ctx.trace);
-        assert_eq!(q.snapshot().timeline, p.snapshot().timeline);
-        assert_eq!(q.snapshot().digest(), p.snapshot().digest());
+        assert_eq!(q.report().timeline, p.report().timeline);
+        assert_eq!(q.report().digest(), p.report().digest());
     }
 
     #[test]

@@ -137,51 +137,97 @@ impl ClusterStats {
     /// identical digests — the CI determinism check compares exactly
     /// this value.
     pub fn digest(&self) -> u64 {
-        let mut h = fnv1a_fold(0xcbf2_9ce4_8422_2325, self.events);
+        let ClusterStats {
+            hosts,
+            switches,
+            storage,
+            fabric,
+            faults,
+            events,
+        } = self;
+        let fold = |h: u64, vs: &[u64]| vs.iter().fold(h, |h, &v| fnv1a_fold(h, v));
         let fold_cpu = |h: u64, c: &CpuSnapshot| {
-            let mut h = fnv1a_fold(h, c.instructions);
-            for s in [&c.l1d, &c.l1i].into_iter().chain(c.l2.as_ref()) {
-                h = fnv1a_fold(h, s.accesses);
-                h = fnv1a_fold(h, s.misses);
-                h = fnv1a_fold(h, s.writebacks);
+            let CpuSnapshot {
+                instructions,
+                l1d,
+                l1i,
+                l2,
+                dram_page_hits,
+                dram_page_misses,
+            } = c;
+            let mut h = fnv1a_fold(h, *instructions);
+            for s in [l1d, l1i].into_iter().chain(l2.as_ref()) {
+                let CacheSnapshot {
+                    accesses,
+                    misses,
+                    writebacks,
+                } = *s;
+                h = fold(h, &[accesses, misses, writebacks]);
             }
-            fnv1a_fold(fnv1a_fold(h, c.dram_page_hits), c.dram_page_misses)
+            fold(h, &[*dram_page_hits, *dram_page_misses])
         };
-        for host in &self.hosts {
-            h = fnv1a_fold(h, host.node.0 as u64);
-            h = fold_cpu(h, &host.cpu);
-            h = fnv1a_fold(fnv1a_fold(h, host.hca_sends), host.hca_recvs);
+        let mut h = fnv1a_fold(0xcbf2_9ce4_8422_2325, *events);
+        for HostSnapshot {
+            node,
+            cpu,
+            hca_sends,
+            hca_recvs,
+        } in hosts
+        {
+            h = fnv1a_fold(h, u64::from(node.0));
+            h = fold_cpu(h, cpu);
+            h = fold(h, &[*hca_sends, *hca_recvs]);
         }
-        for sw in &self.switches {
-            for v in [
-                sw.node.0 as u64,
-                sw.invocations,
-                sw.bytes_in,
-                sw.bytes_out,
-                sw.buffer_allocs,
-                sw.buffer_waits,
-                sw.buffer_peak,
-                sw.atb_hits,
-                sw.atb_misses,
-            ] {
-                h = fnv1a_fold(h, v);
-            }
-            for c in &sw.cpus {
+        for SwitchSnapshot {
+            node,
+            invocations,
+            bytes_in,
+            bytes_out,
+            buffer_allocs,
+            buffer_waits,
+            buffer_peak,
+            atb_hits,
+            atb_misses,
+            cpus,
+        } in switches
+        {
+            h = fold(
+                h,
+                &[
+                    u64::from(node.0),
+                    *invocations,
+                    *bytes_in,
+                    *bytes_out,
+                    *buffer_allocs,
+                    *buffer_waits,
+                    *buffer_peak,
+                    *atb_hits,
+                    *atb_misses,
+                ],
+            );
+            for c in cpus {
                 h = fold_cpu(h, c);
             }
         }
-        for st in &self.storage {
-            h = fnv1a_fold(h, st.node.0 as u64);
-            for &b in st.disk_bytes.iter().chain(&st.disk_seeks) {
-                h = fnv1a_fold(h, b);
-            }
-            h = fnv1a_fold(fnv1a_fold(h, st.bus_bursts), st.bus_bytes);
+        for StorageSnapshot {
+            node,
+            disk_bytes,
+            disk_seeks,
+            bus_bursts,
+            bus_bytes,
+        } in storage
+        {
+            h = fnv1a_fold(h, u64::from(node.0));
+            h = fold(h, disk_bytes);
+            h = fold(h, disk_seeks);
+            h = fold(h, &[*bus_bursts, *bus_bytes]);
         }
-        h = fnv1a_fold(
-            fnv1a_fold(h, self.fabric.link_bytes),
-            self.fabric.credit_stalls,
-        );
-        fnv1a_fold(h, self.faults.digest())
+        let FabricSnapshot {
+            link_bytes,
+            credit_stalls,
+        } = *fabric;
+        h = fold(h, &[link_bytes, credit_stalls]);
+        fnv1a_fold(h, faults.digest())
     }
 }
 

@@ -7,12 +7,16 @@
 //! timeout arming and firing).
 
 use asan_core::active::ActiveSwitchConfig;
-use asan_core::cluster::{Cluster, ClusterConfig, Dest, FileId, HostCtx, HostMsg, HostProgram};
+use asan_core::cluster::{
+    Cluster, ClusterConfig, Dest, FileId, HostCtx, HostMsg, HostProgram, ReqId,
+};
 use asan_core::handler::{Handler, HandlerCtx};
 use asan_net::topo::{SwitchSpec, TopologyBuilder};
 use asan_net::{HandlerId, LinkConfig, NodeId};
 use asan_sim::faults::FaultPlan;
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::mutate::mutate;
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
+use asan_sim::{snap_fields, SimRng};
 
 fn single_switch(hosts: usize, tcas: usize) -> (TopologyBuilder, Vec<NodeId>, Vec<NodeId>, NodeId) {
     let mut b = TopologyBuilder::new();
@@ -31,10 +35,16 @@ fn single_switch(hosts: usize, tcas: usize) -> (TopologyBuilder, Vec<NodeId>, Ve
 /// Issues an active read and waits for the handler's result message.
 /// Stateful across hooks, so it implements the snapshot hooks.
 struct ActiveCount {
-    file: FileId, // asan-lint: allow(snapshot-completeness)
-    sw: NodeId,   // asan-lint: allow(snapshot-completeness)
+    file: FileId,
+    sw: NodeId,
     result: Option<u64>,
 }
+
+snap_fields!(ActiveCount {
+    file: skip,
+    sw: skip,
+    result,
+});
 
 impl HostProgram for ActiveCount {
     fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
@@ -55,11 +65,10 @@ impl HostProgram for ActiveCount {
         ctx.finish();
     }
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.opt_u64(self.result);
+        self.snapshot(w);
     }
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.result = r.opt_u64()?;
-        Ok(())
+        self.restore(r)
     }
 }
 
@@ -67,12 +76,20 @@ impl HostProgram for ActiveCount {
 /// expected volume has streamed through. Running state (count, total)
 /// crosses invocations, so it implements the snapshot hooks.
 struct CountHandler {
-    needle: u8,   // asan-lint: allow(snapshot-completeness)
-    host: NodeId, // asan-lint: allow(snapshot-completeness)
+    needle: u8,
+    host: NodeId,
     count: u64,
     total: u64,
-    expect: u64, // asan-lint: allow(snapshot-completeness)
+    expect: u64,
 }
+
+snap_fields!(CountHandler {
+    needle: skip,
+    host: skip,
+    count,
+    total,
+    expect: skip,
+});
 
 impl Handler for CountHandler {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -85,14 +102,37 @@ impl Handler for CountHandler {
         }
     }
     fn snapshot_state(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u64(self.total);
+        self.snapshot(w);
     }
     fn restore_state(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.count = r.u64()?;
-        self.total = r.u64()?;
-        Ok(())
+        self.restore(r)
     }
+}
+
+/// Reads the whole file into host memory; no handler runs.
+struct NormalRead {
+    file: FileId,
+}
+
+impl HostProgram for NormalRead {
+    fn on_start(&mut self, ctx: &mut HostCtx<'_>) {
+        let len = ctx.file_len(self.file);
+        ctx.read_file(self.file, 0, len, Dest::HostBuf { addr: 0 });
+    }
+    fn on_io_complete(&mut self, ctx: &mut HostCtx<'_>, _req: ReqId) {
+        ctx.finish();
+    }
+}
+
+/// Builds the normal-read cluster: one host reads `len` bytes from a
+/// TCA through the switch.
+fn build_normal(len: usize) -> Cluster {
+    let (topo, hs, ts, _sw) = single_switch(1, 1);
+    let mut cl = Cluster::new(topo, ClusterConfig::paper());
+    let file = cl.add_file(ts[0], vec![0x5A; len]).unwrap();
+    cl.set_program(hs[0], Box::new(NormalRead { file }))
+        .unwrap();
+    cl
 }
 
 /// Builds the active-count cluster: one host streams `len` bytes of
@@ -357,4 +397,45 @@ fn multi_switch_snapshot_bytes_are_deterministic() {
         b.snapshot(),
         "multi-switch snapshot bytes not deterministic"
     );
+}
+
+/// Restoring seeded mutations of real snapshots must return `Err` or
+/// `Ok`, never panic, and an accepted snapshot must re-snapshot to
+/// exactly its own bytes: a decoder that accepts two encodings of one
+/// state lets two processes disagree about what a snapshot holds.
+#[test]
+fn restore_survives_seeded_mutations() {
+    type Build = fn() -> Cluster;
+    let builds: [Build; 3] = [
+        || build_normal(16 * 1024),
+        || build_active(None, 16 * 1024),
+        || build_active(Some(FaultPlan::chaos(5)), 16 * 1024),
+    ];
+    // Each run paused halfway, so queues, flows and histograms are live.
+    let bases: Vec<(Build, Vec<u8>)> = builds
+        .into_iter()
+        .map(|build| {
+            let total = build().run().unwrap().events;
+            let mut cl = build();
+            assert!(cl.run_events(total / 2).unwrap().is_none());
+            (build, cl.snapshot())
+        })
+        .collect();
+    let mut rng = SimRng::from_label("cluster-restore-mutations");
+    let mut accepted = 0;
+    for i in 0..2_000 {
+        let (build, base) = &bases[i % bases.len()];
+        let bytes = mutate(&mut rng, base);
+        let mut cl = build();
+        if cl.restore(&bytes).is_ok() {
+            assert!(
+                cl.snapshot() == bytes,
+                "mutation {i} re-snapshots differently"
+            );
+            accepted += 1;
+        }
+    }
+    // Both outcomes are exercised: flipped payload bits are accepted,
+    // truncations and flipped tags are not.
+    assert!(accepted > 0 && accepted < 2_000, "accepted {accepted}");
 }

@@ -13,7 +13,6 @@
 //! switch hierarchy config and a smaller code footprint).
 
 use asan_mem::hierarchy::{HierarchyConfig, MemoryHierarchy};
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::TimeBreakdown;
 use asan_sim::{Period, SimDuration, SimTime};
 
@@ -94,9 +93,9 @@ impl CpuConfig {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cpu {
-    cfg: CpuConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: CpuConfig,
     /// One clock cycle, from `cfg.hz`.
-    cycle: Period, // asan-lint: allow(snapshot-completeness)
+    cycle: Period,
     mem: MemoryHierarchy,
     now: SimTime,
     breakdown: TimeBreakdown,
@@ -111,6 +110,17 @@ pub struct Cpu {
     /// handed out mutably, since external mutation could evict lines.
     warm_code: bool,
 }
+
+asan_sim::snap_fields!(Cpu @ "cpu" {
+    cfg: skip,
+    cycle: skip,
+    now,
+    breakdown,
+    fetch_cursor,
+    instructions,
+    warm_code,
+    mem,
+});
 
 impl Cpu {
     /// Creates a core at time zero with a *warm instruction cache*: the
@@ -344,37 +354,12 @@ impl Cpu {
         self.breakdown = TimeBreakdown::default();
         self.instructions = 0;
     }
-
-    /// Writes the core's dynamic state: local clock, time breakdown,
-    /// fetch cursor, retired-instruction count, the warm-code flag and
-    /// the full memory hierarchy (cache tags, TLB residency, DRAM rows,
-    /// MSHRs).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("cpu");
-        w.time(self.now);
-        self.breakdown.snapshot(w);
-        w.u64(self.fetch_cursor);
-        w.u64(self.instructions);
-        w.bool(self.warm_code);
-        self.mem.snapshot(w);
-    }
-
-    /// Overwrites this core's dynamic state from a snapshot taken of a
-    /// core with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("cpu")?;
-        self.now = r.time()?;
-        self.breakdown = TimeBreakdown::restore(r)?;
-        self.fetch_cursor = r.u64()?;
-        self.instructions = r.u64()?;
-        self.warm_code = r.bool()?;
-        self.mem.restore(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapWriter};
 
     fn host() -> Cpu {
         Cpu::new(CpuConfig::host())

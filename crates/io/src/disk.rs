@@ -10,7 +10,6 @@
 //! previous one streams at the platter rate, anything else pays the
 //! average seek plus half a rotation.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 use asan_sim::{SimDuration, SimTime};
 
@@ -74,6 +73,12 @@ pub struct DiskStats {
     pub bytes: Counter,
 }
 
+asan_sim::snap_fields!(DiskStats {
+    requests,
+    seeks,
+    bytes,
+});
+
 /// A single disk mechanism.
 ///
 /// The head starts parked at byte 0 — the paper "assumes a
@@ -95,7 +100,7 @@ pub struct DiskStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Disk {
-    cfg: DiskConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: DiskConfig,
     head_pos: Option<u64>,
     busy_until: SimTime,
     stats: DiskStats,
@@ -104,6 +109,14 @@ pub struct Disk {
     /// sector remap). One-shot; cleared by the next request.
     force_seek: bool,
 }
+
+asan_sim::snap_fields!(Disk {
+    cfg: skip,
+    head_pos,
+    busy_until,
+    force_seek,
+    stats,
+});
 
 impl Disk {
     /// Creates a disk with the head parked at byte 0.
@@ -171,36 +184,12 @@ impl Disk {
     pub fn write(&mut self, offset: u64, len: u64, now: SimTime) -> DiskXfer {
         self.read(offset, len, now)
     }
-
-    /// Writes the head position, mechanism occupancy, pending
-    /// seek-spike flag and statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.opt_u64(self.head_pos);
-        w.time(self.busy_until);
-        w.bool(self.force_seek);
-        self.stats.requests.snapshot(w);
-        self.stats.seeks.snapshot(w);
-        self.stats.bytes.snapshot(w);
-    }
-
-    /// Overwrites this disk's dynamic state from a snapshot taken of a
-    /// disk with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.head_pos = r.opt_u64()?;
-        self.busy_until = r.time()?;
-        self.force_seek = r.bool()?;
-        self.stats = DiskStats {
-            requests: Counter::restore(r)?,
-            seeks: Counter::restore(r)?,
-            bytes: Counter::restore(r)?,
-        };
-        Ok(())
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn discontiguous_access_pays_seek_and_rotation() {

@@ -5,7 +5,6 @@
 //! shared medium: the two disks' streams interleave in bursts, each
 //! burst paying arbitration + selection before its data phase.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 use asan_sim::{SimDuration, SimTime};
 
@@ -64,6 +63,8 @@ pub struct ScsiStats {
     pub bytes: Counter,
 }
 
+asan_sim::snap_fields!(ScsiStats { bursts, bytes });
+
 /// The shared SCSI bus.
 ///
 /// # Example
@@ -77,10 +78,16 @@ pub struct ScsiStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ScsiBus {
-    cfg: ScsiConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: ScsiConfig,
     busy_until: SimTime,
     stats: ScsiStats,
 }
+
+asan_sim::snap_fields!(ScsiBus {
+    cfg: skip,
+    busy_until,
+    stats,
+});
 
 impl ScsiBus {
     /// Creates an idle bus.
@@ -131,24 +138,6 @@ impl ScsiBus {
             bytes_per_sec: self.cfg.bytes_per_sec,
             len,
         }
-    }
-
-    /// Writes the bus occupancy and statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.time(self.busy_until);
-        self.stats.bursts.snapshot(w);
-        self.stats.bytes.snapshot(w);
-    }
-
-    /// Overwrites this bus's dynamic state from a snapshot taken of a
-    /// bus with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.busy_until = r.time()?;
-        self.stats = ScsiStats {
-            bursts: Counter::restore(r)?,
-            bytes: Counter::restore(r)?,
-        };
-        Ok(())
     }
 }
 

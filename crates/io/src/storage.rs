@@ -8,7 +8,6 @@
 //! each 512-byte packet of a read is available at the TCA's network
 //! port — which the cluster feeds into the fabric.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::{SimDuration, SimTime};
 
 use crate::disk::{Disk, DiskConfig};
@@ -88,10 +87,17 @@ impl ReadSchedule {
 /// ```
 #[derive(Debug)]
 pub struct Storage {
-    cfg: StorageConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: StorageConfig,
     disks: Vec<Disk>,
     bus: ScsiBus,
 }
+
+// The disk count is configuration and must match on restore.
+asan_sim::snap_fields!(Storage @ "storage" {
+    cfg: skip,
+    disks: fixed,
+    bus,
+});
 
 impl Storage {
     /// Creates the array with all disks cold.
@@ -256,35 +262,12 @@ impl Storage {
         }
         complete
     }
-
-    /// Writes every disk's mechanical state and the bus occupancy.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("storage");
-        w.usize(self.disks.len());
-        for d in &self.disks {
-            d.snapshot(w);
-        }
-        self.bus.snapshot(w);
-    }
-
-    /// Overwrites this array's dynamic state from a snapshot taken of
-    /// an array with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("storage")?;
-        let n = r.usize()?;
-        if n != self.disks.len() {
-            return Err(SnapError::Malformed("storage disk count mismatch"));
-        }
-        for d in &mut self.disks {
-            d.restore(r)?;
-        }
-        self.bus.restore(r)
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn packet_count_and_sizes() {

@@ -12,7 +12,7 @@
 //!   and the flagged line names the type (declaration, `use`, or
 //!   constructor) directly.
 //!
-//! Everything else (a wall-clock read, a transposed snapshot tape) has
+//! Everything else (a wall-clock read, a cross-domain borrow) has
 //! a design decision inside it and stays manual. Fixing is idempotent
 //! by construction: each rewrite removes exactly the finding that
 //! requested it, so a second `--fix` run finds nothing to do — CI

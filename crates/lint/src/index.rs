@@ -4,8 +4,7 @@
 //! file, which is exactly right for token-local properties (a
 //! `HashMap` ident, a wall-clock path) and exactly wrong for the
 //! contracts the parallel-core refactor needs: an `Event` variant
-//! emitted in one crate and matched in another, a `snapshot` writer in
-//! one file paired with a `restore` reader in a second. This module
+//! emitted in one crate and matched in another. This module
 //! walks every lexed file once and extracts the item structure those
 //! cross-file rules need:
 //!

@@ -7,7 +7,7 @@
 
 use std::ops::Range;
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 
 /// Configuration of one cache level.
@@ -155,23 +155,13 @@ impl CacheStats {
             self.misses.get() as f64 / total as f64
         }
     }
-
-    /// Writes all three counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.hits.snapshot(w);
-        self.misses.snapshot(w);
-        self.writebacks.snapshot(w);
-    }
-
-    /// Reads stats written by [`CacheStats::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(CacheStats {
-            hits: Counter::restore(r)?,
-            misses: Counter::restore(r)?,
-            writebacks: Counter::restore(r)?,
-        })
-    }
 }
+
+asan_sim::snap_fields!(CacheStats {
+    hits,
+    misses,
+    writebacks,
+});
 
 /// The valid bit of [`Line::word`].
 const VALID: u64 = 1 << 63;
@@ -235,7 +225,7 @@ const CHUNK_LINES: usize = 64;
 /// ```
 #[derive(Debug, Clone)]
 pub struct Cache {
-    cfg: CacheConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: CacheConfig,
     /// The lines in chunks of `1 << chunk_bits` whole sets, set-major:
     /// set `i` is in chunk `i >> chunk_bits`, at the position of
     /// `i % (1 << chunk_bits)` among its sets ([`Cache::locate`]). A
@@ -245,13 +235,13 @@ pub struct Cache {
     /// touched.
     chunks: Vec<Box<[Line]>>,
     /// `log2` of the sets per chunk.
-    chunk_bits: u32, // asan-lint: allow(snapshot-completeness)
+    chunk_bits: u32,
     stamp: u64,
     stats: CacheStats,
-    line_shift: u32, // asan-lint: allow(snapshot-completeness)
-    set_mask: u64,   // asan-lint: allow(snapshot-completeness)
+    line_shift: u32,
+    set_mask: u64,
     /// `log2(num_sets)`: the tag is the line number shifted right by this.
-    set_bits: u32, // asan-lint: allow(snapshot-completeness)
+    set_bits: u32,
 }
 
 impl Cache {
@@ -435,40 +425,58 @@ impl Cache {
             }
         }
     }
+}
 
-    /// Writes the dynamic state — every line's tag/valid/dirty/recency,
-    /// the recency stamp, and the statistics. Geometry is configuration
-    /// and is rebuilt by the caller before [`Cache::restore`].
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.stamp);
-        self.stats.snapshot(w);
+/// The dynamic state — the recency stamp, the statistics, and every
+/// line's tag/valid/dirty/recency, unallocated chunks as zero lines.
+/// Geometry is configuration, rebuilt by the caller before restoring.
+/// Restore rejects a tag that reaches the valid/dirty bits: no address
+/// maps to one.
+impl Snap for Cache {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let chunk_len = self.chunk_len();
+        let Cache {
+            cfg: _,
+            chunks,
+            chunk_bits: _,
+            stamp,
+            stats,
+            line_shift: _,
+            set_mask: _,
+            set_bits: _,
+        } = self;
+        stamp.snapshot(w);
+        stats.snapshot(w);
         let put = |w: &mut SnapWriter, line: Line| {
             w.u64(line.tag());
             w.bool(line.valid());
             w.bool(line.dirty());
             w.u64(line.lru);
         };
-        for chunk in &self.chunks {
+        for chunk in chunks {
             if chunk.is_empty() {
-                (0..self.chunk_len()).for_each(|_| put(w, Line::default()));
+                (0..chunk_len).for_each(|_| put(w, Line::default()));
             } else {
                 chunk.iter().for_each(|&l| put(w, l));
             }
         }
     }
 
-    /// Overwrites this cache's dynamic state from a snapshot taken of a
-    /// cache with the same geometry.
-    ///
-    /// # Errors
-    ///
-    /// [`SnapError::Malformed`] for a tag that reaches the valid/dirty
-    /// bits (no address maps to one), as well as any read error.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stamp = r.u64()?;
-        self.stats = CacheStats::restore(r)?;
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
         let mut buf = zero_chunk(self.chunk_len());
-        for chunk in &mut self.chunks {
+        let Cache {
+            cfg: _,
+            chunks,
+            chunk_bits: _,
+            stamp,
+            stats,
+            line_shift: _,
+            set_mask: _,
+            set_bits: _,
+        } = self;
+        stamp.restore(r)?;
+        stats.restore(r)?;
+        for chunk in chunks {
             for line in buf.iter_mut() {
                 let tag = r.u64()?;
                 if tag & FLAGS != 0 {
@@ -840,7 +848,7 @@ mod tests {
         let per_base = 2_000 / bases.len() + 1;
         let mut ok = 0;
         for (k, (cfg, base)) in bases.iter().enumerate() {
-            ok += crate::mutate::check_restore(
+            ok += asan_sim::mutate::check_restore(
                 &format!("cache-mutations-{k}"),
                 std::slice::from_ref(base),
                 per_base,

@@ -6,7 +6,6 @@
 //! open-page policy over interleaved banks plus a single data channel whose
 //! occupancy enforces the bandwidth limit.
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 use asan_sim::{Period, SimDuration, SimTime};
 
@@ -78,9 +77,9 @@ pub struct DramStats {
 /// ```
 #[derive(Debug, Clone)]
 pub struct Dram {
-    cfg: DramConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: DramConfig,
     /// Transfer time per byte, from `cfg.bytes_per_sec`.
-    byte: Period, // asan-lint: allow(snapshot-completeness)
+    byte: Period,
     open_row: Vec<Option<u64>>,
     channel_free: SimTime,
     stats: DramStats,
@@ -165,42 +164,28 @@ impl Dram {
         self.open_row.iter_mut().for_each(|r| *r = None);
         self.channel_free = SimTime::ZERO;
     }
-
-    /// Writes per-bank open rows, channel occupancy and statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.open_row.len());
-        for &row in &self.open_row {
-            w.opt_u64(row);
-        }
-        w.time(self.channel_free);
-        self.stats.page_hits.snapshot(w);
-        self.stats.page_misses.snapshot(w);
-        self.stats.bytes.snapshot(w);
-    }
-
-    /// Overwrites this channel's dynamic state from a snapshot taken of
-    /// a channel with the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let banks = r.usize()?;
-        if banks != self.open_row.len() {
-            return Err(SnapError::Malformed("DRAM bank count mismatch"));
-        }
-        for row in &mut self.open_row {
-            *row = r.opt_u64()?;
-        }
-        self.channel_free = r.time()?;
-        self.stats = DramStats {
-            page_hits: Counter::restore(r)?,
-            page_misses: Counter::restore(r)?,
-            bytes: Counter::restore(r)?,
-        };
-        Ok(())
-    }
 }
+
+asan_sim::snap_fields!(DramStats {
+    page_hits,
+    page_misses,
+    bytes,
+});
+
+// Each bank's open row, the channel cursor and the statistics; the
+// bank count is configuration and must match on restore.
+asan_sim::snap_fields!(Dram {
+    cfg: skip,
+    byte: skip,
+    open_row: fixed,
+    channel_free,
+    stats,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn cold_access_is_page_miss_with_paper_latency() {

@@ -15,7 +15,7 @@
 //! setting `l2` to `None` and `mshr_entries` to 1 ("supporting only one
 //! outstanding request", §4).
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::{SimDuration, SimTime};
 
 use crate::cache::{AccessKind, Cache, CacheConfig};
@@ -119,12 +119,21 @@ pub struct HierarchyStats {
     pub ifetches: u64,
 }
 
+asan_sim::snap_fields!(HierarchyStats {
+    loads,
+    stores,
+    prefetches,
+    ifetches,
+});
+
 /// One outstanding line fill.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Mshr {
     line: u64,
     fill_done: SimTime,
 }
+
+asan_sim::snap_fields!(Mshr { line, fill_done });
 
 /// A complete cache/TLB/DRAM hierarchy serving one CPU.
 ///
@@ -144,9 +153,9 @@ struct Mshr {
 /// ```
 #[derive(Debug, Clone)]
 pub struct MemoryHierarchy {
-    cfg: HierarchyConfig, // asan-lint: allow(snapshot-completeness)
+    cfg: HierarchyConfig,
     /// `cfg.l2_hit_cycles` at `cfg.hz`.
-    l2_hit: SimDuration, // asan-lint: allow(snapshot-completeness)
+    l2_hit: SimDuration,
     l1i: Cache,
     l1d: Cache,
     l2: Option<Cache>,
@@ -481,79 +490,6 @@ impl MemoryHierarchy {
         self.stats = HierarchyStats::default();
     }
 
-    /// Writes the dynamic state of every level — both L1s, the L2 and
-    /// TLBs when present, the DRAM channel, outstanding line fills, and
-    /// the aggregate access counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.l1i.snapshot(w);
-        self.l1d.snapshot(w);
-        w.bool(self.l2.is_some());
-        if let Some(l2) = &self.l2 {
-            l2.snapshot(w);
-        }
-        w.bool(self.itlb.is_some());
-        if let Some(t) = &self.itlb {
-            t.snapshot(w);
-        }
-        w.bool(self.dtlb.is_some());
-        if let Some(t) = &self.dtlb {
-            t.snapshot(w);
-        }
-        self.dram.snapshot(w);
-        w.usize(self.mshrs.len());
-        for m in &self.mshrs {
-            w.u64(m.line);
-            w.time(m.fill_done);
-        }
-        w.u64(self.stats.loads);
-        w.u64(self.stats.stores);
-        w.u64(self.stats.prefetches);
-        w.u64(self.stats.ifetches);
-    }
-
-    /// Overwrites this hierarchy's dynamic state from a snapshot taken
-    /// of a hierarchy built from the same configuration.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.l1i.restore(r)?;
-        self.l1d.restore(r)?;
-        let has_l2 = r.bool()?;
-        if has_l2 != self.l2.is_some() {
-            return Err(SnapError::Malformed("L2 presence mismatch"));
-        }
-        if let Some(l2) = &mut self.l2 {
-            l2.restore(r)?;
-        }
-        let has_itlb = r.bool()?;
-        if has_itlb != self.itlb.is_some() {
-            return Err(SnapError::Malformed("I-TLB presence mismatch"));
-        }
-        if let Some(t) = &mut self.itlb {
-            t.restore(r)?;
-        }
-        let has_dtlb = r.bool()?;
-        if has_dtlb != self.dtlb.is_some() {
-            return Err(SnapError::Malformed("D-TLB presence mismatch"));
-        }
-        if let Some(t) = &mut self.dtlb {
-            t.restore(r)?;
-        }
-        self.dram.restore(r)?;
-        let n = r.usize()?;
-        self.mshrs.clear();
-        for _ in 0..n {
-            let line = r.u64()?;
-            let fill_done = r.time()?;
-            self.mshrs.push(Mshr { line, fill_done });
-        }
-        self.stats = HierarchyStats {
-            loads: r.u64()?,
-            stores: r.u64()?,
-            prefetches: r.u64()?,
-            ifetches: r.u64()?,
-        };
-        Ok(())
-    }
-
     /// Flushes all caches, TLBs and DRAM row state.
     pub fn flush(&mut self) {
         self.l1i.flush();
@@ -577,6 +513,79 @@ enum DataKind {
     Load,
     Store,
     Prefetch,
+}
+
+/// The dynamic state of every level — both L1s, the L2 and TLBs when
+/// present, the DRAM channel, outstanding line fills, and the aggregate
+/// access counters. Which levels exist is configuration: each optional
+/// level carries a presence byte that must match on restore.
+impl Snap for MemoryHierarchy {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let MemoryHierarchy {
+            cfg: _,
+            l2_hit: _,
+            l1i,
+            l1d,
+            l2,
+            itlb,
+            dtlb,
+            dram,
+            mshrs,
+            stats,
+        } = self;
+        l1i.snapshot(w);
+        l1d.snapshot(w);
+        snapshot_level(w, l2.as_ref());
+        snapshot_level(w, itlb.as_ref());
+        snapshot_level(w, dtlb.as_ref());
+        dram.snapshot(w);
+        mshrs.snapshot(w);
+        stats.snapshot(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let MemoryHierarchy {
+            cfg: _,
+            l2_hit: _,
+            l1i,
+            l1d,
+            l2,
+            itlb,
+            dtlb,
+            dram,
+            mshrs,
+            stats,
+        } = self;
+        l1i.restore(r)?;
+        l1d.restore(r)?;
+        restore_level(r, l2.as_mut(), "L2 presence mismatch")?;
+        restore_level(r, itlb.as_mut(), "I-TLB presence mismatch")?;
+        restore_level(r, dtlb.as_mut(), "D-TLB presence mismatch")?;
+        dram.restore(r)?;
+        mshrs.restore(r)?;
+        stats.restore(r)
+    }
+}
+
+/// Writes an optional level: a presence byte, then its state.
+fn snapshot_level(w: &mut SnapWriter, level: Option<&impl Snap>) {
+    w.bool(level.is_some());
+    if let Some(l) = level {
+        l.snapshot(w);
+    }
+}
+
+/// Restores an optional level written by [`snapshot_level`] into a
+/// hierarchy built with the same levels.
+fn restore_level(
+    r: &mut SnapReader<'_>,
+    level: Option<&mut impl Snap>,
+    mismatch: &'static str,
+) -> Result<(), SnapError> {
+    if r.bool()? != level.is_some() {
+        return Err(SnapError::Malformed(mismatch));
+    }
+    level.map_or(Ok(()), |l| l.restore(r))
 }
 
 #[cfg(test)]

@@ -32,9 +32,6 @@ pub mod dram;
 pub mod hierarchy;
 pub mod tlb;
 
-#[cfg(test)]
-mod mutate;
-
 pub use cache::{AccessKind, Cache, CacheConfig};
 pub use dram::{Dram, DramConfig};
 pub use hierarchy::{HierarchyConfig, MemOutcome, MemoryHierarchy};

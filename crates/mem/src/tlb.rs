@@ -6,7 +6,7 @@
 //! LRU replacement; on a miss, the memory hierarchy charges a page-table
 //! walk (two dependent memory reads through the cache hierarchy).
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 
 /// Configuration for a [`Tlb`].
@@ -56,10 +56,10 @@ pub struct Tlb {
     entries: Vec<(u64, u64)>,
     stamp: u64,
     stats: TlbStats,
-    page_shift: u32, // asan-lint: allow(snapshot-completeness)
+    page_shift: u32,
     /// Index of the entry touched last, checked before any search. Only
     /// a hint: pages are unique, so it finds the entry a search would.
-    mru: usize, // asan-lint: allow(snapshot-completeness)
+    mru: usize,
     /// Page lookup and recency order over `entries`, built when the TLB
     /// first fills (until then nothing is evicted, and a scan finds a
     /// page among the few resident ones). Rebuilt on restore, dropped
@@ -340,50 +340,58 @@ impl Tlb {
         self.entries.clear();
         self.index = None;
     }
+}
 
-    /// Writes the resident translations (in slot order), the recency
-    /// stamp and the statistics.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.stamp);
-        self.stats.hits.snapshot(w);
-        self.stats.misses.snapshot(w);
-        w.usize(self.entries.len());
-        for &(page, lru) in &self.entries {
-            w.u64(page);
-            w.u64(lru);
-        }
+asan_sim::snap_fields!(TlbStats { hits, misses });
+
+/// The recency stamp, the statistics and the resident translations in
+/// slot order. Restore rejects more entries than the TLB holds, a page
+/// resident twice, two entries with one stamp, or a stamp above the
+/// saved clock: the recency order is rebuilt from the stamps and needs
+/// all of them to hold.
+impl Snap for Tlb {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let Tlb {
+            cfg: _,
+            entries,
+            stamp,
+            stats,
+            page_shift: _,
+            mru: _,
+            index: _,
+        } = self;
+        stamp.snapshot(w);
+        stats.snapshot(w);
+        entries.snapshot(w);
     }
 
-    /// Overwrites this TLB's dynamic state from a snapshot taken of a
-    /// TLB with the same configuration.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`SnapError::Malformed`] for more entries than the TLB
-    /// holds, a page resident twice, two entries with one stamp, or a
-    /// stamp above the saved clock: the recency order is rebuilt from
-    /// the stamps and needs all of them to hold.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.stamp = r.u64()?;
-        self.stats = TlbStats {
-            hits: Counter::restore(r)?,
-            misses: Counter::restore(r)?,
-        };
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Tlb {
+            cfg,
+            entries,
+            stamp,
+            stats,
+            page_shift: _,
+            mru: _,
+            index,
+        } = self;
+        stamp.restore(r)?;
+        stats.restore(r)?;
         let n = r.usize()?;
-        if n > self.cfg.entries {
+        if n > cfg.entries {
             return Err(SnapError::Malformed("TLB snapshot exceeds capacity"));
         }
-        self.flush();
+        entries.clear();
+        *index = None;
         for _ in 0..n {
-            let page = r.u64()?;
-            let lru = r.u64()?;
-            if lru > self.stamp {
+            let (page, lru) = r.read()?;
+            if lru > *stamp {
                 return Err(SnapError::Malformed("TLB stamp above its clock"));
             }
-            self.entries.push((page, lru));
+            entries.push((page, lru));
         }
-        let index = Index::build(&self.entries)?;
-        self.index = (n == self.cfg.entries).then_some(index);
+        let built = Index::build(entries)?;
+        *index = (n == cfg.entries).then_some(built);
         Ok(())
     }
 }
@@ -453,7 +461,7 @@ mod tests {
     /// order, stamps and snapshot layout, with a linear search for the
     /// page and a second one for the smallest stamp.
     struct ScanLru {
-        cap: usize, // asan-lint: allow(snapshot-completeness)
+        cap: usize,
         entries: Vec<(u64, u64)>,
         stamp: u64,
         hits: u64,
@@ -579,7 +587,7 @@ mod tests {
                 }
                 tlb.access(rng.below(100) * cfg.page_bytes);
             }
-            let ok = crate::mutate::check_restore(
+            let ok = asan_sim::mutate::check_restore(
                 &label,
                 &bases,
                 2_000,

@@ -9,7 +9,7 @@
 use std::collections::VecDeque;
 
 use asan_sim::hist::LogHistogram;
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
+use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Counter;
 use asan_sim::{Period, SimDuration, SimTime};
 
@@ -65,7 +65,7 @@ pub struct LinkTiming {
 pub struct Link {
     cfg: LinkConfig,
     /// Serialization time per byte, from `cfg.bytes_per_sec`.
-    byte: Period, // asan-lint: allow(snapshot-completeness)
+    byte: Period,
     busy_until: SimTime,
     /// Drain times of packets currently occupying receiver buffers.
     inflight: VecDeque<SimTime>,
@@ -223,61 +223,6 @@ impl Link {
         self.busy_time
     }
 
-    /// Writes the link's dynamic state: the (possibly restricted)
-    /// credit limit, wire occupancy, in-flight drain times, outage
-    /// windows and all counters/histograms.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.usize(self.cfg.credits);
-        w.time(self.busy_until);
-        w.usize(self.inflight.len());
-        for &t in &self.inflight {
-            w.time(t);
-        }
-        self.bytes.snapshot(w);
-        self.packets.snapshot(w);
-        self.credit_stalls.snapshot(w);
-        self.stall_hist.snapshot(w);
-        w.dur(self.busy_time);
-        w.usize(self.outages.len());
-        for &(from, until) in &self.outages {
-            w.time(from);
-            w.time(until);
-        }
-        self.outage_deferrals.snapshot(w);
-    }
-
-    /// Overwrites this link's dynamic state from a snapshot taken of a
-    /// link with the same static configuration. The snapshotted credit
-    /// limit must not exceed this link's (it may be lower, since
-    /// [`restrict_credits`](Link::restrict_credits) only tightens).
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let credits = r.usize()?;
-        if credits == 0 || credits > self.cfg.credits {
-            return Err(SnapError::Malformed("link credit limit out of range"));
-        }
-        self.cfg.credits = credits;
-        self.busy_until = r.time()?;
-        let n = r.usize()?;
-        self.inflight.clear();
-        for _ in 0..n {
-            self.inflight.push_back(r.time()?);
-        }
-        self.bytes = Counter::restore(r)?;
-        self.packets = Counter::restore(r)?;
-        self.credit_stalls = Counter::restore(r)?;
-        self.stall_hist = LogHistogram::restore(r)?;
-        self.busy_time = r.dur()?;
-        let outages = r.usize()?;
-        self.outages.clear();
-        for _ in 0..outages {
-            let from = r.time()?;
-            let until = r.time()?;
-            self.outages.push((from, until));
-        }
-        self.outage_deferrals = Counter::restore(r)?;
-        Ok(())
-    }
-
     /// Utilization of the wire over `[0, now]`.
     pub fn utilization(&self, now: SimTime) -> f64 {
         let t = now.as_ps();
@@ -286,6 +231,70 @@ impl Link {
         } else {
             self.busy_time.as_ps() as f64 / t as f64
         }
+    }
+}
+
+/// The (possibly restricted) credit limit, wire occupancy, in-flight
+/// drain times, outage windows and all counters/histograms. Restore
+/// takes a snapshot of a link with the same static configuration; the
+/// snapshotted credit limit must not exceed this link's (it may be
+/// lower, since [`restrict_credits`](Link::restrict_credits) only
+/// tightens).
+impl Snap for Link {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let Link {
+            cfg,
+            byte: _,
+            busy_until,
+            inflight,
+            bytes,
+            packets,
+            credit_stalls,
+            stall_hist,
+            busy_time,
+            outages,
+            outage_deferrals,
+        } = self;
+        cfg.credits.snapshot(w);
+        busy_until.snapshot(w);
+        inflight.snapshot(w);
+        bytes.snapshot(w);
+        packets.snapshot(w);
+        credit_stalls.snapshot(w);
+        stall_hist.snapshot(w);
+        busy_time.snapshot(w);
+        outages.snapshot(w);
+        outage_deferrals.snapshot(w);
+    }
+
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let Link {
+            cfg,
+            byte: _,
+            busy_until,
+            inflight,
+            bytes,
+            packets,
+            credit_stalls,
+            stall_hist,
+            busy_time,
+            outages,
+            outage_deferrals,
+        } = self;
+        let credits = r.usize()?;
+        if credits == 0 || credits > cfg.credits {
+            return Err(SnapError::Malformed("link credit limit out of range"));
+        }
+        cfg.credits = credits;
+        busy_until.restore(r)?;
+        inflight.restore(r)?;
+        bytes.restore(r)?;
+        packets.restore(r)?;
+        credit_stalls.restore(r)?;
+        stall_hist.restore(r)?;
+        busy_time.restore(r)?;
+        outages.restore(r)?;
+        outage_deferrals.restore(r)
     }
 }
 

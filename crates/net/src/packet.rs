@@ -18,8 +18,10 @@ pub const HEADER_BYTES: usize = 16;
 /// Identifies an endpoint or switch in the cluster.
 ///
 /// Node IDs are dense small integers assigned by the topology builder.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub u16);
+
+asan_sim::snap_fields!(NodeId(id));
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {

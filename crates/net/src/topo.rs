@@ -37,7 +37,6 @@ use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
-use asan_sim::snap::{SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::Traffic;
 use asan_sim::{SimDuration, SimTime};
 
@@ -850,10 +849,9 @@ impl Delivery {
 ///
 /// Every field but the link occupancy and traffic counters is static
 /// configuration: fixed by the [`TopologyBuilder`]/[`TopoSpec`] that
-/// produced this fabric, so `snapshot`/`restore` intentionally skip it —
-/// a restoring process rebuilds the identical topology from the same
-/// spec before calling [`Fabric::restore`] (which verifies the link and
-/// node counts match).
+/// produced this fabric, so its snapshot codec skips it — a restoring
+/// process rebuilds the identical topology from the same spec before
+/// restoring (which verifies the link and node counts match).
 ///
 /// Routes are a pure function of that topology. A tree (edges = nodes
 /// − 1, connected) has one path per pair, so a route is the first link
@@ -866,16 +864,28 @@ impl Delivery {
 /// cluster.
 #[derive(Debug)]
 pub struct Fabric {
-    kinds: Vec<NodeKind>,                  // asan-lint: allow(snapshot-completeness)
-    switch_specs: Vec<Option<SwitchSpec>>, // asan-lint: allow(snapshot-completeness)
+    kinds: Vec<NodeKind>,
+    switch_specs: Vec<Option<SwitchSpec>>,
     links: Vec<Link>,
     /// `link_to[l]`: the node link `l` leads to.
-    link_to: Vec<u32>, // asan-lint: allow(snapshot-completeness)
-    routes: Routes, // asan-lint: allow(snapshot-completeness)
+    link_to: Vec<u32>,
+    routes: Routes,
     /// Credit-drain model (see [`TopologyBuilder::set_hop_backpressure`]).
-    hop_backpressure: bool, // asan-lint: allow(snapshot-completeness)
+    hop_backpressure: bool,
     traffic: Vec<Traffic>,
 }
+
+// Every link's dynamic state and the per-node traffic; the link and
+// node counts are the topology's and must match on restore.
+asan_sim::snap_fields!(Fabric @ "fabric" {
+    kinds: skip,
+    switch_specs: skip,
+    links: fixed,
+    link_to: skip,
+    routes: skip,
+    hop_backpressure: skip,
+    traffic: fixed,
+});
 
 impl Fabric {
     /// Number of nodes.
@@ -1145,43 +1155,6 @@ impl Fabric {
     pub fn total_outage_deferrals(&self) -> u64 {
         self.links.iter().map(Link::outage_deferrals).sum()
     }
-
-    /// Writes the fabric's dynamic state: every link direction (wire
-    /// occupancy, credits, in-flight drains, counters) and per-node
-    /// traffic accounting. The topology itself (kinds, links' ends,
-    /// routes, drain model) is static and rebuilt by the caller.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.section("fabric");
-        w.usize(self.links.len());
-        for l in &self.links {
-            l.snapshot(w);
-        }
-        w.usize(self.traffic.len());
-        for t in &self.traffic {
-            t.snapshot(w);
-        }
-    }
-
-    /// Overwrites this fabric's dynamic state from a snapshot taken of
-    /// a fabric built from the same topology.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        r.section("fabric")?;
-        let links = r.usize()?;
-        if links != self.links.len() {
-            return Err(SnapError::Malformed("fabric link count mismatch"));
-        }
-        for l in &mut self.links {
-            l.restore(r)?;
-        }
-        let nodes = r.usize()?;
-        if nodes != self.traffic.len() {
-            return Err(SnapError::Malformed("fabric node count mismatch"));
-        }
-        for t in &mut self.traffic {
-            *t = Traffic::restore(r)?;
-        }
-        Ok(())
-    }
 }
 
 /// Convenience: the paper's canonical single-switch cluster — `hosts`
@@ -1198,6 +1171,7 @@ pub fn single_switch_cluster(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use asan_sim::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn single_switch_paths() {

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::rng::SimRng;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap_fields;
 use crate::time::{SimDuration, SimTime};
 
 /// Traps one handler after a given number of invocations, modeling a
@@ -167,34 +167,25 @@ pub struct FaultCounters {
 }
 
 impl FaultCounters {
-    /// Writes all four counters.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.injected);
-        w.u64(self.detected);
-        w.u64(self.recovered);
-        w.u64(self.degraded);
-    }
-
-    /// Reads counters written by [`FaultCounters::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultCounters {
-            injected: r.u64()?,
-            detected: r.u64()?,
-            recovered: r.u64()?,
-            degraded: r.u64()?,
-        })
-    }
-
     fn fold(&self, h: u64) -> u64 {
-        fnv1a_fold(
-            fnv1a_fold(
-                fnv1a_fold(fnv1a_fold(h, self.injected), self.detected),
-                self.recovered,
-            ),
-            self.degraded,
-        )
+        let FaultCounters {
+            injected,
+            detected,
+            recovered,
+            degraded,
+        } = *self;
+        [injected, detected, recovered, degraded]
+            .into_iter()
+            .fold(h, fnv1a_fold)
     }
 }
+
+snap_fields!(FaultCounters {
+    injected,
+    detected,
+    recovered,
+    degraded,
+});
 
 /// All fault counters for one run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -225,49 +216,48 @@ impl FaultStats {
     /// FNV-1a digest over every counter, in a fixed field order. Two
     /// runs with the same seed and plan must produce equal digests.
     pub fn digest(&self) -> u64 {
-        let mut h = self.packet_corrupt.fold(FNV_OFFSET);
-        h = self.packet_drop.fold(h);
-        h = self.disk_error.fold(h);
-        h = self.disk_latency.fold(h);
-        h = self.link_outage.fold(h);
-        h = self.handler_trap.fold(h);
-        h = self.buffer_seize.fold(h);
-        h = fnv1a_fold(h, self.retransmits);
-        h = fnv1a_fold(h, self.timeouts);
-        fnv1a_fold(h, self.fallback_packets)
-    }
-
-    /// Writes every counter, in the same fixed order as
-    /// [`FaultStats::digest`].
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.packet_corrupt.snapshot(w);
-        self.packet_drop.snapshot(w);
-        self.disk_error.snapshot(w);
-        self.disk_latency.snapshot(w);
-        self.link_outage.snapshot(w);
-        self.handler_trap.snapshot(w);
-        self.buffer_seize.snapshot(w);
-        w.u64(self.retransmits);
-        w.u64(self.timeouts);
-        w.u64(self.fallback_packets);
-    }
-
-    /// Reads stats written by [`FaultStats::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(FaultStats {
-            packet_corrupt: FaultCounters::restore(r)?,
-            packet_drop: FaultCounters::restore(r)?,
-            disk_error: FaultCounters::restore(r)?,
-            disk_latency: FaultCounters::restore(r)?,
-            link_outage: FaultCounters::restore(r)?,
-            handler_trap: FaultCounters::restore(r)?,
-            buffer_seize: FaultCounters::restore(r)?,
-            retransmits: r.u64()?,
-            timeouts: r.u64()?,
-            fallback_packets: r.u64()?,
-        })
+        let FaultStats {
+            packet_corrupt,
+            packet_drop,
+            disk_error,
+            disk_latency,
+            link_outage,
+            handler_trap,
+            buffer_seize,
+            retransmits,
+            timeouts,
+            fallback_packets,
+        } = self;
+        let h = [
+            packet_corrupt,
+            packet_drop,
+            disk_error,
+            disk_latency,
+            link_outage,
+            handler_trap,
+            buffer_seize,
+        ]
+        .into_iter()
+        .fold(FNV_OFFSET, |h, c| c.fold(h));
+        [retransmits, timeouts, fallback_packets]
+            .into_iter()
+            .fold(h, |h, &v| fnv1a_fold(h, v))
     }
 }
+
+// Same field order as `FaultStats::digest`.
+snap_fields!(FaultStats {
+    packet_corrupt,
+    packet_drop,
+    disk_error,
+    disk_latency,
+    link_outage,
+    handler_trap,
+    buffer_seize,
+    retransmits,
+    timeouts,
+    fallback_packets,
+});
 
 impl fmt::Display for FaultCounters {
     /// `injected/detected/recovered/degraded`.
@@ -318,7 +308,7 @@ pub fn fnv1a_fold(mut h: u64, v: u64) -> u64 {
 pub struct FaultInjector {
     /// The armed plan. Static for the life of a run — restore rebuilds
     /// the injector from the same plan, so it is not serialized.
-    plan: FaultPlan, // asan-lint: allow(snapshot-completeness)
+    plan: FaultPlan,
     packet_rng: SimRng,
     disk_rng: SimRng,
     /// Per-`(node, handler)` invocation counts for trap matching.
@@ -389,47 +379,23 @@ impl FaultInjector {
         }
         fired
     }
-
-    /// Writes the injector's dynamic state: both RNG cursors, the
-    /// per-handler invocation counts, and the accumulated statistics.
-    /// The plan itself is static configuration, re-armed by whoever
-    /// rebuilds the simulation before calling
-    /// [`FaultInjector::restore`].
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        self.packet_rng.snapshot(w);
-        self.disk_rng.snapshot(w);
-        w.usize(self.trap_counts.len());
-        for (&(node, handler), &count) in &self.trap_counts {
-            w.u16(node);
-            w.u8(handler);
-            w.u64(count);
-        }
-        self.stats.snapshot(w);
-    }
-
-    /// Overwrites this injector's dynamic state from a snapshot; the
-    /// already-armed plan is kept. Every subsequent fate decision then
-    /// continues the snapshotted RNG streams exactly.
-    pub fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        self.packet_rng = SimRng::restore(r)?;
-        self.disk_rng = SimRng::restore(r)?;
-        let n = r.usize()?;
-        let mut trap_counts = BTreeMap::new();
-        for _ in 0..n {
-            let node = r.u16()?;
-            let handler = r.u8()?;
-            let count = r.u64()?;
-            trap_counts.insert((node, handler), count);
-        }
-        self.trap_counts = trap_counts;
-        self.stats = FaultStats::restore(r)?;
-        Ok(())
-    }
 }
+
+// The plan is static configuration, re-armed by whoever rebuilds the
+// simulation before restoring; every later fate decision continues
+// the snapshotted RNG streams exactly.
+snap_fields!(FaultInjector {
+    plan: skip,
+    packet_rng,
+    disk_rng,
+    trap_counts,
+    stats,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn default_plan_injects_nothing() {

@@ -28,7 +28,7 @@
 //! ```
 
 use crate::faults::fnv1a_fold;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::SimDuration;
 
 /// Linear sub-buckets per power of two (2^5 = 32).
@@ -197,17 +197,46 @@ impl LogHistogram {
         self.max
     }
 
-    /// Writes the histogram sparsely: the aggregate fields plus only
-    /// the non-zero buckets. An empty histogram restores to the
-    /// unallocated state, so snapshotting idle probe slots stays free.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u64(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-        let nonzero = self.counts.iter().filter(|&&c| c != 0).count();
-        w.usize(nonzero);
-        for (i, &c) in self.counts.iter().enumerate() {
+    /// Folds every non-zero counter into an FNV-1a digest, so a
+    /// histogram can sit under the same determinism net as
+    /// `ClusterStats`.
+    pub fn fold_digest(&self, mut h: u64) -> u64 {
+        let LogHistogram {
+            counts,
+            count,
+            sum,
+            min: _, // folded through `min()`, which reads 0 when empty
+            max,
+        } = self;
+        h = fnv1a_fold(h, *count);
+        h = fnv1a_fold(h, *sum);
+        h = fnv1a_fold(h, self.min());
+        h = fnv1a_fold(h, *max);
+        for (i, &c) in counts.iter().enumerate() {
+            if c != 0 {
+                h = fnv1a_fold(fnv1a_fold(h, i as u64), c);
+            }
+        }
+        h
+    }
+}
+
+/// Written sparsely: the aggregate fields plus only the non-zero
+/// buckets, as ascending `(index, count)` pairs. An empty histogram
+/// restores to the unallocated state, so snapshotting idle probe slots
+/// stays free.
+impl Snap for LogHistogram {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let LogHistogram {
+            counts,
+            count,
+            sum,
+            min,
+            max,
+        } = self;
+        [count, sum, min, max].into_iter().for_each(|v| w.u64(*v));
+        w.usize(counts.iter().filter(|&&c| c != 0).count());
+        for (i, &c) in counts.iter().enumerate() {
             if c != 0 {
                 w.u32(i as u32);
                 w.u64(c);
@@ -215,47 +244,36 @@ impl LogHistogram {
         }
     }
 
-    /// Reads a histogram written by [`LogHistogram::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let count = r.u64()?;
-        let sum = r.u64()?;
-        let min = r.u64()?;
-        let max = r.u64()?;
-        let nonzero = r.usize()?;
-        let mut counts = Vec::new();
-        if count > 0 {
-            counts = vec![0; NUM_BUCKETS];
-        }
-        for _ in 0..nonzero {
-            let i = r.usize_from_u32()?;
-            let c = r.u64()?;
-            *counts
-                .get_mut(i)
-                .ok_or(SnapError::Malformed("histogram bucket out of range"))? = c;
-        }
-        Ok(LogHistogram {
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let LogHistogram {
             counts,
             count,
             sum,
             min,
             max,
-        })
-    }
-
-    /// Folds every non-zero counter into an FNV-1a digest, so a
-    /// histogram can sit under the same determinism net as
-    /// `ClusterStats`.
-    pub fn fold_digest(&self, mut h: u64) -> u64 {
-        h = fnv1a_fold(h, self.count);
-        h = fnv1a_fold(h, self.sum);
-        h = fnv1a_fold(h, self.min());
-        h = fnv1a_fold(h, self.max);
-        for (i, &c) in self.counts.iter().enumerate() {
-            if c != 0 {
-                h = fnv1a_fold(fnv1a_fold(h, i as u64), c);
-            }
+        } = self;
+        for v in [&mut *count, sum, min, max] {
+            *v = r.u64()?;
         }
-        h
+        let nonzero = r.len_prefix()?;
+        *counts = if *count > 0 {
+            vec![0; NUM_BUCKETS]
+        } else {
+            Vec::new()
+        };
+        let mut next = 0;
+        for _ in 0..nonzero {
+            let i = r.usize_from_u32()?;
+            let c = r.u64()?;
+            if i < next || c == 0 {
+                return Err(SnapError::Malformed("histogram buckets not canonical"));
+            }
+            next = i + 1;
+            *counts
+                .get_mut(i)
+                .ok_or(SnapError::Malformed("histogram bucket out of range"))? = c;
+        }
+        Ok(())
     }
 }
 
@@ -403,7 +421,7 @@ mod tests {
         h.snapshot(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let mut back = LogHistogram::restore(&mut r).unwrap();
+        let mut back = r.read::<LogHistogram>().unwrap();
         r.finish().unwrap();
         assert_eq!(back.count(), h.count());
         assert_eq!(back.sum(), h.sum());
@@ -424,7 +442,7 @@ mod tests {
         h.snapshot(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let back = LogHistogram::restore(&mut r).unwrap();
+        let back = r.read::<LogHistogram>().unwrap();
         r.finish().unwrap();
         assert!(back.is_empty());
         assert_eq!(back.fold_digest(1), h.fold_digest(1));

@@ -48,6 +48,7 @@
 
 pub mod faults;
 pub mod hist;
+pub mod mutate;
 pub mod perfetto;
 pub mod queue;
 pub mod rng;

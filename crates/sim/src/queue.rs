@@ -67,16 +67,16 @@ pub struct EventQueue<E> {
     /// absolute index is in `[cursor, cursor + RING_BUCKETS)`.
     /// Rebuilt on restore by re-placing entries, so its exact value is
     /// not part of the snapshot (pop order is cursor-independent).
-    cursor: u64, // asan-lint: allow(snapshot-completeness)
+    cursor: u64,
     /// Events currently in the ring.
-    ring_len: usize, // asan-lint: allow(snapshot-completeness)
+    ring_len: usize,
     /// Far-future events, sorted by `(time, seq)`.
     overflow: BTreeMap<(SimTime, u64), E>,
     /// Occupancy bitmap over ring slots: bit `s` of word `s / 64` is
     /// set iff `ring[s]` is non-empty. Makes find-next-non-empty a few
     /// `trailing_zeros` instead of a bucket walk. Derived state,
     /// rebuilt on restore.
-    occupied: [u64; (RING_BUCKETS / 64) as usize], // asan-lint: allow(snapshot-completeness)
+    occupied: [u64; (RING_BUCKETS / 64) as usize],
     next_seq: u64,
 }
 
@@ -260,11 +260,19 @@ impl<E> EventQueue<E> {
     /// [`EventQueue::restore_with`] rebuilds an equivalent queue by
     /// re-placing the entries with their original sequence numbers.
     pub fn snapshot_with(&self, w: &mut SnapWriter, mut enc: impl FnMut(&mut SnapWriter, &E)) {
+        let EventQueue {
+            ring,
+            cursor: _,
+            ring_len: _,
+            overflow,
+            occupied: _,
+            next_seq,
+        } = self;
         w.usize(self.len());
-        let mut ring_entries: Vec<&Entry<E>> = self.ring.iter().flatten().collect();
+        let mut ring_entries: Vec<&Entry<E>> = ring.iter().flatten().collect();
         ring_entries.sort_by_key(|e| (e.time, e.seq));
         let mut ring_iter = ring_entries.into_iter().peekable();
-        let mut over_iter = self.overflow.iter().peekable();
+        let mut over_iter = overflow.iter().peekable();
         loop {
             let take_ring = match (ring_iter.peek(), over_iter.peek()) {
                 (Some(e), Some((&(t, s), _))) => (e.time, e.seq) < (t, s),
@@ -283,7 +291,7 @@ impl<E> EventQueue<E> {
             w.u64(seq);
             enc(w, event);
         }
-        w.u64(self.next_seq);
+        w.u64(*next_seq);
     }
 
     /// Rebuilds a queue from a snapshot written by

@@ -128,24 +128,9 @@ impl SimRng {
     pub fn ascii(&mut self) -> u8 {
         b' ' + self.below(95) as u8
     }
-
-    /// Writes the generator's exact position in its stream.
-    pub fn snapshot(&self, w: &mut crate::snap::SnapWriter) {
-        for word in self.s {
-            w.u64(word);
-        }
-    }
-
-    /// Restores a generator mid-stream, continuing the exact sequence
-    /// the snapshotted generator would have produced.
-    pub fn restore(r: &mut crate::snap::SnapReader<'_>) -> Result<Self, crate::snap::SnapError> {
-        let mut s = [0u64; 4];
-        for word in &mut s {
-            *word = r.u64()?;
-        }
-        Ok(SimRng { s })
-    }
 }
+
+crate::snap_fields!(SimRng { s });
 
 #[cfg(test)]
 mod tests {
@@ -234,10 +219,11 @@ mod tests {
             orig.next_u64();
         }
         let mut w = crate::snap::SnapWriter::new();
-        orig.snapshot(&mut w);
+        crate::snap::Snap::snapshot(&orig, &mut w);
         let bytes = w.into_bytes();
         let mut r = crate::snap::SnapReader::new(&bytes).unwrap();
-        let mut restored = SimRng::restore(&mut r).unwrap();
+        let mut restored = SimRng::from_seed(0);
+        crate::snap::Snap::restore(&mut restored, &mut r).unwrap();
         r.finish().unwrap();
         for _ in 0..100 {
             assert_eq!(orig.next_u64(), restored.next_u64());

@@ -109,9 +109,14 @@ impl<E: Traceable> Scheduler<E> {
     /// bookkeeping, so a restored scheduler continues both the event
     /// stream and the processed/peak counters exactly.
     pub fn snapshot_with(&self, w: &mut SnapWriter, enc: impl FnMut(&mut SnapWriter, &E)) {
-        self.queue.snapshot_with(w, enc);
-        w.u64(self.processed);
-        w.usize(self.peak_len);
+        let Scheduler {
+            queue,
+            processed,
+            peak_len,
+        } = self;
+        queue.snapshot_with(w, enc);
+        w.u64(*processed);
+        w.usize(*peak_len);
     }
 
     /// Rebuilds a scheduler from [`Scheduler::snapshot_with`] output.

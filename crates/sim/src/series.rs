@@ -40,7 +40,7 @@
 use std::collections::BTreeMap;
 
 use crate::faults::fnv1a_fold;
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use crate::time::{SimDuration, SimTime};
 
 /// Track kind: per-link wire occupancy (sample = busy ps per window).
@@ -185,49 +185,28 @@ impl TimeSeries {
                 .collect(),
         }
     }
+}
 
-    /// Writes the collector's dynamic state (window width and every
-    /// track's dense samples).
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.window_ps);
-        w.usize(self.tracks.len());
-        for (&(kind, key), samples) in &self.tracks {
-            w.u8(kind);
-            w.u64(key);
-            w.usize(samples.len());
-            for &s in samples {
-                w.u64(s);
-            }
-        }
+/// The window width, then every track's `(kind, key)` and dense
+/// samples, in key order.
+impl Snap for TimeSeries {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        let TimeSeries { window_ps, tracks } = self;
+        window_ps.snapshot(w);
+        tracks.snapshot(w);
     }
 
-    /// Overwrites the collector from a snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SnapError`] when the stream is malformed (zero
-    /// window, oversized track).
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        let window_ps = r.u64()?;
-        if window_ps == 0 {
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let TimeSeries { window_ps, tracks } = self;
+        window_ps.restore(r)?;
+        if *window_ps == 0 {
             return Err(SnapError::Malformed("zero time-series window"));
         }
-        let ntracks = r.usize()?;
-        let mut tracks = BTreeMap::new();
-        for _ in 0..ntracks {
-            let kind = r.u8()?;
-            let key = r.u64()?;
-            let len = r.usize()?;
-            if len > MAX_WINDOWS {
-                return Err(SnapError::Malformed("time-series track over cap"));
-            }
-            let mut samples = Vec::with_capacity(len);
-            for _ in 0..len {
-                samples.push(r.u64()?);
-            }
-            tracks.insert((kind, key), samples);
+        tracks.restore(r)?;
+        if tracks.values().any(|s| s.len() > MAX_WINDOWS) {
+            return Err(SnapError::Malformed("time-series track over cap"));
         }
-        Ok(TimeSeries { window_ps, tracks })
+        Ok(())
     }
 }
 
@@ -261,10 +240,11 @@ impl Timeline {
     /// Folds every counter into an FNV-1a digest continuation: the
     /// window width, then each track's kind, key, length, and full
     /// dense sample values. Keeps the timeline under the same
-    /// digest-completeness contract as the histograms.
+    /// digest contract as the histograms.
     pub fn digest(&self, seed: u64) -> u64 {
-        let mut h = fnv1a_fold(seed, self.window_ps);
-        for Track { kind, key, samples } in &self.tracks {
+        let Timeline { window_ps, tracks } = self;
+        let mut h = fnv1a_fold(seed, *window_ps);
+        for Track { kind, key, samples } in tracks {
             h = fnv1a_fold(h, u64::from(*kind));
             h = fnv1a_fold(h, *key);
             h = fnv1a_fold(h, samples.len() as u64);
@@ -438,7 +418,7 @@ mod tests {
         s.snapshot(&mut w);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        let back = TimeSeries::restore(&mut r).unwrap();
+        let back = r.read::<TimeSeries>().unwrap();
         r.finish().unwrap();
         assert_eq!(back.timeline(), s.timeline());
         assert_eq!(back.window(), s.window());

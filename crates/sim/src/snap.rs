@@ -9,12 +9,16 @@
 //! sync fails loudly at the next section boundary instead of silently
 //! misinterpreting bytes.
 //!
-//! Every stateful type in the workspace exposes hand-written
-//! `snapshot(&self, &mut SnapWriter)` / `restore(...)` methods built
-//! on these primitives. Hand-written (rather than derived) codecs keep
-//! the field list visible in source, which is what lets `asan-lint`'s
-//! `snapshot-completeness` rule check that no state field is silently
-//! left out of its snapshot.
+//! Stateful types implement [`Snap`]. A struct declares its codec once
+//! with [`snap_fields!`](crate::snap_fields): one ordered field list,
+//! static configuration marked `skip`, from which both directions are
+//! generated. Each generated body opens with an exhaustive destructure
+//! of the struct, so a field added to the struct but not to the list
+//! is a compile error, and the writer and reader cannot transpose
+//! because they share the list. The few codecs no generic impl
+//! reproduces byte for byte (event variants, sparse or packed
+//! encodings, shape checks) are written by hand and open with the same
+//! exhaustive destructure.
 //!
 //! # Example
 //!
@@ -34,6 +38,7 @@
 //! r.finish().unwrap();
 //! ```
 
+use std::collections::{BTreeMap, VecDeque};
 use std::fmt;
 
 use crate::time::{SimDuration, SimTime};
@@ -201,11 +206,6 @@ impl SnapWriter {
         self.u64(v.unwrap_or(0));
     }
 
-    /// Writes an optional [`SimTime`].
-    pub fn opt_time(&mut self, t: Option<SimTime>) {
-        self.opt_u64(t.map(SimTime::as_ps));
-    }
-
     /// Finishes the snapshot, returning the encoded bytes.
     pub fn into_bytes(self) -> Vec<u8> {
         self.buf
@@ -342,20 +342,31 @@ impl<'a> SnapReader<'a> {
         String::from_utf8(b).map_err(|_| SnapError::Malformed("invalid UTF-8 string"))
     }
 
-    /// Reads an optional `u64`.
+    /// Reads an optional `u64`. A `None` must carry a zero payload,
+    /// so every accepted encoding re-snapshots to the same bytes.
     pub fn opt_u64(&mut self) -> Result<Option<u64>, SnapError> {
-        let present = self.bool()?;
-        let v = self.u64()?;
-        Ok(present.then_some(v))
+        self.read()
     }
 
-    /// Reads an optional [`SimTime`].
-    pub fn opt_time(&mut self) -> Result<Option<SimTime>, SnapError> {
-        Ok(self.opt_u64()?.map(SimTime::from_ps))
+    /// Reads a fresh value of any [`Snap`] type.
+    pub fn read<T: Snap + Default>(&mut self) -> Result<T, SnapError> {
+        let mut v = T::default();
+        v.restore(self)?;
+        Ok(v)
     }
 
-    /// Bytes not yet decoded. Restore code checks a length prefix
-    /// against this before allocating for it.
+    /// Reads a sequence length prefix. Every element encodes to at
+    /// least one byte, so a prefix above [`SnapReader::remaining`] is
+    /// malformed and is rejected before it sizes an allocation.
+    pub fn len_prefix(&mut self) -> Result<usize, SnapError> {
+        let n = self.usize()?;
+        if n > self.remaining() {
+            return Err(SnapError::Malformed("length prefix exceeds snapshot"));
+        }
+        Ok(n)
+    }
+
+    /// Bytes not yet decoded.
     pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
@@ -368,6 +379,318 @@ impl<'a> SnapReader<'a> {
         }
         Ok(())
     }
+}
+
+/// A value with a snapshot encoding.
+///
+/// `restore` overwrites the value in place, so static configuration
+/// the encoding leaves out survives it. Implement it with
+/// [`snap_fields!`](crate::snap_fields) unless no generic encoding
+/// gives the bytes required.
+pub trait Snap {
+    /// Appends this value's dynamic state to `w`.
+    fn snapshot(&self, w: &mut SnapWriter);
+
+    /// Overwrites this value's dynamic state from `r`.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`SnapError`] when the stream is truncated or holds a
+    /// value this type cannot take.
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+macro_rules! snap_primitive {
+    ($($t:ty => $method:ident),* $(,)?) => {$(
+        impl Snap for $t {
+            fn snapshot(&self, w: &mut SnapWriter) {
+                w.$method(*self);
+            }
+            fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+                *self = r.$method()?;
+                Ok(())
+            }
+        }
+    )*};
+}
+
+snap_primitive! {
+    u8 => u8, u16 => u16, u32 => u32, u64 => u64, u128 => u128, usize => usize,
+    bool => bool, f64 => f64, SimTime => time, SimDuration => dur,
+}
+
+/// A presence byte, then the value — or `T::default()` for `None`, so
+/// the width does not depend on presence. A `None` whose payload is
+/// not the default is rejected: it would re-snapshot differently.
+impl<T: Snap + Default + PartialEq> Snap for Option<T> {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.bool(self.is_some());
+        match self {
+            Some(v) => v.snapshot(w),
+            None => T::default().snapshot(w),
+        }
+    }
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let present = r.bool()?;
+        let v: T = r.read()?;
+        if !present && v != T::default() {
+            return Err(SnapError::Malformed("payload after a None"));
+        }
+        *self = present.then_some(v);
+        Ok(())
+    }
+}
+
+/// A length prefix, then each element; restore replaces the contents.
+impl<T: Snap + Default> Snap for Vec<T> {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        self.iter().for_each(|v| v.snapshot(w));
+    }
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len_prefix()?;
+        *self = (0..n).map(|_| r.read()).collect::<Result<_, _>>()?;
+        Ok(())
+    }
+}
+
+/// Encoded as [`Vec`].
+impl<T: Snap + Default> Snap for VecDeque<T> {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        self.iter().for_each(|v| v.snapshot(w));
+    }
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len_prefix()?;
+        *self = (0..n).map(|_| r.read()).collect::<Result<_, _>>()?;
+        Ok(())
+    }
+}
+
+/// A length prefix, then each `(key, value)` in key order; restore
+/// replaces the contents and rejects keys that are not ascending.
+impl<K: Snap + Default + Ord, V: Snap + Default> Snap for BTreeMap<K, V> {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.snapshot(w);
+            v.snapshot(w);
+        }
+    }
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        let n = r.len_prefix()?;
+        self.clear();
+        for _ in 0..n {
+            let k: K = r.read()?;
+            if self.last_key_value().is_some_and(|(last, _)| *last >= k) {
+                return Err(SnapError::Malformed("map keys not ascending"));
+            }
+            let v = r.read()?;
+            self.insert(k, v);
+        }
+        Ok(())
+    }
+}
+
+/// An array's length is part of its type, so it carries no prefix.
+impl<T: Snap, const N: usize> Snap for [T; N] {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        self.iter().for_each(|v| v.snapshot(w));
+    }
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.iter_mut().try_for_each(|v| v.restore(r))
+    }
+}
+
+/// A collection whose shape — its length, or its keys — is fixed when
+/// the simulation is built, and whose elements carry static fields of
+/// their own. It is encoded as the matching [`Snap`] collection, and
+/// restore requires the same shape and overwrites each element in
+/// place.
+pub trait FixedShape {
+    /// Writes the length prefix and every element.
+    fn snapshot_fixed(&self, w: &mut SnapWriter);
+
+    /// Restores every element in place.
+    ///
+    /// # Errors
+    ///
+    /// [`SnapError::Malformed`] when the snapshot's shape differs, or
+    /// any error of an element's restore.
+    fn restore_fixed(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError>;
+}
+
+impl<T: Snap> FixedShape for [T] {
+    fn snapshot_fixed(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        self.iter().for_each(|v| v.snapshot(w));
+    }
+    fn restore_fixed(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        if r.usize()? != self.len() {
+            return Err(SnapError::Malformed("sequence length mismatch"));
+        }
+        self.iter_mut().try_for_each(|v| v.restore(r))
+    }
+}
+
+impl<T: Snap> FixedShape for Vec<T> {
+    fn snapshot_fixed(&self, w: &mut SnapWriter) {
+        self[..].snapshot_fixed(w);
+    }
+    fn restore_fixed(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self[..].restore_fixed(r)
+    }
+}
+
+impl<K: Snap + Default + PartialEq, V: Snap> FixedShape for BTreeMap<K, V> {
+    fn snapshot_fixed(&self, w: &mut SnapWriter) {
+        w.usize(self.len());
+        for (k, v) in self {
+            k.snapshot(w);
+            v.snapshot(w);
+        }
+    }
+    fn restore_fixed(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        if r.usize()? != self.len() {
+            return Err(SnapError::Malformed("map length mismatch"));
+        }
+        for (k, v) in self {
+            if r.read::<K>()? != *k {
+                return Err(SnapError::Malformed("map key mismatch"));
+            }
+            v.restore(r)?;
+        }
+        Ok(())
+    }
+}
+
+/// Each element in order.
+impl<A: Snap, B: Snap> Snap for (A, B) {
+    fn snapshot(&self, w: &mut SnapWriter) {
+        self.0.snapshot(w);
+        self.1.snapshot(w);
+    }
+    fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
+        self.0.restore(r)?;
+        self.1.restore(r)
+    }
+}
+
+/// Implements [`Snap`] for a struct from one ordered field list.
+///
+/// Fields are encoded in list order. A field marked `skip` is static
+/// configuration: it is neither written nor restored. A field marked
+/// `fixed` is a collection whose shape is fixed at build time: it is
+/// coded through [`FixedShape`], which rejects a shape change and keeps
+/// each element's own static fields. An optional
+/// `@ "name"` writes a section tag first. Tuple structs list one name
+/// per position.
+///
+/// Both directions open with an exhaustive destructure (no `..`), so
+/// a struct field missing from the list does not compile:
+///
+/// ```compile_fail,E0027
+/// use asan_sim::snap_fields;
+///
+/// #[derive(Default)]
+/// struct Port {
+///     seq: u32,
+///     credits: u64, // added to the struct, not to the list
+/// }
+/// snap_fields!(Port { seq });
+/// ```
+///
+/// `skip` keeps static fields out of the bytes and intact on restore:
+///
+/// ```
+/// use asan_sim::snap::{Snap, SnapReader, SnapWriter};
+/// use asan_sim::{snap_fields, SimTime};
+///
+/// struct Port {
+///     seq: u32,
+///     busy_until: SimTime,
+///     capacity: usize,
+/// }
+/// snap_fields!(Port @ "port" { seq, busy_until, capacity: skip });
+///
+/// let a = Port { seq: 7, busy_until: SimTime::from_ns(3), capacity: 8 };
+/// let mut w = SnapWriter::new();
+/// a.snapshot(&mut w);
+/// let bytes = w.into_bytes();
+///
+/// let mut b = Port { seq: 0, busy_until: SimTime::ZERO, capacity: 16 };
+/// let mut r = SnapReader::new(&bytes).unwrap();
+/// b.restore(&mut r).unwrap();
+/// r.finish().unwrap();
+/// assert_eq!((b.seq, b.busy_until, b.capacity), (7, SimTime::from_ns(3), 16));
+/// ```
+#[macro_export]
+macro_rules! snap_fields {
+    ($ty:ident $(@ $section:literal)? { $($field:ident $(: $mode:ident)?),* $(,)? }) => {
+        impl $crate::snap::Snap for $ty {
+            fn snapshot(&self, w: &mut $crate::snap::SnapWriter) {
+                let $ty { $($field: $crate::__snap_bind!($field $(: $mode)?)),* } = self;
+                $(w.section($section);)?
+                $($crate::__snap_field!(snapshot, w, $field $(: $mode)?);)*
+            }
+            fn restore(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                let $ty { $($field: $crate::__snap_bind!($field $(: $mode)?)),* } = self;
+                $(r.section($section)?;)?
+                $($crate::__snap_field!(restore, r, $field $(: $mode)?);)*
+                Ok(())
+            }
+        }
+    };
+    ($ty:ident ( $($field:ident),+ $(,)? )) => {
+        impl $crate::snap::Snap for $ty {
+            fn snapshot(&self, w: &mut $crate::snap::SnapWriter) {
+                let $ty($($field),+) = self;
+                $($crate::snap::Snap::snapshot($field, w);)+
+            }
+            fn restore(
+                &mut self,
+                r: &mut $crate::snap::SnapReader<'_>,
+            ) -> Result<(), $crate::snap::SnapError> {
+                let $ty($($field),+) = self;
+                $($crate::snap::Snap::restore($field, r)?;)+
+                Ok(())
+            }
+        }
+    };
+}
+
+/// The pattern [`snap_fields!`] binds one field to.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_bind {
+    ($field:ident : skip) => {
+        _
+    };
+    ($field:ident $(: fixed)?) => {
+        $field
+    };
+}
+
+/// One field's step in a [`snap_fields!`] body.
+#[doc(hidden)]
+#[macro_export]
+macro_rules! __snap_field {
+    ($dir:ident, $io:ident, $field:ident : skip) => {};
+    (snapshot, $w:ident, $field:ident : fixed) => {
+        $crate::snap::FixedShape::snapshot_fixed($field, $w)
+    };
+    (snapshot, $w:ident, $field:ident) => {
+        $crate::snap::Snap::snapshot($field, $w)
+    };
+    (restore, $r:ident, $field:ident : fixed) => {
+        $crate::snap::FixedShape::restore_fixed($field, $r)?
+    };
+    (restore, $r:ident, $field:ident) => {
+        $crate::snap::Snap::restore($field, $r)?
+    };
 }
 
 #[cfg(test)]
@@ -392,7 +715,6 @@ mod tests {
         w.str("héllo");
         w.opt_u64(Some(5));
         w.opt_u64(None);
-        w.opt_time(Some(SimTime::from_ps(1)));
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes).unwrap();
@@ -411,7 +733,6 @@ mod tests {
         assert_eq!(r.str().unwrap(), "héllo");
         assert_eq!(r.opt_u64().unwrap(), Some(5));
         assert_eq!(r.opt_u64().unwrap(), None);
-        assert_eq!(r.opt_time().unwrap(), Some(SimTime::from_ps(1)));
         r.finish().unwrap();
     }
 
@@ -472,6 +793,109 @@ mod tests {
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
         assert!(matches!(r.bool(), Err(SnapError::Malformed(_))));
+    }
+
+    #[test]
+    fn none_with_a_payload_is_malformed() {
+        let mut w = SnapWriter::new();
+        w.bool(false);
+        w.u64(7);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            r.opt_u64().unwrap_err(),
+            SnapError::Malformed("payload after a None")
+        );
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert!(matches!(
+            r.read::<Option<SimTime>>(),
+            Err(SnapError::Malformed(_))
+        ));
+    }
+
+    #[test]
+    fn generic_codecs_match_the_primitives() {
+        let encode = |f: &dyn Fn(&mut SnapWriter)| {
+            let mut w = SnapWriter::new();
+            f(&mut w);
+            w.into_bytes()
+        };
+        let data = vec![3u8, 1, 4, 1, 5];
+        assert_eq!(encode(&|w| data.snapshot(w)), encode(&|w| w.bytes(&data)));
+        for v in [Some(9u64), None] {
+            assert_eq!(encode(&|w| v.snapshot(w)), encode(&|w| w.opt_u64(v)));
+        }
+        assert_eq!(encode(&|w| 77usize.snapshot(w)), encode(&|w| w.usize(77)));
+
+        let bytes = encode(&|w| {
+            data.snapshot(w);
+            Some(9u64).snapshot(w);
+        });
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(r.bytes().unwrap(), data);
+        assert_eq!(r.opt_u64().unwrap(), Some(9));
+        r.finish().unwrap();
+    }
+
+    #[test]
+    fn collections_round_trip_and_stay_canonical() {
+        let map: BTreeMap<u16, (u8, u64)> = [(1, (2, 3)), (4, (5, 6))].into();
+        let queue: VecDeque<SimTime> = [SimTime::from_ns(1)].into();
+        let mut w = SnapWriter::new();
+        map.snapshot(&mut w);
+        queue.snapshot(&mut w);
+        [7u32; 3].snapshot(&mut w);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(r.read::<BTreeMap<u16, (u8, u64)>>().unwrap(), map);
+        assert_eq!(r.read::<VecDeque<SimTime>>().unwrap(), queue);
+        assert_eq!(r.read::<[u32; 3]>().unwrap(), [7; 3]);
+        r.finish().unwrap();
+
+        // Keys out of order would re-encode in a different order.
+        let mut w = SnapWriter::new();
+        w.usize(2);
+        for k in [4u16, 1] {
+            w.u16(k);
+            w.u8(0);
+        }
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert!(r.read::<BTreeMap<u16, u8>>().is_err());
+
+        // A length prefix beyond the bytes left sizes no allocation.
+        let mut w = SnapWriter::new();
+        w.usize(usize::MAX / 2);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            r.read::<Vec<u64>>().unwrap_err(),
+            SnapError::Malformed("length prefix exceeds snapshot")
+        );
+    }
+
+    #[test]
+    fn fixed_shapes_restore_in_place() {
+        let mut w = SnapWriter::new();
+        vec![1u8, 2].snapshot_fixed(&mut w);
+        let bytes = w.into_bytes();
+        let mut same = vec![0u8; 2];
+        let mut r = SnapReader::new(&bytes).unwrap();
+        same.restore_fixed(&mut r).unwrap();
+        assert_eq!(same, [1, 2]);
+        let mut longer = vec![0u8; 3];
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert!(longer.restore_fixed(&mut r).is_err());
+
+        let mut w = SnapWriter::new();
+        BTreeMap::from([(1u16, 5u64)]).snapshot_fixed(&mut w);
+        let bytes = w.into_bytes();
+        let mut other_key = BTreeMap::from([(2u16, 0u64)]);
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            other_key.restore_fixed(&mut r).unwrap_err(),
+            SnapError::Malformed("map key mismatch")
+        );
     }
 
     #[test]

@@ -8,7 +8,7 @@
 
 use std::fmt;
 
-use crate::snap::{SnapError, SnapReader, SnapWriter};
+use crate::snap_fields;
 use crate::time::{SimDuration, SimTime};
 
 /// A simple named event counter.
@@ -49,17 +49,9 @@ impl Counter {
     pub fn reset(&mut self) {
         self.0 = 0;
     }
-
-    /// Writes the count.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.0);
-    }
-
-    /// Reads a count written by [`Counter::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Counter(r.u64()?))
-    }
 }
+
+snap_fields!(Counter(count));
 
 impl fmt::Display for Counter {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -125,23 +117,9 @@ impl TimeBreakdown {
             idle: self.idle + other.idle,
         }
     }
-
-    /// Writes all three components.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.dur(self.busy);
-        w.dur(self.stall);
-        w.dur(self.idle);
-    }
-
-    /// Reads a breakdown written by [`TimeBreakdown::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(TimeBreakdown {
-            busy: r.dur()?,
-            stall: r.dur()?,
-            idle: r.dur()?,
-        })
-    }
 }
+
+snap_fields!(TimeBreakdown { busy, stall, idle });
 
 impl fmt::Display for TimeBreakdown {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -178,21 +156,12 @@ impl Traffic {
     pub fn record_out(&mut self, n: u64) {
         self.bytes_out += n;
     }
-
-    /// Writes both directions.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.bytes_in);
-        w.u64(self.bytes_out);
-    }
-
-    /// Reads traffic written by [`Traffic::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Traffic {
-            bytes_in: r.u64()?,
-            bytes_out: r.u64()?,
-        })
-    }
 }
+
+snap_fields!(Traffic {
+    bytes_in,
+    bytes_out
+});
 
 impl fmt::Display for Traffic {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -242,25 +211,14 @@ impl Summary {
     pub fn mean(&self) -> Option<f64> {
         (self.count > 0).then(|| self.sum as f64 / self.count as f64)
     }
-
-    /// Writes the running aggregate, including the exact `u128` sum.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.u64(self.count);
-        w.u128(self.sum);
-        w.u64(self.min);
-        w.u64(self.max);
-    }
-
-    /// Reads a summary written by [`Summary::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(Summary {
-            count: r.u64()?,
-            sum: r.u128()?,
-            min: r.u64()?,
-            max: r.u64()?,
-        })
-    }
 }
+
+snap_fields!(Summary {
+    count,
+    sum,
+    min,
+    max
+});
 
 /// Tracks a busy/idle state machine over simulated time; used to compute
 /// link and switch-CPU occupancy.
@@ -301,25 +259,17 @@ impl BusyTracker {
     pub fn is_busy(&self) -> bool {
         self.busy_since.is_some()
     }
-
-    /// Writes the accumulated busy time and any open busy span.
-    pub fn snapshot(&self, w: &mut SnapWriter) {
-        w.opt_time(self.busy_since);
-        w.dur(self.accumulated);
-    }
-
-    /// Reads a tracker written by [`BusyTracker::snapshot`].
-    pub fn restore(r: &mut SnapReader<'_>) -> Result<Self, SnapError> {
-        Ok(BusyTracker {
-            busy_since: r.opt_time()?,
-            accumulated: r.dur()?,
-        })
-    }
 }
+
+snap_fields!(BusyTracker {
+    busy_since,
+    accumulated,
+});
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::snap::{Snap, SnapReader, SnapWriter};
 
     #[test]
     fn counter_accumulates() {
@@ -426,11 +376,11 @@ mod tests {
         let bytes = w.into_bytes();
 
         let mut r = SnapReader::new(&bytes).unwrap();
-        assert_eq!(Counter::restore(&mut r).unwrap(), c);
-        assert_eq!(TimeBreakdown::restore(&mut r).unwrap(), b);
-        assert_eq!(Traffic::restore(&mut r).unwrap(), t);
-        assert_eq!(Summary::restore(&mut r).unwrap(), s);
-        let bt2 = BusyTracker::restore(&mut r).unwrap();
+        assert_eq!(r.read::<Counter>().unwrap(), c);
+        assert_eq!(r.read::<TimeBreakdown>().unwrap(), b);
+        assert_eq!(r.read::<Traffic>().unwrap(), t);
+        assert_eq!(r.read::<Summary>().unwrap(), s);
+        let bt2: BusyTracker = r.read().unwrap();
         r.finish().unwrap();
         assert!(bt2.is_busy());
         assert_eq!(
