@@ -4,17 +4,13 @@
 //! analyze breakdown <file.json>        per-phase time-breakdown table
 //! analyze latency   <file.json>        latency-percentile table
 //! analyze timeline  <file.json>        windowed sparklines + hotspots
-//! analyze perf      <file.json>        wall-clock / events-per-sec table
-//! analyze perf      <old.json> <new.json>   trajectory diff (events/sec)
 //! analyze scale     <file.json>        multi-switch speedup table
 //! ```
 //!
 //! `breakdown`, `latency`, and `timeline` read what
 //! `repro --small metrics --json > file.json` writes: the nine
 //! benchmarks in the normal and active configurations, each with its
-//! phase breakdown and latency percentiles. `perf` reads the
-//! `BENCH_PERF.json` that `repro perf` writes — with two files it
-//! diffs the trajectory points run-by-run. `scale` reads what
+//! phase breakdown and latency percentiles. `scale` reads what
 //! `repro scale --json` writes. This subcommand is the offline half of
 //! the observability pipeline — simulate once, slice the report as
 //! many ways as needed.
@@ -24,57 +20,28 @@ use std::fs;
 use std::process::ExitCode;
 
 use asan_bench::{
-    latency_report, parse_metrics_doc, perf, phase_breakdown_report, scale, timeline_report,
+    latency_report, parse_metrics_doc, phase_breakdown_report, scale, timeline_report,
 };
 
 fn usage() -> ExitCode {
-    eprintln!("usage: analyze <breakdown|latency|timeline|perf|scale> <file.json> [new.json]");
+    eprintln!("usage: analyze <breakdown|latency|timeline|scale> <file.json>");
     ExitCode::FAILURE
-}
-
-fn read(path: &str) -> Result<String, ExitCode> {
-    fs::read_to_string(path).map_err(|e| {
-        eprintln!("analyze: cannot read {path}: {e}");
-        ExitCode::FAILURE
-    })
 }
 
 fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
-    let (cmd, path, second) = match args.as_slice() {
-        [cmd, path] => (cmd.as_str(), path.as_str(), None),
-        [cmd, old, new] if cmd == "perf" => (cmd.as_str(), old.as_str(), Some(new.as_str())),
-        _ => return usage(),
+    let [cmd, path] = args.as_slice() else {
+        return usage();
     };
-    let text = match read(path) {
+    let (cmd, path) = (cmd.as_str(), path.as_str());
+    let text = match fs::read_to_string(path) {
         Ok(t) => t,
-        Err(code) => return code,
+        Err(e) => {
+            eprintln!("analyze: cannot read {path}: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     match cmd {
-        "perf" => {
-            let old = match perf::parse_perf_doc(&text) {
-                Ok(doc) => doc,
-                Err(e) => {
-                    eprintln!("analyze: {path} is not a perf document: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let Some(new_path) = second else {
-                print!("{}", perf::perf_report(&old));
-                return ExitCode::SUCCESS;
-            };
-            let new_text = match read(new_path) {
-                Ok(t) => t,
-                Err(code) => return code,
-            };
-            match perf::parse_perf_doc(&new_text) {
-                Ok(new) => print!("{}", perf::perf_diff(&old, &new)),
-                Err(e) => {
-                    eprintln!("analyze: {new_path} is not a perf document: {e}");
-                    return ExitCode::FAILURE;
-                }
-            }
-        }
         "scale" => match scale::parse_scale_doc(&text) {
             Ok(doc) => print!("{}", scale::scale_report(&doc)),
             Err(e) => {

@@ -22,13 +22,10 @@
 //!   chaos-digest    deterministic fault-run digest (CI runs it twice)
 //!   metrics         structured telemetry: per-phase time breakdown and
 //!                   latency percentiles for all nine benchmarks,
-//!                   normal + active (also selected by --metrics;
-//!                   add --json for the analyzer's input document)
+//!                   normal + active (add --json for the analyzer's
+//!                   input document)
 //!   golden          per-benchmark stats digests (normal + active), the
 //!                   golden-digest regression input (tests/golden_digests.txt)
-//!   perf            wall-clock per benchmark run (normal + active),
-//!                   events/sec and peak queue depth; writes
-//!                   BENCH_PERF.json for perf-regression tracking
 //!   scale           multi-switch scale sweep: collective reduction
 //!                   across node counts × fat-tree radices × handler
 //!                   placements vs the host-side MST baseline (add
@@ -66,19 +63,22 @@
 //! finishes in seconds (useful for CI smoke runs); omit it to run the
 //! paper's full problem sizes.
 //!
-//! The `golden`, `metrics` and `perf` sweeps run their 18 independent
+//! An unknown experiment name prints the usage and exits non-zero.
+//!
+//! The `golden` and `metrics` sweeps run their 18 independent
 //! (benchmark × config) simulations on a worker pool
 //! (`asan_bench::pool`); results are printed in submission order, so
 //! output is byte-identical for any worker count. `ASAN_JOBS=<n>`
 //! overrides the worker count (default: available parallelism).
 
 use std::env;
+use std::process::ExitCode;
 
 use asan_apps::runner::{sweep, AppRun, Variant};
 use asan_apps::{grep, hashjoin, md5app, mpeg, multiprog, psort, reduce, select, tar, twolevel};
 use asan_bench::{
     breakdown_table, latency_report, metrics_json, overall_csv, overall_table, parse_metrics_doc,
-    perf, phase_breakdown_report, pool, scale, speedups, sweep as sweep_drv, timeline_report,
+    phase_breakdown_report, pool, scale, speedups, sweep as sweep_drv, timeline_report,
     BenchMetrics,
 };
 use asan_core::cluster::{Cluster, ClusterConfig, Dest, FileId, HostCtx, HostProgram, ReqId};
@@ -87,6 +87,10 @@ use asan_core::HandlerPlacement;
 use asan_net::topo::{SwitchSpec, TopologyBuilder};
 use asan_net::LinkConfig;
 use asan_sim::faults::{FaultPlan, HandlerTrap};
+
+const USAGE: &str = "usage: repro [--small] [--csv] [--json] [--results <dir>] <experiment>...
+experiments: table1 fig3..fig17 table2 ablations twolevel multiprog chaos chaos-digest
+             metrics golden golden-fabric scale timeline sweep snapcheck fork all";
 
 struct Scale {
     small: bool,
@@ -506,34 +510,26 @@ fn chaos_digest() {
 }
 
 /// One finished (benchmark × config) run, as collected by the parallel
-/// sweep harness: everything `golden`, `metrics` and `perf` need.
+/// sweep harness: everything `golden` and `metrics` need.
 struct RunRecord {
     name: &'static str,
     config: &'static str,
-    topo: &'static str,
     digest: u64,
     metrics: MetricsReport,
-    events: u64,
-    peak_queue: u64,
-    wall_us: u64,
 }
 
 /// Boxes one benchmark run as a pool job producing a [`RunRecord`].
 /// A macro (not a function) because `AppRun` and `ReduceRun` share the
 /// field names but not a trait.
 macro_rules! sweep_job {
-    ($jobs:ident, $name:literal, $config:ident, $topo:literal, $run:expr) => {
+    ($jobs:ident, $name:literal, $config:ident, $run:expr) => {
         $jobs.push(Box::new(move || {
-            let (r, secs) = perf::time_wall(|| $run);
+            let r = $run;
             RunRecord {
                 name: $name,
                 config: $config,
-                topo: $topo,
                 digest: r.stats_digest,
                 metrics: r.metrics,
-                events: r.events,
-                peak_queue: r.peak_queue,
-                wall_us: (secs * 1e6) as u64,
             }
         }) as pool::Job<RunRecord>);
     };
@@ -548,68 +544,30 @@ fn run_sweep(sc: &Scale) -> Vec<RunRecord> {
     let mut jobs: Vec<pool::Job<RunRecord>> = Vec::new();
     for (config, variant) in [("normal", Variant::Normal), ("active", Variant::Active)] {
         let p = sc.mpeg();
-        sweep_job!(
-            jobs,
-            "mpeg",
-            config,
-            "single-switch",
-            mpeg::run(variant, &p)
-        );
+        sweep_job!(jobs, "mpeg", config, mpeg::run(variant, &p));
         let p = sc.hashjoin();
-        sweep_job!(
-            jobs,
-            "hashjoin",
-            config,
-            "single-switch",
-            hashjoin::run(variant, &p)
-        );
+        sweep_job!(jobs, "hashjoin", config, hashjoin::run(variant, &p));
         let p = sc.select();
-        sweep_job!(
-            jobs,
-            "select",
-            config,
-            "single-switch",
-            select::run(variant, &p)
-        );
+        sweep_job!(jobs, "select", config, select::run(variant, &p));
         let p = sc.grep();
-        sweep_job!(
-            jobs,
-            "grep",
-            config,
-            "single-switch",
-            grep::run(variant, &p)
-        );
+        sweep_job!(jobs, "grep", config, grep::run(variant, &p));
         let p = sc.tar();
-        sweep_job!(jobs, "tar", config, "single-switch", tar::run(variant, &p));
+        sweep_job!(jobs, "tar", config, tar::run(variant, &p));
         let p = sc.psort();
-        sweep_job!(
-            jobs,
-            "psort",
-            config,
-            "single-switch",
-            psort::run(variant, &p)
-        );
+        sweep_job!(jobs, "psort", config, psort::run(variant, &p));
         let p = sc.md5(1);
-        sweep_job!(
-            jobs,
-            "md5",
-            config,
-            "single-switch",
-            md5app::run(variant, &p)
-        );
+        sweep_job!(jobs, "md5", config, md5app::run(variant, &p));
         let active = variant.is_active();
         sweep_job!(
             jobs,
             "reduce-to-one",
             config,
-            "fat-tree-r16",
             reduce::run(reduce::Mode::ReduceToOne, active, 8)
         );
         sweep_job!(
             jobs,
             "distributed-reduce",
             config,
-            "fat-tree-r16",
             reduce::run(reduce::Mode::Distributed, active, 8)
         );
     }
@@ -647,32 +605,6 @@ fn metrics_exp(sc: &Scale) {
         .collect();
     println!("{}", phase_breakdown_report(&summaries));
     println!("{}", latency_report(&summaries));
-}
-
-/// Perf-regression tracking: times every benchmark run, writes
-/// `BENCH_PERF.json` (wall-clock, events/sec, peak queue depth per
-/// run) and prints the human table. Wall times are diagnostics — the
-/// simulated results of the same sweep are covered by `golden`.
-fn perf_exp(sc: &Scale) {
-    let workers = pool::default_workers();
-    let (records, total_secs) = perf::time_wall(|| run_sweep(sc));
-    let samples: Vec<perf::PerfSample> = records
-        .iter()
-        .map(|r| perf::PerfSample {
-            name: r.name.to_string(),
-            config: r.config.to_string(),
-            topo: r.topo.to_string(),
-            wall_us: r.wall_us,
-            events: r.events,
-            events_per_sec: (r.events * 1_000_000).checked_div(r.wall_us).unwrap_or(0),
-            peak_queue: r.peak_queue,
-        })
-        .collect();
-    let text = perf::perf_json(&samples, (total_secs * 1e6) as u64, workers);
-    std::fs::write("BENCH_PERF.json", &text).expect("write BENCH_PERF.json");
-    let doc = perf::parse_perf_doc(&text).expect("perf document round-trips");
-    print!("{}", perf::perf_report(&doc));
-    println!("wrote BENCH_PERF.json");
 }
 
 /// Multi-switch scale sweep: the collective reduction across node
@@ -1025,12 +957,11 @@ fn table2() {
     println!();
 }
 
-fn main() {
+fn main() -> ExitCode {
     let args: Vec<String> = env::args().skip(1).collect();
     let small = args.iter().any(|a| a == "--small");
     let csv = args.iter().any(|a| a == "--csv");
     let json = args.iter().any(|a| a == "--json");
-    let metrics_flag = args.iter().any(|a| a == "--metrics");
     let sc = Scale { small, csv, json };
     let results_dir = args
         .iter()
@@ -1039,7 +970,7 @@ fn main() {
         .cloned()
         .unwrap_or_else(|| "sweep-results".to_string());
     let mut skip_next = false;
-    let mut wanted: Vec<&str> = args
+    let wanted: Vec<&str> = args
         .iter()
         .filter(|a| {
             if skip_next {
@@ -1050,13 +981,10 @@ fn main() {
                 skip_next = true;
                 return false;
             }
-            *a != "--small" && *a != "--csv" && *a != "--json" && *a != "--metrics"
+            *a != "--small" && *a != "--csv" && *a != "--json"
         })
         .map(String::as_str)
         .collect();
-    if metrics_flag {
-        wanted.push("metrics");
-    }
     let wanted: Vec<&str> = if wanted.is_empty() || wanted.contains(&"all") {
         vec![
             "table1", "fig3", "fig5", "fig7", "fig9", "fig11", "fig13", "fig15", "fig16", "fig17",
@@ -1114,14 +1042,17 @@ fn main() {
             "golden" => golden(&sc),
             "golden-fabric" => golden_fabric(),
             "timeline" => timeline_exp(&sc, &results_dir),
-            "perf" => perf_exp(&sc),
             "scale" => scale_exp(&sc),
             "sweep" => sweep_exp(&sc, &results_dir),
             "snapcheck" => snapcheck(&sc),
             "fork" => fork_exp(&sc),
             "twolevel" => twolevel(&sc),
             "multiprog" => multiprog_exp(&sc),
-            other => eprintln!("unknown experiment: {other}"),
+            other => {
+                eprintln!("repro: unknown experiment: {other}\n{USAGE}");
+                return ExitCode::FAILURE;
+            }
         }
     }
+    ExitCode::SUCCESS
 }

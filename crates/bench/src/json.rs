@@ -1,6 +1,6 @@
 //! A minimal, dependency-free JSON reader for the analyzer.
 //!
-//! Parses the metrics documents `repro --metrics --json` emits (and any
+//! Parses the metrics documents `repro metrics --json` emits (and any
 //! well-formed JSON) into a [`Value`] tree. Numbers are kept as `f64`,
 //! which is exact for every integral picosecond count the simulator
 //! produces (all below 2^53). This is a reader for our own output — it

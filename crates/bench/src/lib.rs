@@ -2,8 +2,8 @@
 //! paper's evaluation (§5).
 //!
 //! The `repro` binary drives full-size runs and prints the same rows
-//! and series the paper reports; the Criterion benches under
-//! `benches/` time the simulator itself on scaled-down configurations.
+//! and series the paper reports; `asan-benchmark` (`crates/benchmark`)
+//! times the simulator itself.
 //!
 //! Figures come in pairs per application: an *overall* chart
 //! (execution time normalized to `normal`, host utilization, host I/O
@@ -12,7 +12,6 @@
 //! in the active cases).
 
 pub mod json;
-pub mod perf;
 pub mod pool;
 pub mod scale;
 pub mod sweep;

@@ -3,7 +3,10 @@
 //! placement, must match the committed
 //! [`tests/golden_digests_fabric.txt`](golden_digests_fabric.txt) byte
 //! for byte, and the benchmark's five 1024-host runs must match its
-//! committed baseline.
+//! committed baseline. The committed `BENCH_PERF.json` (the
+//! `results.json` of a full `asan-benchmark run`) must parse, record no
+//! failed operation, and carry the same per-simulation results as that
+//! baseline.
 //!
 //! This is the fabric counterpart of `tests/golden.rs`: where that file
 //! pins the nine single-switch paper benchmarks, this one pins the
@@ -14,6 +17,7 @@
 //! `cargo run --release -p asan-bench --bin repro -- golden-fabric`.
 
 use asan_apps::reduce::{self, Mode};
+use asan_bench::json::{self, Value};
 use asan_core::HandlerPlacement;
 
 const GOLDEN: &str = include_str!("golden_digests_fabric.txt");
@@ -135,5 +139,97 @@ fn fabric_1024_digests_match_benchmark_baseline() {
             r.latency.as_ps(),
         );
         assert_eq!(got, (digest, metrics, events, exec_ps), "{name}");
+    }
+}
+
+/// One simulation row of an `asan-benchmark-v1` document: workload,
+/// sim name, stats digest, metrics digest, events, simulated `exec_ps`.
+type SimRow = (String, String, String, String, u64, u64);
+
+/// The workload sections (one per round and workload) of an
+/// `asan-benchmark-v1` document.
+fn workloads(doc: &Value) -> &[Value] {
+    doc.get("workloads")
+        .and_then(Value::as_arr)
+        .expect("workloads array")
+}
+
+/// Every simulation row of every workload section, in document order.
+fn sim_rows(doc: &Value) -> Vec<SimRow> {
+    let text = |v: &Value, key: &str| {
+        v.get(key)
+            .and_then(Value::as_str)
+            .unwrap_or_else(|| panic!("missing string {key}"))
+            .to_string()
+    };
+    let num = |v: &Value, key: &str| {
+        v.get(key)
+            .and_then(Value::as_u64)
+            .unwrap_or_else(|| panic!("missing number {key}"))
+    };
+    let mut rows = Vec::new();
+    for w in workloads(doc) {
+        for sim in w.get("sims").and_then(Value::as_arr).expect("sims") {
+            rows.push((
+                text(w, "workload"),
+                text(sim, "name"),
+                text(sim, "digest"),
+                text(sim, "metrics_digest"),
+                num(sim, "events"),
+                num(sim, "exec_ps"),
+            ));
+        }
+    }
+    rows
+}
+
+#[test]
+fn bench_perf_json_matches_benchmark_baseline() {
+    let doc = json::parse(include_str!("../BENCH_PERF.json")).expect("BENCH_PERF.json parses");
+    assert_eq!(
+        doc.get("schema").and_then(Value::as_str),
+        Some("asan-benchmark-v1")
+    );
+    for w in workloads(&doc) {
+        let name = w.get("workload").and_then(Value::as_str);
+        assert_eq!(w.get("failed").and_then(Value::as_u64), Some(0), "{name:?}");
+    }
+
+    let baseline =
+        json::parse(include_str!("../crates/benchmark/baseline/set1.json")).expect("set1.json");
+    let want = sim_rows(&baseline);
+    let got = sim_rows(&doc);
+    let same_sim = |a: &SimRow, b: &SimRow| (&a.0, &a.1) == (&b.0, &b.1);
+    for row in &got {
+        let base = want.iter().find(|b| same_sim(b, row));
+        assert_eq!(Some(row), base, "{}/{}", row.0, row.1);
+    }
+    for base in &want {
+        assert!(
+            got.iter().any(|g| same_sim(g, base)),
+            "{}/{} is missing from BENCH_PERF.json",
+            base.0,
+            base.1
+        );
+    }
+
+    // Each round's five fabric-1024 rows, in order, are the pinned table.
+    let fabric: Vec<&SimRow> = got.iter().filter(|r| r.0 == "fabric-1024").collect();
+    assert!(!fabric.is_empty());
+    for round in fabric.chunks(FABRIC_1024.len()) {
+        assert_eq!(round.len(), FABRIC_1024.len());
+        for (row, (name, digest, metrics, events, exec_ps)) in round.iter().zip(FABRIC_1024) {
+            let pinned = (
+                name.to_string(),
+                format!("{digest:016x}"),
+                format!("{metrics:016x}"),
+                events,
+                exec_ps,
+            );
+            assert_eq!(
+                (row.1.clone(), row.2.clone(), row.3.clone(), row.4, row.5),
+                pinned
+            );
+        }
     }
 }

@@ -149,3 +149,17 @@ fn reduction_scaling_shape() {
         "speedup should not collapse with scale: {s8} -> {s16}"
     );
 }
+
+/// A mistyped or retired experiment name (`perf` was removed) must fail
+/// the `repro` run, not print a warning and exit 0.
+#[test]
+fn repro_rejects_unknown_experiment() {
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .arg("perf")
+        .output()
+        .expect("spawn repro");
+    assert!(!out.status.success(), "`perf` exited {}", out.status);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown experiment: perf"), "{stderr}");
+    assert!(stderr.contains("usage: repro"), "{stderr}");
+}
