@@ -5,6 +5,8 @@
 //! requests), `active` (host + switch handler) and `active+pref`.
 
 use std::env;
+use std::fs;
+use std::path::Path;
 
 use asan_core::cluster::{Cluster, ClusterConfig, RunReport};
 use asan_core::metrics::MetricsReport;
@@ -190,16 +192,24 @@ pub fn sweep(run: impl Fn(Variant) -> AppRun) -> Vec<AppRun> {
 ///   restore into it, and run that to completion. The run's digests
 ///   must be bit-identical to the uninterrupted run's.
 /// - `ASAN_SNAPSHOT_SAVE=<dir>` (with `EVENTS`): also write the paused
-///   snapshot to `<dir>/<tag>.snap` for a later process to resume.
+///   snapshot to `<dir>/<tag>.snap` (creating `<dir>` if needed) for a
+///   later process to resume.
 /// - `ASAN_SNAPSHOT_LOAD=<dir>`: skip the initial run entirely; build
 ///   fresh, restore `<dir>/<tag>.snap` (a plain run if the saving
 ///   process finished before its pause point and wrote no file), and
-///   run to completion — the cross-process half of the round trip.
+///   run to completion — the cross-process half of the round trip. A
+///   `<dir>` that does not exist is a configuration error and panics.
 pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, RunReport) {
     if let Ok(dir) = env::var("ASAN_SNAPSHOT_LOAD") {
+        let dir = Path::new(&dir);
+        assert!(
+            dir.is_dir(),
+            "ASAN_SNAPSHOT_LOAD must name an existing directory: {}",
+            dir.display()
+        );
         let (mut cl, cx) = build();
-        let path = std::path::Path::new(&dir).join(format!("{tag}.snap"));
-        match std::fs::read(&path) {
+        let path = dir.join(format!("{tag}.snap"));
+        match fs::read(&path) {
             Ok(bytes) => cl
                 .restore(&bytes)
                 .unwrap_or_else(|e| panic!("restore {}: {e:?}", path.display())),
@@ -219,8 +229,10 @@ pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, Run
     }
     let bytes = cl.snapshot();
     if let Ok(dir) = env::var("ASAN_SNAPSHOT_SAVE") {
-        let path = std::path::Path::new(&dir).join(format!("{tag}.snap"));
-        std::fs::write(&path, &bytes).unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
+        let path = Path::new(&dir).join(format!("{tag}.snap"));
+        fs::create_dir_all(&dir)
+            .and_then(|()| fs::write(&path, &bytes))
+            .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     }
     drop(cl);
     let (mut fresh, cx) = build();

@@ -46,13 +46,15 @@
 //!                   killed sweep resumes from the cache and writes a
 //!                   byte-identical sweep_results.json at any ASAN_JOBS
 //!   snapcheck       crash-safety check: runs the golden sweep plain,
-//!                   paused+snapshotted (ASAN_SNAPSHOT_EVENTS/_SAVE),
-//!                   and restored in a fresh process (_LOAD); all three
-//!                   outputs must be byte-identical
-//!   fork            warmed-start check: snapshots a paused golden
-//!                   sweep once, then forks several continuations from
-//!                   the same snapshots at different worker counts;
-//!                   every fork must print byte-identical digests
+//!                   paused+snapshotted (ASAN_SNAPSHOT_EVENTS/_SAVE)
+//!                   at 10 and at 500 events, and restored in a fresh
+//!                   process (_LOAD); all outputs must be byte-identical
+//!                   and the 10-event pause must snapshot every run
+//!   fork            warmed-start check: snapshots a golden sweep
+//!                   paused at 10 events (every run) once, then forks
+//!                   several continuations from the same snapshots at
+//!                   different worker counts; every fork must print
+//!                   byte-identical digests
 //!   all             everything above
 //! ```
 //!
@@ -878,55 +880,73 @@ fn golden_child(sc: &Scale, envs: &[(&str, &str)]) -> String {
     String::from_utf8(out.stdout).expect("digest output is UTF-8")
 }
 
+/// A pause point every run of the golden sweep is still running at, so
+/// each one crosses a snapshot/restore.
+const EVERY_RUN_PAUSE: &str = "10";
+
+/// Runs the golden sweep paused after `events` events, saving each
+/// paused run's snapshot into a fresh temp dir. Returns the digests,
+/// the dir and the number of snapshots written.
+fn paused_golden(sc: &Scale, tag: &str, events: &str) -> (String, String, usize) {
+    let dir = env::temp_dir().join(format!("asan-{tag}-{events}-{}", std::process::id()));
+    let dir = dir.to_str().expect("UTF-8 temp path").to_string();
+    let _ = std::fs::remove_dir_all(&dir);
+    let out = golden_child(
+        sc,
+        &[
+            ("ASAN_SNAPSHOT_EVENTS", events),
+            ("ASAN_SNAPSHOT_SAVE", &dir),
+        ],
+    );
+    let snaps = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+    (out, dir, snaps)
+}
+
+/// Fails unless the pause at [`EVERY_RUN_PAUSE`] snapshotted each of the
+/// sweep's `runs` runs (one digest line per run).
+fn assert_every_run_paused(snaps: usize, runs: usize) {
+    assert_eq!(
+        snaps, runs,
+        "a pause at {EVERY_RUN_PAUSE} events must snapshot every golden run"
+    );
+}
+
 /// Crash-safety check across real process boundaries: the golden sweep
 /// must print byte-identical digests when run plain, when paused +
 /// snapshotted + restored in-process, and when restored from the saved
-/// snapshot files in a fresh process.
+/// snapshot files in a fresh process — pausing both early (every run
+/// restores) and late (runs far into their event streams).
 fn snapcheck(sc: &Scale) {
-    let dir = env::temp_dir().join(format!("asan-snapcheck-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("snapshot dir");
-    let dir_s = dir.to_str().expect("UTF-8 temp path");
-
     let plain = golden_child(sc, &[]);
-    let paused = golden_child(
-        sc,
-        &[
-            ("ASAN_SNAPSHOT_EVENTS", "500"),
-            ("ASAN_SNAPSHOT_SAVE", dir_s),
-        ],
-    );
-    let restored = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", dir_s)]);
-    let _ = std::fs::remove_dir_all(&dir);
-
-    assert_eq!(plain, paused, "pause+restore changed a golden digest");
-    assert_eq!(
-        plain, restored,
-        "fresh-process restore changed a golden digest"
-    );
-    println!(
-        "snapcheck: {} digests identical across plain / paused / fresh-process restore",
-        plain.lines().count()
-    );
+    let runs = plain.lines().count();
+    for events in [EVERY_RUN_PAUSE, "500"] {
+        let (paused, dir, snaps) = paused_golden(sc, "snapcheck", events);
+        if events == EVERY_RUN_PAUSE {
+            assert_every_run_paused(snaps, runs);
+        }
+        let restored = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", &dir)]);
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(plain, paused, "pause+restore at {events} changed a digest");
+        assert_eq!(
+            plain, restored,
+            "fresh-process restore at {events} changed a digest"
+        );
+        println!(
+            "snapcheck: {runs} digests identical across plain / paused / fresh-process \
+             restore at {events} events ({snaps} runs restored)"
+        );
+    }
 }
 
 /// Warmed-start check: snapshot a paused golden sweep once, then fork
 /// several continuations from the same snapshot files at different
 /// worker counts — every fork must print byte-identical digests.
 fn fork_exp(sc: &Scale) {
-    let dir = env::temp_dir().join(format!("asan-fork-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("snapshot dir");
-    let dir_s = dir.to_str().expect("UTF-8 temp path");
-
-    let warmed = golden_child(
-        sc,
-        &[
-            ("ASAN_SNAPSHOT_EVENTS", "500"),
-            ("ASAN_SNAPSHOT_SAVE", dir_s),
-        ],
-    );
+    let (warmed, dir, snaps) = paused_golden(sc, "fork", EVERY_RUN_PAUSE);
+    assert_every_run_paused(snaps, warmed.lines().count());
     let forks = ["1", "2", "4"];
     for jobs in forks {
-        let fork = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", dir_s), ("ASAN_JOBS", jobs)]);
+        let fork = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", &dir), ("ASAN_JOBS", jobs)]);
         assert_eq!(
             warmed, fork,
             "fork at ASAN_JOBS={jobs} diverged from the warmed run"

@@ -9,9 +9,9 @@
 //! invoke switch handlers that process the actual bytes.
 //!
 //! [`Cluster`] itself is a thin composer: the mechanics live in four
-//! subsystem engines ([`crate::engines`]) that communicate only through
-//! the typed event bus ([`crate::events`]). The cluster builds the
-//! engines, routes each popped [`Event`] to its owner, and assembles
+//! subsystem engines that communicate only through a typed event bus.
+//! Each engine owns one event enum; the cluster builds the engines,
+//! hands each popped event to its owner with one match, and assembles
 //! the [`RunReport`] and [`ClusterStats`] afterwards.
 //!
 //! The event loop is deterministic: ties in simulated time break by
@@ -33,9 +33,9 @@ use asan_sim::trace::{JsonlSink, NullSink, TraceSink};
 use asan_sim::{SimDuration, SimTime};
 
 use crate::active::{ActiveSwitch, ActiveSwitchConfig};
-use crate::engines::{route, DispatchEngine, Engine, FabricEngine, HostEngine, StorageEngine};
+use crate::engines::{DispatchEngine, FabricEngine, HostEngine, StorageEngine};
 use crate::error::SimError;
-use crate::events::{Event, EventBus, FileStore, IoState};
+use crate::events::{Event, EventBus, FileStore, HostEvent, IoState};
 use crate::handler::Handler;
 use crate::metrics::{MetricsReport, PhaseBreakdown, Probe};
 use crate::placement::{AggNode, AggregationTree};
@@ -597,7 +597,7 @@ impl Cluster {
             self.dispatch.set_fallback_host(self.host.first_host());
         }
         for h in self.host.nodes_with_programs() {
-            self.sched.push(SimTime::ZERO, Event::Start(h));
+            self.sched.push(SimTime::ZERO, HostEvent::Start(h).into());
         }
     }
 
@@ -693,7 +693,7 @@ impl Cluster {
         r.finish()
     }
 
-    /// Routes one event to the engine that owns it, lending the shared
+    /// Hands one event to the engine that owns it, lending the shared
     /// services out as an [`EventBus`] for the duration of the event.
     fn handle(&mut self, t: SimTime, ev: Event) -> Result<(), SimError> {
         let mut bus = EventBus {
@@ -706,12 +706,11 @@ impl Cluster {
             active_tca_nodes: &self.active_tca_nodes,
             probe: &mut self.probe,
         };
-        use crate::engines::Subsystem;
-        match route(&ev) {
-            Subsystem::Host => self.host.on_event(t, ev, &mut bus),
-            Subsystem::Fabric => self.fabric_engine.on_event(t, ev, &mut bus),
-            Subsystem::Dispatch => self.dispatch.on_event(t, ev, &mut bus),
-            Subsystem::Storage => self.storage.on_event(t, ev, &mut bus),
+        match ev {
+            Event::Host(ev) => self.host.on_event(t, ev, &mut bus),
+            Event::Fabric(ev) => self.fabric_engine.on_event(t, ev, &mut bus),
+            Event::Dispatch(ev) => self.dispatch.on_event(t, ev, &mut bus),
+            Event::Storage(ev) => self.storage.on_event(t, ev, &mut bus),
         }
     }
 }
@@ -726,7 +725,7 @@ mod tests {
             Cluster::from_spec(&TopoSpec::single_switch(1, 1), ClusterConfig::paper());
         let input = Bytes::from(vec![0x5Au8; 64 * 1024]);
         let file = cl.add_file(map.tcas[0], input.clone()).unwrap();
-        assert_eq!(cl.files.data(file).as_ptr(), input.as_ptr());
+        assert_eq!(cl.files.data[file.0].as_ptr(), input.as_ptr());
         assert_eq!(cl.files.meta()[file.0].len, input.len() as u64);
     }
 }

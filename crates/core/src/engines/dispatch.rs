@@ -19,11 +19,9 @@ use asan_sim::SimTime;
 use crate::active::{ActiveSwitch, ActiveSwitchConfig, DispatchResult};
 use crate::cluster::{ClusterConfig, SwitchReport};
 use crate::error::SimError;
-use crate::events::{Event, EventBus, FlowState, ReqId};
+use crate::events::{DispatchEvent, EventBus, FabricEvent, FlowState, ReqId, StorageEvent};
 use crate::handler::Handler;
 use crate::stats::{snap_cpu, SwitchSnapshot};
-
-use super::Engine;
 
 /// The dispatch subsystem engine: every active engine plus the trap /
 /// fallback machinery.
@@ -49,10 +47,16 @@ pub struct DispatchEngine {
     flows: BTreeMap<ReqId, FlowState>,
 }
 
-impl Engine for DispatchEngine {
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError> {
+impl DispatchEngine {
+    /// Handles one dispatch event popped at time `t`.
+    pub(crate) fn on_event(
+        &mut self,
+        t: SimTime,
+        ev: DispatchEvent,
+        bus: &mut EventBus<'_>,
+    ) -> Result<(), SimError> {
         match ev {
-            Event::PacketToSwitch {
+            DispatchEvent::PacketToSwitch {
                 sw,
                 pkt,
                 payload_start,
@@ -65,7 +69,7 @@ impl Engine for DispatchEngine {
                 Some(req) => self.mapped_arrival(req, sw, pkt, t, bus, trace),
                 None => self.dispatch_active(sw, &pkt, t, payload_start, payload_end, bus, trace),
             },
-            Event::FallbackDispatch { sw, pkt, trace } => {
+            DispatchEvent::FallbackDispatch { sw, pkt, trace } => {
                 let fb = self.fallback_host.expect("fallback host exists");
                 let result = self
                     .fallback_engines
@@ -76,13 +80,10 @@ impl Engine for DispatchEngine {
                 Self::record_dispatch_spans(sw, &pkt, t, &result, bus, trace);
                 self.apply_dispatch_result(sw, fb, pkt.header.seq, result, bus, trace);
             }
-            other => unreachable!("not a dispatch event: {other:?}"),
         }
         Ok(())
     }
-}
 
-impl DispatchEngine {
     /// Adds one active switch engine per id, every switch CPU cloned
     /// from one warmed core.
     pub(crate) fn add_switches(&mut self, ids: &[NodeId], cfg: &ActiveSwitchConfig) {
@@ -376,7 +377,7 @@ impl DispatchEngine {
         }
         if all {
             self.flows.remove(&req);
-            bus.push(t, Event::CompletionNotice { tca, host, req });
+            bus.push(t, FabricEvent::CompletionNotice { tca, host, req });
         }
     }
 
@@ -501,7 +502,7 @@ impl DispatchEngine {
         let demux = bus.cfg.os.per_request;
         bus.push(
             d.arrival + demux,
-            Event::FallbackDispatch { sw, pkt, trace },
+            DispatchEvent::FallbackDispatch { sw, pkt, trace },
         );
     }
 
@@ -550,11 +551,11 @@ impl DispatchEngine {
             if r.tca == from {
                 // An active TCA requesting its own disks: the request
                 // never leaves the node.
-                bus.push(r.ready, Event::SwitchIoAtTca { r, attempt: 0 });
+                bus.push(r.ready, StorageEvent::SwitchIoAtTca { r, attempt: 0 });
             } else {
                 let wire = (HEADER_BYTES * 2) as u64;
                 let d = bus.transmit(wire, from, r.tca, r.ready, ctx);
-                bus.push(d.arrival, Event::SwitchIoAtTca { r, attempt: 0 });
+                bus.push(d.arrival, StorageEvent::SwitchIoAtTca { r, attempt: 0 });
             }
         }
     }

@@ -16,19 +16,28 @@ use asan_sim::trace::TraceCtx;
 use asan_sim::SimTime;
 
 use crate::error::SimError;
-use crate::events::{Dest, Event, EventBus, ReqId};
-
-use super::Engine;
+use crate::events::{Dest, EventBus, FabricEvent, HostEvent, ReqId};
 
 /// The fabric subsystem engine: the packet reliability protocol over
 /// the shared request table.
 #[derive(Debug, Default)]
 pub struct FabricEngine;
 
-impl Engine for FabricEngine {
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError> {
+impl FabricEngine {
+    /// Handles one fabric event popped at time `t`.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`SimError::RetriesExhausted`] when a request's timeout
+    /// budget runs out under fault injection.
+    pub(crate) fn on_event(
+        &mut self,
+        t: SimTime,
+        ev: FabricEvent,
+        bus: &mut EventBus<'_>,
+    ) -> Result<(), SimError> {
         match ev {
-            Event::InjectIoPacket {
+            FabricEvent::InjectIoPacket {
                 src,
                 dst,
                 handler,
@@ -67,7 +76,7 @@ impl Engine for FabricEngine {
                             let nak = inj.plan().nak_retransmit;
                             let delay = inj.plan().nak_delay;
                             if nak {
-                                bus.push(d.arrival + delay, Event::Retransmit { req, seq });
+                                bus.push(d.arrival + delay, FabricEvent::Retransmit { req, seq });
                             }
                             return Ok(());
                         }
@@ -82,7 +91,7 @@ impl Engine for FabricEngine {
                             let nak = inj.plan().nak_retransmit;
                             let delay = inj.plan().nak_delay;
                             if nak {
-                                bus.push(d.arrival + delay, Event::Retransmit { req, seq });
+                                bus.push(d.arrival + delay, FabricEvent::Retransmit { req, seq });
                             }
                             return Ok(());
                         }
@@ -91,7 +100,7 @@ impl Engine for FabricEngine {
                 let d = bus.transmit(wire, src, dst, t, TraceCtx { trace, parent: 0 });
                 bus.deliver(src, dst, handler, addr, payload, seq, d, io_req, trace);
             }
-            Event::Retransmit { req, seq } => {
+            FabricEvent::Retransmit { req, seq } => {
                 let Some(st) = bus.reqs.get(&req) else {
                     return Ok(());
                 };
@@ -100,7 +109,7 @@ impl Engine for FabricEngine {
                 }
                 Self::retransmit_seq(req, seq, t, bus);
             }
-            Event::RequestTimeout { req, attempt } => {
+            FabricEvent::RequestTimeout { req, attempt } => {
                 let max = match bus.injector.as_ref() {
                     Some(i) => i.plan().max_retries,
                     None => return Ok(()),
@@ -140,19 +149,18 @@ impl Engine for FabricEngine {
                 }
                 bus.push(
                     next_at,
-                    Event::RequestTimeout {
+                    FabricEvent::RequestTimeout {
                         req,
                         attempt: next_attempt,
                     },
                 );
             }
-            Event::CompletionNotice { tca, host, req } => {
+            FabricEvent::CompletionNotice { tca, host, req } => {
                 let wire = HEADER_BYTES as u64;
                 let ctx = bus.probe.trace_for_req(req.0);
                 let d = bus.transmit(wire, tca, host, t, ctx);
-                bus.push(d.arrival, Event::IoComplete { host, req });
+                bus.push(d.arrival, HostEvent::IoComplete { host, req });
             }
-            other => unreachable!("not a fabric event: {other:?}"),
         }
         Ok(())
     }
@@ -207,7 +215,7 @@ impl FabricEngine {
         let trace = bus.probe.trace_for_req(req.0).trace;
         bus.push(
             now,
-            Event::InjectIoPacket {
+            FabricEvent::InjectIoPacket {
                 src,
                 dst,
                 handler,

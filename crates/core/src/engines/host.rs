@@ -19,10 +19,10 @@ use asan_sim::{SimDuration, SimTime};
 
 use crate::cluster::{ClusterConfig, HostReport};
 use crate::error::SimError;
-use crate::events::{Dest, Event, EventBus, FileId, FileMeta, HostMsg, IoState, ReqId};
+use crate::events::{
+    Dest, EventBus, FabricEvent, FileId, FileMeta, HostEvent, HostMsg, IoState, ReqId, StorageEvent,
+};
 use crate::stats::{snap_cpu, HostSnapshot};
-
-use super::Engine;
 
 /// A host-resident application (one per compute node).
 ///
@@ -257,13 +257,19 @@ asan_sim::snap_fields!(HostEngine @ "host" {
     hosts: fixed,
 });
 
-impl Engine for HostEngine {
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError> {
+impl HostEngine {
+    /// Handles one host event popped at time `t`.
+    pub(crate) fn on_event(
+        &mut self,
+        t: SimTime,
+        ev: HostEvent,
+        bus: &mut EventBus<'_>,
+    ) -> Result<(), SimError> {
         match ev {
-            Event::Start(h) => {
+            HostEvent::Start(h) => {
                 self.call_host(h, t, None, None, bus);
             }
-            Event::PacketToHost { host, msg, io_req } => {
+            HostEvent::PacketToHost { host, msg, io_req } => {
                 let bytes = msg.data.len() as u64;
                 let seq = msg.seq;
                 let lat = self.hosts[&host].hca.config().recv_latency;
@@ -297,7 +303,7 @@ impl Engine for HostEngine {
                             .payload
                             .record_in(bytes);
                         if done {
-                            bus.push(t + lat, Event::IoComplete { host, req });
+                            bus.push(t + lat, HostEvent::IoComplete { host, req });
                         }
                     }
                     None => {
@@ -310,7 +316,7 @@ impl Engine for HostEngine {
                     }
                 }
             }
-            Event::IoComplete { host, req } => {
+            HostEvent::IoComplete { host, req } => {
                 // The dispatch engine's reorder buffer for this flow, if
                 // any, was already cleared when its last packet arrived.
                 let st = bus.reqs.remove(&req).expect("live request");
@@ -336,13 +342,10 @@ impl Engine for HostEngine {
                 let at = self.hosts[&host].cpu.now();
                 self.call_host(host, at, Some(req), None, bus);
             }
-            other => unreachable!("not a host event: {other:?}"),
         }
         Ok(())
     }
-}
 
-impl HostEngine {
     /// Adds one host node per id, configured per `cfg`. `Cpu::new`
     /// leaves every core of one configuration in the same warmed state,
     /// so it runs once: the other hosts get clones, the last the
@@ -538,7 +541,7 @@ impl HostEngine {
                     );
                     bus.push(
                         d.arrival,
-                        Event::IoRequestAtTca {
+                        StorageEvent::IoRequestAtTca {
                             tca,
                             req,
                             file,
@@ -560,7 +563,7 @@ impl HostEngine {
                     if faultable {
                         bus.push(
                             issue_at + timeout,
-                            Event::RequestTimeout { req, attempt: 0 },
+                            FabricEvent::RequestTimeout { req, attempt: 0 },
                         );
                     }
                 }

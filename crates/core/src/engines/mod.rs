@@ -1,17 +1,19 @@
 //! The four subsystem engines the cluster simulation is composed of.
 //!
-//! Each engine owns one subsystem's private state and handles the
-//! [`Event`] variants routed to it (see [`route`]):
+//! Each engine owns one subsystem's private state and its own event
+//! enum (see [`crate::events::Event`]), which its `on_event` matches
+//! exhaustively:
 //!
-//! * [`HostEngine`] — program scheduling, CPU/memory charging, host
-//!   message delivery and I/O completion;
-//! * [`FabricEngine`] — the packet reliability protocol: injection,
-//!   fault fates, NAK/timeout retransmission, completion notices;
-//! * [`DispatchEngine`] — active switches and active TCAs: handler
-//!   dispatch, the mapped-flow reorder buffer, handler-trap migration
-//!   to a host-side fallback engine;
-//! * [`StorageEngine`] — TCA/SCSI/disk requests, read scheduling, and
-//!   archive-write aggregation.
+//! * [`HostEngine`] — [`HostEvent`]: program scheduling, CPU/memory
+//!   charging, host message delivery and I/O completion;
+//! * [`FabricEngine`] — [`FabricEvent`]: the packet reliability
+//!   protocol: injection, fault fates, NAK/timeout retransmission,
+//!   completion notices;
+//! * [`DispatchEngine`] — [`DispatchEvent`]: active switches and active
+//!   TCAs: handler dispatch, the mapped-flow reorder buffer,
+//!   handler-trap migration to a host-side fallback engine;
+//! * [`StorageEngine`] — [`StorageEvent`]: TCA/SCSI/disk requests, read
+//!   scheduling, and archive-write aggregation.
 //!
 //! Engines never call each other: cross-subsystem effects travel as
 //! events through the [`EventBus`], so every interaction is an ordered,
@@ -19,18 +21,23 @@
 //!
 //! # Adding an engine
 //!
-//! 1. Add the subsystem's events to [`Event`] (with a `trace_label`).
-//! 2. Map them to a new [`Subsystem`] variant in [`route`].
-//! 3. Implement [`Engine::on_event`] over those variants, reaching
-//!    shared services only through the [`EventBus`].
-//! 4. Compose it in [`crate::cluster::Cluster`]: construct it in
-//!    `new`, route to it in `handle`, and fold its counters into
-//!    `stats`/`RunReport` if it reports any.
+//! Add a `FooEvent` enum (with a `From<FooEvent> for Event` impl) and an
+//! `Event::Foo` variant, give the new variants snapshot tags and trace
+//! labels, and write `FooEngine::on_event` over `FooEvent`. The compiler
+//! enforces the rest: `Cluster::handle`, the codec and the labels stop
+//! compiling until they cover the new variant, and a variant nobody
+//! constructs is a `dead_code` error under clippy.
+//!
+//! [`HostEvent`]: crate::events::HostEvent
+//! [`FabricEvent`]: crate::events::FabricEvent
+//! [`DispatchEvent`]: crate::events::DispatchEvent
+//! [`StorageEvent`]: crate::events::StorageEvent
+//! [`EventBus`]: crate::events::EventBus
 
-pub mod dispatch;
-pub mod fabric;
-pub mod host;
-pub mod storage;
+mod dispatch;
+mod fabric;
+mod host;
+mod storage;
 
 #[cfg(test)]
 mod tests;
@@ -39,50 +46,3 @@ pub use dispatch::DispatchEngine;
 pub use fabric::FabricEngine;
 pub use host::{HostCtx, HostEngine, HostProgram};
 pub use storage::StorageEngine;
-
-use asan_sim::SimTime;
-
-use crate::error::SimError;
-use crate::events::{Event, EventBus};
-
-/// One subsystem engine: handles the events routed to it, using the
-/// bus for everything shared and scheduling follow-up events for
-/// anything that crosses a subsystem boundary.
-pub trait Engine {
-    /// Handles one event popped at time `t`.
-    ///
-    /// # Errors
-    ///
-    /// Returns a [`SimError`] when the simulated system itself fails
-    /// hard (e.g. [`SimError::RetriesExhausted`] under fault
-    /// injection).
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError>;
-}
-
-/// The subsystem owning each event kind.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Subsystem {
-    /// Host programs and their CPUs.
-    Host,
-    /// The packet reliability protocol.
-    Fabric,
-    /// Active switches / active TCAs.
-    Dispatch,
-    /// TCAs and their disk arrays.
-    Storage,
-}
-
-/// Routes an event to the engine that owns it.
-pub fn route(ev: &Event) -> Subsystem {
-    match ev {
-        Event::Start(_) | Event::PacketToHost { .. } | Event::IoComplete { .. } => Subsystem::Host,
-        Event::InjectIoPacket { .. }
-        | Event::Retransmit { .. }
-        | Event::RequestTimeout { .. }
-        | Event::CompletionNotice { .. } => Subsystem::Fabric,
-        Event::PacketToSwitch { .. } | Event::FallbackDispatch { .. } => Subsystem::Dispatch,
-        Event::PacketToTca { .. } | Event::IoRequestAtTca { .. } | Event::SwitchIoAtTca { .. } => {
-            Subsystem::Storage
-        }
-    }
-}

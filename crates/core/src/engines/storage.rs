@@ -16,11 +16,9 @@ use asan_sim::{SimDuration, SimTime};
 
 use crate::cluster::ClusterConfig;
 use crate::error::SimError;
-use crate::events::{Dest, Event, EventBus, FileId, ReqId};
+use crate::events::{Dest, DispatchEvent, EventBus, FabricEvent, FileId, ReqId, StorageEvent};
 use crate::handler::SwitchIoReq;
 use crate::stats::StorageSnapshot;
-
-use super::Engine;
 
 use asan_sim::faults::DiskFate;
 
@@ -55,10 +53,16 @@ pub struct StorageEngine {
 // aggregation state; the TCA set must match on restore.
 asan_sim::snap_fields!(StorageEngine @ "storage" { tcas: fixed });
 
-impl Engine for StorageEngine {
-    fn on_event(&mut self, t: SimTime, ev: Event, bus: &mut EventBus<'_>) -> Result<(), SimError> {
+impl StorageEngine {
+    /// Handles one storage event popped at time `t`.
+    pub(crate) fn on_event(
+        &mut self,
+        t: SimTime,
+        ev: StorageEvent,
+        bus: &mut EventBus<'_>,
+    ) -> Result<(), SimError> {
         match ev {
-            Event::PacketToTca { tca, bytes } => {
+            StorageEvent::PacketToTca { tca, bytes } => {
                 let node = self.tcas.get_mut(&tca).expect("tca exists");
                 node.write_pending += bytes;
                 if node.write_pending >= node.write_chunk {
@@ -72,7 +76,7 @@ impl Engine for StorageEngine {
                     bus.probe.disk(tca, t, done, chunk, TraceCtx::NONE);
                 }
             }
-            Event::IoRequestAtTca {
+            StorageEvent::IoRequestAtTca {
                 tca,
                 req,
                 file,
@@ -84,7 +88,7 @@ impl Engine for StorageEngine {
                 Some(delay) => {
                     bus.push(
                         t + delay,
-                        Event::IoRequestAtTca {
+                        StorageEvent::IoRequestAtTca {
                             tca,
                             req,
                             file,
@@ -97,12 +101,12 @@ impl Engine for StorageEngine {
                 }
                 None => self.start_storage_read(tca, req, file, offset, len, dest, t, bus),
             },
-            Event::SwitchIoAtTca { r, attempt } => {
+            StorageEvent::SwitchIoAtTca { r, attempt } => {
                 match self.disk_attempt(r.tca, r.file as u64, attempt, bus)? {
                     Some(delay) => {
                         bus.push(
                             t + delay,
-                            Event::SwitchIoAtTca {
+                            StorageEvent::SwitchIoAtTca {
                                 r,
                                 attempt: attempt + 1,
                             },
@@ -111,13 +115,10 @@ impl Engine for StorageEngine {
                     None => self.start_switch_read(&r, t, bus),
                 }
             }
-            other => unreachable!("not a storage event: {other:?}"),
         }
         Ok(())
     }
-}
 
-impl StorageEngine {
     /// Adds the TCA node at `id`, configured per `cfg`.
     pub(crate) fn add_tca(&mut self, id: NodeId, cfg: &ClusterConfig) {
         self.tcas.insert(
@@ -329,7 +330,7 @@ impl StorageEngine {
                 let window = SimDuration::transfer(plen as u64, 320_000_000);
                 bus.push(
                     ready,
-                    Event::PacketToSwitch {
+                    DispatchEvent::PacketToSwitch {
                         sw: tca,
                         pkt,
                         payload_start: ready - window.min(SimDuration::from_ps(ready.as_ps())),
@@ -342,7 +343,7 @@ impl StorageEngine {
             }
             bus.push(
                 ready,
-                Event::InjectIoPacket {
+                FabricEvent::InjectIoPacket {
                     src: tca,
                     dst,
                     handler,
@@ -362,7 +363,7 @@ impl StorageEngine {
         // arrives (handled by the dispatch engine's reorder buffer).
         if !track_packets && !faulted_path {
             let last_ready = *sched.packet_ready.last().expect("non-empty read");
-            bus.push(last_ready, Event::CompletionNotice { tca, host, req });
+            bus.push(last_ready, FabricEvent::CompletionNotice { tca, host, req });
         }
     }
 
@@ -397,7 +398,7 @@ impl StorageEngine {
             cursor += plen;
             bus.push(
                 ready,
-                Event::InjectIoPacket {
+                FabricEvent::InjectIoPacket {
                     src: r.tca,
                     dst: r.deliver_to,
                     handler: r.deliver_handler,

@@ -12,14 +12,14 @@ use asan_sim::sched::Scheduler;
 use asan_sim::{SimDuration, SimTime};
 
 use crate::cluster::ClusterConfig;
-use crate::events::{Dest, Event, EventBus, FileId, FileMeta, FileStore, HostMsg, IoState, ReqId};
+use crate::events::{
+    Dest, DispatchEvent, Event, EventBus, FabricEvent, FileId, FileMeta, FileStore, HostEvent,
+    HostMsg, IoState, ReqId, StorageEvent,
+};
 use crate::handler::{Handler, HandlerCtx};
 use crate::metrics::Probe;
 
-use super::{
-    route, DispatchEngine, Engine, FabricEngine, HostCtx, HostEngine, HostProgram, StorageEngine,
-    Subsystem,
-};
+use super::{DispatchEngine, FabricEngine, HostCtx, HostEngine, HostProgram, StorageEngine};
 
 /// A one-host/one-switch/one-TCA bus rig: everything an [`EventBus`]
 /// lends out, plus the node IDs, so a single engine can be driven in
@@ -119,47 +119,6 @@ impl Rig {
     }
 }
 
-#[test]
-fn every_event_routes_to_its_owner() {
-    let rig = Rig::new();
-    let req = ReqId(0);
-    let cases: Vec<(Event, Subsystem)> = vec![
-        (Event::Start(rig.host), Subsystem::Host),
-        (
-            Event::IoComplete {
-                host: rig.host,
-                req,
-            },
-            Subsystem::Host,
-        ),
-        (Event::Retransmit { req, seq: 0 }, Subsystem::Fabric),
-        (Event::RequestTimeout { req, attempt: 0 }, Subsystem::Fabric),
-        (
-            Event::CompletionNotice {
-                tca: rig.tca,
-                host: rig.host,
-                req,
-            },
-            Subsystem::Fabric,
-        ),
-        (
-            Event::PacketToTca {
-                tca: rig.tca,
-                bytes: 64,
-            },
-            Subsystem::Storage,
-        ),
-    ];
-    for (ev, want) in cases {
-        assert_eq!(
-            route(&ev),
-            want,
-            "{}",
-            asan_sim::sched::Traceable::trace_label(&ev)
-        );
-    }
-}
-
 /// Reads one block on start, nothing more.
 struct ReadOnStart {
     file: FileId,
@@ -180,7 +139,7 @@ fn host_engine_start_issues_read_and_tracks_request() {
     eng.add_hosts(&[rig.host], &rig.cfg);
     eng.set_program(rig.host, Box::new(ReadOnStart { file, len: 4096 }))
         .unwrap();
-    eng.on_event(SimTime::ZERO, Event::Start(rig.host), &mut rig.bus())
+    eng.on_event(SimTime::ZERO, HostEvent::Start(rig.host), &mut rig.bus())
         .unwrap();
 
     // The request landed in the shared in-flight table.
@@ -197,13 +156,13 @@ fn host_engine_start_issues_read_and_tracks_request() {
     let (at, ev) = &evs[0];
     assert!(*at > SimTime::ZERO, "control packet pays wire time");
     match ev {
-        Event::IoRequestAtTca {
+        Event::Storage(StorageEvent::IoRequestAtTca {
             tca,
             req,
             len,
             attempt,
             ..
-        } => {
+        }) => {
             assert_eq!(*tca, rig.tca);
             assert_eq!(*req, ReqId(0));
             assert_eq!(*len, 4096);
@@ -239,7 +198,7 @@ fn host_engine_send_packetizes_per_mtu_and_finishes() {
         }),
     )
     .unwrap();
-    eng.on_event(SimTime::ZERO, Event::Start(rig.host), &mut rig.bus())
+    eng.on_event(SimTime::ZERO, HostEvent::Start(rig.host), &mut rig.bus())
         .unwrap();
 
     let finish = eng.finish_time();
@@ -250,7 +209,7 @@ fn host_engine_send_packetizes_per_mtu_and_finishes() {
     let mut lens = Vec::new();
     for (i, (_, ev)) in evs.iter().enumerate() {
         match ev {
-            Event::PacketToHost { host, msg, io_req } => {
+            Event::Host(HostEvent::PacketToHost { host, msg, io_req }) => {
                 assert_eq!(*host, rig.host2);
                 assert_eq!(msg.src, rig.host);
                 assert_eq!(msg.seq, i as u32);
@@ -279,7 +238,7 @@ fn host_engine_completes_request_after_last_packet() {
     rig.reqs.insert(req, st);
 
     let (host, tca) = (rig.host, rig.tca);
-    let arrival = move |seq: u32| Event::PacketToHost {
+    let arrival = move |seq: u32| HostEvent::PacketToHost {
         host,
         msg: HostMsg {
             src: tca,
@@ -305,7 +264,7 @@ fn host_engine_completes_request_after_last_packet() {
     assert!(evs[0].0 > SimTime::from_ns(200));
     assert!(matches!(
         evs[0].1,
-        Event::IoComplete { host, req: r } if host == rig.host && r == req
+        Event::Host(HostEvent::IoComplete { host, req: r }) if host == rig.host && r == req
     ));
 
     // Both DMA'd stripes count as inbound payload.
@@ -321,7 +280,7 @@ fn fabric_engine_completion_notice_crosses_wire_to_io_complete() {
     let t = SimTime::from_us(5);
     eng.on_event(
         t,
-        Event::CompletionNotice {
+        FabricEvent::CompletionNotice {
             tca: rig.tca,
             host: rig.host,
             req: ReqId(9),
@@ -334,7 +293,7 @@ fn fabric_engine_completion_notice_crosses_wire_to_io_complete() {
     assert!(evs[0].0 > t, "the notice pays header wire time");
     assert!(matches!(
         evs[0].1,
-        Event::IoComplete { host, req } if host == rig.host && req == ReqId(9)
+        Event::Host(HostEvent::IoComplete { host, req }) if host == rig.host && req == ReqId(9)
     ));
 }
 
@@ -342,7 +301,7 @@ fn fabric_engine_completion_notice_crosses_wire_to_io_complete() {
 fn fabric_engine_injects_and_delivers_by_node_kind() {
     let mut rig = Rig::new();
     let mut eng = FabricEngine;
-    let inject = |src: NodeId, dst: NodeId| Event::InjectIoPacket {
+    let inject = |src: NodeId, dst: NodeId| FabricEvent::InjectIoPacket {
         src,
         dst,
         handler: None,
@@ -362,11 +321,11 @@ fn fabric_engine_injects_and_delivers_by_node_kind() {
     assert_eq!(evs.len(), 2);
     assert!(evs.iter().any(|(_, ev)| matches!(
         ev,
-        Event::PacketToHost { host, msg, .. } if *host == rig.host && msg.data.len() == 256
+        Event::Host(HostEvent::PacketToHost { host, msg, .. }) if *host == rig.host && msg.data.len() == 256
     )));
     assert!(evs.iter().any(|(_, ev)| matches!(
         ev,
-        Event::PacketToTca { tca, bytes } if *tca == rig.tca && *bytes == 256
+        Event::Storage(StorageEvent::PacketToTca { tca, bytes }) if *tca == rig.tca && *bytes == 256
     )));
 }
 
@@ -383,7 +342,7 @@ fn storage_engine_turns_request_into_per_mtu_packet_schedule() {
     eng.add_tca(rig.tca, &rig.cfg);
     eng.on_event(
         SimTime::ZERO,
-        Event::IoRequestAtTca {
+        StorageEvent::IoRequestAtTca {
             tca: rig.tca,
             req,
             file,
@@ -407,14 +366,14 @@ fn storage_engine_turns_request_into_per_mtu_packet_schedule() {
         assert!(*ready >= last, "ready times are monotone");
         last = *ready;
         match ev {
-            Event::InjectIoPacket {
+            Event::Fabric(FabricEvent::InjectIoPacket {
                 src,
                 dst,
                 payload,
                 seq,
                 io_req,
                 ..
-            } => {
+            }) => {
                 assert_eq!(*src, rig.tca);
                 assert_eq!(*dst, rig.host);
                 assert_eq!(*seq, i as u32);
@@ -440,7 +399,7 @@ fn storage_engine_aggregates_archive_writes() {
     for bytes in [63 * 1024, 1024] {
         eng.on_event(
             SimTime::ZERO,
-            Event::PacketToTca {
+            StorageEvent::PacketToTca {
                 tca: rig.tca,
                 bytes,
             },
@@ -455,7 +414,7 @@ fn storage_engine_aggregates_archive_writes() {
     eng2.add_tca(rig.tca, &rig.cfg);
     eng2.on_event(
         SimTime::ZERO,
-        Event::PacketToTca {
+        StorageEvent::PacketToTca {
             tca: rig.tca,
             bytes: 10 * 1024,
         },
@@ -504,7 +463,7 @@ fn dispatch_engine_invokes_handler_and_routes_its_output() {
     let t = SimTime::from_us(1);
     eng.on_event(
         t,
-        Event::PacketToSwitch {
+        DispatchEvent::PacketToSwitch {
             sw: rig.sw,
             pkt,
             payload_start: t,
@@ -526,7 +485,7 @@ fn dispatch_engine_invokes_handler_and_routes_its_output() {
     let evs = rig.drain();
     assert_eq!(evs.len(), 1);
     match &evs[0].1 {
-        Event::PacketToHost { host, msg, io_req } => {
+        Event::Host(HostEvent::PacketToHost { host, msg, io_req }) => {
             assert_eq!(*host, rig.host);
             assert_eq!(msg.src, rig.sw, "messages carry the logical origin");
             assert_eq!(&*msg.data, &[0x11; 4]);

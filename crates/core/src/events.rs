@@ -2,9 +2,11 @@
 //! communicate through.
 //!
 //! Every state change in the cluster simulation is an [`Event`] popped
-//! from the scheduler and routed to exactly one engine
-//! (see [`crate::engines`]). Engines never call each other: anything
-//! that crosses a subsystem boundary goes back through the
+//! from the scheduler. Each engine owns one event enum ([`HostEvent`],
+//! [`FabricEvent`], [`DispatchEvent`], [`StorageEvent`]) and [`Event`]
+//! wraps them, so the type of an event names the one engine that
+//! handles it (see [`crate::engines`]). Engines never call each other:
+//! anything that crosses a subsystem boundary goes back through the
 //! [`EventBus`] as a freshly scheduled event, which keeps the causal
 //! order explicit and the simulation deterministic (ties in time break
 //! by push order).
@@ -241,11 +243,6 @@ impl FileStore {
         &self.meta
     }
 
-    /// The stored bytes of `file`.
-    pub fn data(&self, file: FileId) -> &[u8] {
-        &self.data[file.0]
-    }
-
     /// Appends a file without copying its bytes, returning its ID.
     pub(crate) fn push(&mut self, meta: FileMeta, data: Bytes) -> FileId {
         let id = FileId(self.meta.len());
@@ -292,12 +289,28 @@ pub(crate) struct FlowState {
     pub(crate) buffered: BTreeMap<u32, asan_net::Packet>,
 }
 
-/// One scheduled occurrence in the cluster simulation.
-///
-/// Each variant is owned by exactly one subsystem engine — see
-/// [`crate::engines::route`] for the mapping.
+/// One scheduled occurrence in the cluster simulation, wrapped in the
+/// variant of the engine that owns it. `Cluster::handle` hands the inner
+/// event to that engine, whose `on_event` matches every variant of it.
 #[derive(Debug)]
-pub enum Event {
+pub(crate) enum Event {
+    /// A host event.
+    Host(HostEvent),
+    /// A fabric event.
+    Fabric(FabricEvent),
+    /// A dispatch event.
+    Dispatch(DispatchEvent),
+    /// A storage event.
+    Storage(StorageEvent),
+}
+
+// The calendar queue stores `Event`s by value: the nesting must not
+// grow its entries past the flat enum's 96 bytes.
+const _: () = assert!(std::mem::size_of::<Event>() <= 96);
+
+/// Events owned by the host engine ([`crate::engines::HostEngine`]).
+#[derive(Debug)]
+pub(crate) enum HostEvent {
     /// A host program's `on_start` hook fires.
     Start(NodeId),
     /// A whole packet finished arriving at a host.
@@ -310,66 +323,6 @@ pub enum Event {
         /// data (DMA'd without a per-packet CPU cost).
         io_req: Option<ReqId>,
     },
-    /// An active packet's header reached a switch (payload window given).
-    /// `io_req` is set for mapped storage data under a fault plan, which
-    /// is tracked per sequence number and delivered in order.
-    PacketToSwitch {
-        /// The switch (or active TCA) engine dispatching the packet.
-        sw: NodeId,
-        /// The packet itself.
-        pkt: asan_net::Packet,
-        /// When the payload starts streaming into the data buffer.
-        payload_start: SimTime,
-        /// When the payload has fully arrived.
-        payload_end: SimTime,
-        /// Set for per-sequence tracked storage data under faults.
-        io_req: Option<ReqId>,
-        /// Causal trace id of the packet's lifecycle (0 = untraced);
-        /// the dispatch spans it triggers inherit it.
-        trace: u64,
-    },
-    /// A packet for a trapped handler reached the fallback host and is
-    /// dispatched on its software engine.
-    FallbackDispatch {
-        /// The switch the handler originally lived on.
-        sw: NodeId,
-        /// The forwarded packet.
-        pkt: asan_net::Packet,
-        /// Causal trace id carried over from the original packet.
-        trace: u64,
-    },
-    /// Raw data arrived at a TCA (archive-write stream).
-    PacketToTca {
-        /// The receiving TCA.
-        tca: NodeId,
-        /// Payload bytes arrived.
-        bytes: u64,
-    },
-    /// A host-issued I/O request's control packet reached its TCA (or a
-    /// soft-errored disk attempt is being retried).
-    IoRequestAtTca {
-        /// The serving TCA.
-        tca: NodeId,
-        /// The request.
-        req: ReqId,
-        /// File to read.
-        file: FileId,
-        /// File-relative offset.
-        offset: u64,
-        /// Bytes to read.
-        len: u64,
-        /// Delivery destination.
-        dest: Dest,
-        /// Disk retry attempt (0 = first try).
-        attempt: u32,
-    },
-    /// A switch-initiated I/O request reached its TCA.
-    SwitchIoAtTca {
-        /// The request a handler posted.
-        r: SwitchIoReq,
-        /// Disk retry attempt (0 = first try).
-        attempt: u32,
-    },
     /// All data of `req` delivered; notify the issuing host.
     IoComplete {
         /// The issuing host.
@@ -377,17 +330,18 @@ pub enum Event {
         /// The completed request.
         req: ReqId,
     },
-    /// The TCA finished injecting a mapped read's data: send the small
-    /// completion notification to the issuing host *now* (deferred so
-    /// the fabric only ever sees causally-ordered sends per link).
-    CompletionNotice {
-        /// The serving TCA.
-        tca: NodeId,
-        /// The issuing host.
-        host: NodeId,
-        /// The completed request.
-        req: ReqId,
-    },
+}
+
+impl From<HostEvent> for Event {
+    fn from(ev: HostEvent) -> Self {
+        Event::Host(ev)
+    }
+}
+
+/// Events owned by the fabric engine ([`crate::engines::FabricEngine`]): the
+/// packet reliability protocol.
+#[derive(Debug)]
+pub(crate) enum FabricEvent {
     /// One MTU packet of a storage read becomes ready at its TCA: inject
     /// it into the fabric *now*. Deferring each injection to its ready
     /// time keeps every link's sends causally ordered, so small control
@@ -428,6 +382,109 @@ pub enum Event {
         /// The attempt this timer was armed for.
         attempt: u32,
     },
+    /// The TCA finished injecting a mapped read's data: send the small
+    /// completion notification to the issuing host *now* (deferred so
+    /// the fabric only ever sees causally-ordered sends per link).
+    CompletionNotice {
+        /// The serving TCA.
+        tca: NodeId,
+        /// The issuing host.
+        host: NodeId,
+        /// The completed request.
+        req: ReqId,
+    },
+}
+
+impl From<FabricEvent> for Event {
+    fn from(ev: FabricEvent) -> Self {
+        Event::Fabric(ev)
+    }
+}
+
+/// Events owned by the dispatch engine ([`crate::engines::DispatchEngine`]):
+/// active switches and active TCAs.
+#[derive(Debug)]
+pub(crate) enum DispatchEvent {
+    /// An active packet's header reached a switch (payload window given).
+    /// `io_req` is set for mapped storage data under a fault plan, which
+    /// is tracked per sequence number and delivered in order.
+    PacketToSwitch {
+        /// The switch (or active TCA) engine dispatching the packet.
+        sw: NodeId,
+        /// The packet itself.
+        pkt: asan_net::Packet,
+        /// When the payload starts streaming into the data buffer.
+        payload_start: SimTime,
+        /// When the payload has fully arrived.
+        payload_end: SimTime,
+        /// Set for per-sequence tracked storage data under faults.
+        io_req: Option<ReqId>,
+        /// Causal trace id of the packet's lifecycle (0 = untraced);
+        /// the dispatch spans it triggers inherit it.
+        trace: u64,
+    },
+    /// A packet for a trapped handler reached the fallback host and is
+    /// dispatched on its software engine.
+    FallbackDispatch {
+        /// The switch the handler originally lived on.
+        sw: NodeId,
+        /// The forwarded packet.
+        pkt: asan_net::Packet,
+        /// Causal trace id carried over from the original packet.
+        trace: u64,
+    },
+}
+
+impl From<DispatchEvent> for Event {
+    fn from(ev: DispatchEvent) -> Self {
+        Event::Dispatch(ev)
+    }
+}
+
+/// Events owned by the storage engine ([`crate::engines::StorageEngine`]):
+/// TCAs and their disk arrays.
+// The variant names are the events' trace labels, which stay fixed.
+#[allow(clippy::enum_variant_names)]
+#[derive(Debug)]
+pub(crate) enum StorageEvent {
+    /// Raw data arrived at a TCA (archive-write stream).
+    PacketToTca {
+        /// The receiving TCA.
+        tca: NodeId,
+        /// Payload bytes arrived.
+        bytes: u64,
+    },
+    /// A host-issued I/O request's control packet reached its TCA (or a
+    /// soft-errored disk attempt is being retried).
+    IoRequestAtTca {
+        /// The serving TCA.
+        tca: NodeId,
+        /// The request.
+        req: ReqId,
+        /// File to read.
+        file: FileId,
+        /// File-relative offset.
+        offset: u64,
+        /// Bytes to read.
+        len: u64,
+        /// Delivery destination.
+        dest: Dest,
+        /// Disk retry attempt (0 = first try).
+        attempt: u32,
+    },
+    /// A switch-initiated I/O request reached its TCA.
+    SwitchIoAtTca {
+        /// The request a handler posted.
+        r: SwitchIoReq,
+        /// Disk retry attempt (0 = first try).
+        attempt: u32,
+    },
+}
+
+impl From<StorageEvent> for Event {
+    fn from(ev: StorageEvent) -> Self {
+        Event::Storage(ev)
+    }
 }
 
 // Every field; each length prefix is capped by the bytes left before
@@ -479,27 +536,30 @@ impl Snap for FlowState {
 }
 
 impl Event {
-    /// Writes this event (variant tag byte + fields, declaration order).
+    /// Writes this event: one tag byte from a single flat table across
+    /// the four engines' enums (0 `Start` … 11 `RequestTimeout`, the
+    /// order of the event vocabulary before it was split per engine, so
+    /// older snapshots still load), then the fields in declaration order.
     pub(crate) fn snapshot(&self, w: &mut SnapWriter) {
         match self {
-            Event::Start(n) => {
+            Event::Host(HostEvent::Start(n)) => {
                 w.u8(0);
                 snap_node(w, *n);
             }
-            Event::PacketToHost { host, msg, io_req } => {
+            Event::Host(HostEvent::PacketToHost { host, msg, io_req }) => {
                 w.u8(1);
                 snap_node(w, *host);
                 msg.snapshot(w);
                 io_req.snapshot(w);
             }
-            Event::PacketToSwitch {
+            Event::Dispatch(DispatchEvent::PacketToSwitch {
                 sw,
                 pkt,
                 payload_start,
                 payload_end,
                 io_req,
                 trace,
-            } => {
+            }) => {
                 w.u8(2);
                 snap_node(w, *sw);
                 snap_packet(w, pkt);
@@ -508,18 +568,18 @@ impl Event {
                 io_req.snapshot(w);
                 w.u64(*trace);
             }
-            Event::FallbackDispatch { sw, pkt, trace } => {
+            Event::Dispatch(DispatchEvent::FallbackDispatch { sw, pkt, trace }) => {
                 w.u8(3);
                 snap_node(w, *sw);
                 snap_packet(w, pkt);
                 w.u64(*trace);
             }
-            Event::PacketToTca { tca, bytes } => {
+            Event::Storage(StorageEvent::PacketToTca { tca, bytes }) => {
                 w.u8(4);
                 snap_node(w, *tca);
                 w.u64(*bytes);
             }
-            Event::IoRequestAtTca {
+            Event::Storage(StorageEvent::IoRequestAtTca {
                 tca,
                 req,
                 file,
@@ -527,7 +587,7 @@ impl Event {
                 len,
                 dest,
                 attempt,
-            } => {
+            }) => {
                 w.u8(5);
                 snap_node(w, *tca);
                 w.u64(req.0);
@@ -537,7 +597,7 @@ impl Event {
                 dest.snapshot(w);
                 w.u32(*attempt);
             }
-            Event::SwitchIoAtTca { r, attempt } => {
+            Event::Storage(StorageEvent::SwitchIoAtTca { r, attempt }) => {
                 w.u8(6);
                 snap_node(w, r.tca);
                 w.usize(r.file);
@@ -549,18 +609,18 @@ impl Event {
                 w.time(r.ready);
                 w.u32(*attempt);
             }
-            Event::IoComplete { host, req } => {
+            Event::Host(HostEvent::IoComplete { host, req }) => {
                 w.u8(7);
                 snap_node(w, *host);
                 w.u64(req.0);
             }
-            Event::CompletionNotice { tca, host, req } => {
+            Event::Fabric(FabricEvent::CompletionNotice { tca, host, req }) => {
                 w.u8(8);
                 snap_node(w, *tca);
                 snap_node(w, *host);
                 w.u64(req.0);
             }
-            Event::InjectIoPacket {
+            Event::Fabric(FabricEvent::InjectIoPacket {
                 src,
                 dst,
                 handler,
@@ -569,7 +629,7 @@ impl Event {
                 seq,
                 io_req,
                 trace,
-            } => {
+            }) => {
                 w.u8(9);
                 snap_node(w, *src);
                 snap_node(w, *dst);
@@ -580,12 +640,12 @@ impl Event {
                 io_req.snapshot(w);
                 w.u64(*trace);
             }
-            Event::Retransmit { req, seq } => {
+            Event::Fabric(FabricEvent::Retransmit { req, seq }) => {
                 w.u8(10);
                 w.u64(req.0);
                 w.u32(*seq);
             }
-            Event::RequestTimeout { req, attempt } => {
+            Event::Fabric(FabricEvent::RequestTimeout { req, attempt }) => {
                 w.u8(11);
                 w.u64(req.0);
                 w.u32(*attempt);
@@ -596,30 +656,34 @@ impl Event {
     /// Reads an event written by [`Event::snapshot`].
     pub(crate) fn restore(r: &mut SnapReader<'_>) -> Result<Event, SnapError> {
         Ok(match r.u8()? {
-            0 => Event::Start(read_node(r)?),
-            1 => Event::PacketToHost {
+            0 => HostEvent::Start(read_node(r)?).into(),
+            1 => HostEvent::PacketToHost {
                 host: read_node(r)?,
                 msg: HostMsg::restore(r)?,
                 io_req: r.read()?,
-            },
-            2 => Event::PacketToSwitch {
+            }
+            .into(),
+            2 => DispatchEvent::PacketToSwitch {
                 sw: read_node(r)?,
                 pkt: read_packet(r)?,
                 payload_start: r.time()?,
                 payload_end: r.time()?,
                 io_req: r.read()?,
                 trace: r.u64()?,
-            },
-            3 => Event::FallbackDispatch {
+            }
+            .into(),
+            3 => DispatchEvent::FallbackDispatch {
                 sw: read_node(r)?,
                 pkt: read_packet(r)?,
                 trace: r.u64()?,
-            },
-            4 => Event::PacketToTca {
+            }
+            .into(),
+            4 => StorageEvent::PacketToTca {
                 tca: read_node(r)?,
                 bytes: r.u64()?,
-            },
-            5 => Event::IoRequestAtTca {
+            }
+            .into(),
+            5 => StorageEvent::IoRequestAtTca {
                 tca: read_node(r)?,
                 req: ReqId(r.u64()?),
                 file: FileId(r.usize()?),
@@ -627,8 +691,9 @@ impl Event {
                 len: r.u64()?,
                 dest: r.read()?,
                 attempt: r.u32()?,
-            },
-            6 => Event::SwitchIoAtTca {
+            }
+            .into(),
+            6 => StorageEvent::SwitchIoAtTca {
                 r: SwitchIoReq {
                     tca: read_node(r)?,
                     file: r.usize()?,
@@ -640,17 +705,20 @@ impl Event {
                     ready: r.time()?,
                 },
                 attempt: r.u32()?,
-            },
-            7 => Event::IoComplete {
+            }
+            .into(),
+            7 => HostEvent::IoComplete {
                 host: read_node(r)?,
                 req: ReqId(r.u64()?),
-            },
-            8 => Event::CompletionNotice {
+            }
+            .into(),
+            8 => FabricEvent::CompletionNotice {
                 tca: read_node(r)?,
                 host: read_node(r)?,
                 req: ReqId(r.u64()?),
-            },
-            9 => Event::InjectIoPacket {
+            }
+            .into(),
+            9 => FabricEvent::InjectIoPacket {
                 src: read_node(r)?,
                 dst: read_node(r)?,
                 handler: read_opt_handler(r)?,
@@ -659,15 +727,18 @@ impl Event {
                 seq: r.u32()?,
                 io_req: r.read()?,
                 trace: r.u64()?,
-            },
-            10 => Event::Retransmit {
+            }
+            .into(),
+            10 => FabricEvent::Retransmit {
                 req: ReqId(r.u64()?),
                 seq: r.u32()?,
-            },
-            11 => Event::RequestTimeout {
+            }
+            .into(),
+            11 => FabricEvent::RequestTimeout {
                 req: ReqId(r.u64()?),
                 attempt: r.u32()?,
-            },
+            }
+            .into(),
             _ => return Err(SnapError::Malformed("event tag")),
         })
     }
@@ -676,18 +747,18 @@ impl Event {
 impl Traceable for Event {
     fn trace_label(&self) -> &'static str {
         match self {
-            Event::Start(_) => "Start",
-            Event::PacketToHost { .. } => "PacketToHost",
-            Event::PacketToSwitch { .. } => "PacketToSwitch",
-            Event::FallbackDispatch { .. } => "FallbackDispatch",
-            Event::PacketToTca { .. } => "PacketToTca",
-            Event::IoRequestAtTca { .. } => "IoRequestAtTca",
-            Event::SwitchIoAtTca { .. } => "SwitchIoAtTca",
-            Event::IoComplete { .. } => "IoComplete",
-            Event::CompletionNotice { .. } => "CompletionNotice",
-            Event::InjectIoPacket { .. } => "InjectIoPacket",
-            Event::Retransmit { .. } => "Retransmit",
-            Event::RequestTimeout { .. } => "RequestTimeout",
+            Event::Host(HostEvent::Start(_)) => "Start",
+            Event::Host(HostEvent::PacketToHost { .. }) => "PacketToHost",
+            Event::Dispatch(DispatchEvent::PacketToSwitch { .. }) => "PacketToSwitch",
+            Event::Dispatch(DispatchEvent::FallbackDispatch { .. }) => "FallbackDispatch",
+            Event::Storage(StorageEvent::PacketToTca { .. }) => "PacketToTca",
+            Event::Storage(StorageEvent::IoRequestAtTca { .. }) => "IoRequestAtTca",
+            Event::Storage(StorageEvent::SwitchIoAtTca { .. }) => "SwitchIoAtTca",
+            Event::Host(HostEvent::IoComplete { .. }) => "IoComplete",
+            Event::Fabric(FabricEvent::CompletionNotice { .. }) => "CompletionNotice",
+            Event::Fabric(FabricEvent::InjectIoPacket { .. }) => "InjectIoPacket",
+            Event::Fabric(FabricEvent::Retransmit { .. }) => "Retransmit",
+            Event::Fabric(FabricEvent::RequestTimeout { .. }) => "RequestTimeout",
         }
     }
 }
@@ -697,7 +768,7 @@ impl Traceable for Event {
 ///
 /// [`crate::cluster::Cluster`] assembles a fresh bus from its own
 /// fields for each popped event and hands it to the owning engine's
-/// [`crate::engines::Engine::on_event`]. Engines mutate shared state
+/// `on_event`. Engines mutate shared state
 /// through the bus and schedule follow-up events with [`EventBus::push`];
 /// subsystem-private state stays inside the engines themselves.
 #[derive(Debug)]
@@ -726,8 +797,8 @@ pub struct EventBus<'a> {
 
 impl EventBus<'_> {
     /// Schedules `event` at absolute time `time`.
-    pub fn push(&mut self, time: SimTime, event: Event) {
-        self.sched.push(time, event);
+    pub(crate) fn push(&mut self, time: SimTime, event: impl Into<Event>) {
+        self.sched.push(time, event.into());
     }
 
     /// Injects `wire_bytes` into the fabric from `src` toward `dst` and
@@ -802,7 +873,7 @@ impl EventBus<'_> {
             NodeKind::Host => {
                 self.push(
                     d.arrival,
-                    Event::PacketToHost {
+                    HostEvent::PacketToHost {
                         host: dst,
                         msg: HostMsg {
                             src,
@@ -825,7 +896,7 @@ impl EventBus<'_> {
                 } else {
                     self.push(
                         d.arrival,
-                        Event::PacketToTca {
+                        StorageEvent::PacketToTca {
                             tca: dst,
                             bytes: data.len() as u64,
                         },
@@ -835,7 +906,7 @@ impl EventBus<'_> {
         }
     }
 
-    /// Schedules the [`Event::PacketToSwitch`] for one active packet.
+    /// Schedules the [`DispatchEvent::PacketToSwitch`] for one active packet.
     #[allow(clippy::too_many_arguments)]
     fn push_switch_packet(
         &mut self,
@@ -867,7 +938,7 @@ impl EventBus<'_> {
             // everything happens at arrival.
             self.push(
                 d.arrival,
-                Event::PacketToSwitch {
+                DispatchEvent::PacketToSwitch {
                     sw: dst,
                     pkt,
                     payload_start: d.arrival,
@@ -879,7 +950,7 @@ impl EventBus<'_> {
         } else {
             self.push(
                 d.header_at,
-                Event::PacketToSwitch {
+                DispatchEvent::PacketToSwitch {
                     sw: dst,
                     pkt,
                     payload_start: d.payload_start,
@@ -951,5 +1022,110 @@ mod tests {
         assert_eq!(back, pkt);
         assert_eq!(back.icrc(), pkt.icrc());
         assert!(!back.icrc_ok(), "the mismatch survives the codec");
+    }
+
+    /// One event of each kind, in snapshot-tag order (0..=11).
+    fn one_of_each() -> Vec<Event> {
+        let (host, sw, tca) = (NodeId(1), NodeId(2), NodeId(3));
+        let h = HandlerId::new(5);
+        let req = ReqId(77);
+        let pkt = asan_net::packetize(tca, sw, Some(h), 0x40, &[9u8; 300]).remove(0);
+        let msg = HostMsg {
+            src: sw,
+            handler: Some(h),
+            addr: 0x80,
+            data: Bytes::from(vec![1u8, 2, 3]),
+            seq: 4,
+        };
+        let at = SimTime::from_ps(12_345);
+        vec![
+            HostEvent::Start(host).into(),
+            HostEvent::PacketToHost {
+                host,
+                msg,
+                io_req: Some(req),
+            }
+            .into(),
+            DispatchEvent::PacketToSwitch {
+                sw,
+                pkt: pkt.clone(),
+                payload_start: at,
+                payload_end: at + SimDuration::from_ps(10),
+                io_req: None,
+                trace: 6,
+            }
+            .into(),
+            DispatchEvent::FallbackDispatch { sw, pkt, trace: 7 }.into(),
+            StorageEvent::PacketToTca { tca, bytes: 512 }.into(),
+            StorageEvent::IoRequestAtTca {
+                tca,
+                req,
+                file: FileId(2),
+                offset: 4096,
+                len: 8192,
+                dest: Dest::Mapped {
+                    node: sw,
+                    handler: h,
+                    base_addr: 0x100,
+                },
+                attempt: 1,
+            }
+            .into(),
+            StorageEvent::SwitchIoAtTca {
+                r: SwitchIoReq {
+                    tca,
+                    file: 1,
+                    offset: 0,
+                    len: 2048,
+                    deliver_to: sw,
+                    deliver_handler: None,
+                    deliver_addr: 0x200,
+                    ready: at,
+                },
+                attempt: 2,
+            }
+            .into(),
+            HostEvent::IoComplete { host, req }.into(),
+            FabricEvent::CompletionNotice { tca, host, req }.into(),
+            FabricEvent::InjectIoPacket {
+                src: tca,
+                dst: host,
+                handler: None,
+                addr: 0x300,
+                payload: Bytes::from(vec![7u8; 64]),
+                seq: 3,
+                io_req: Some(req),
+                trace: 8,
+            }
+            .into(),
+            FabricEvent::Retransmit { req, seq: 3 }.into(),
+            FabricEvent::RequestTimeout { req, attempt: 4 }.into(),
+        ]
+    }
+
+    #[test]
+    fn event_codec_tag_table_is_pinned() {
+        for (tag, ev) in one_of_each().iter().enumerate() {
+            let mut w = SnapWriter::new();
+            ev.snapshot(&mut w);
+            let bytes = w.into_bytes();
+            let mut r = SnapReader::new(&bytes).unwrap();
+            assert_eq!(r.u8().unwrap() as usize, tag, "{ev:?}");
+            let mut r = SnapReader::new(&bytes).unwrap();
+            let back = Event::restore(&mut r).unwrap();
+            r.finish().unwrap();
+            assert_eq!(back.trace_label(), ev.trace_label());
+            let mut w = SnapWriter::new();
+            back.snapshot(&mut w);
+            assert_eq!(w.into_bytes(), bytes, "{ev:?} re-snapshots identically");
+        }
+        let mut w = SnapWriter::new();
+        w.u8(12);
+        let bytes = w.into_bytes();
+        let mut r = SnapReader::new(&bytes).unwrap();
+        assert_eq!(
+            Event::restore(&mut r).unwrap_err(),
+            SnapError::Malformed("event tag")
+        );
     }
 }

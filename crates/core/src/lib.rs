@@ -13,10 +13,10 @@
 //! * [`handler`] — the stream-based programming model (§2);
 //! * [`active`] — the assembled active switch and its dispatch unit (§3);
 //! * [`error`] — structured [`SimError`]s for misuse and exhaustion;
-//! * [`events`] — the typed event vocabulary and the shared bus the
-//!   subsystem engines communicate through;
-//! * [`engines`] — the four subsystem engines (host, fabric, dispatch,
-//!   storage) the simulation decomposes into;
+//! * the four subsystem engines (host, fabric, dispatch, storage) the
+//!   simulation decomposes into, each owning its own event enum, and
+//!   the shared bus they communicate through (private modules behind
+//!   [`cluster`]);
 //! * [`metrics`] — the observability probe the engines report spans to,
 //!   and the latency-histogram / phase-breakdown [`MetricsReport`];
 //! * [`placement`] — handler placement on multi-switch fabrics: the
@@ -42,9 +42,9 @@ pub mod atb;
 pub mod buffer;
 pub mod cluster;
 pub mod dba;
-pub mod engines;
+mod engines;
 pub mod error;
-pub mod events;
+mod events;
 pub mod handler;
 pub mod metrics;
 pub mod placement;

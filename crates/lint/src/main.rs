@@ -6,7 +6,7 @@ use std::process::ExitCode;
 use asan_lint::{diag, fix, render_human, render_json, rules, Options};
 
 const USAGE: &str = "\
-asan-lint — determinism & event-contract checker for the Active SAN workspace
+asan-lint — determinism checker for the Active SAN workspace
 
 USAGE:
     cargo run -p asan-lint -- check [OPTIONS] [FILES...]

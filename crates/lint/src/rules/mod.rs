@@ -4,9 +4,9 @@
 //! functions over one lexed file — right for token-local properties
 //! (a `HashMap` ident, a wall-clock path). **Workspace rules**
 //! ([`WorkspaceRule`]) run over the phase-1 [`WorkspaceIndex`] and
-//! check cross-file contracts — an `Event` variant constructed in one
-//! crate must be matched by exactly one engine in another. Scoping (which workspace paths a file rule patrols)
-//! lives on the rule itself so the driver stays generic; `--scope-all`
+//! check cross-file contracts — no type two engines reach may carry
+//! interior mutability. Scoping (which workspace paths a file rule
+//! patrols) lives on the rule itself so the driver stays generic; `--scope-all`
 //! overrides scoping, which is how the fixture tests exercise rules
 //! outside their home crates.
 
@@ -16,8 +16,6 @@ use crate::lexer::{Kind, Lexed, Token};
 
 mod ambient_randomness;
 mod domain_isolation;
-mod event_exhaustiveness;
-mod event_flow_closure;
 mod hot_path_clone;
 mod lossy_cast;
 mod unit_mixing;
@@ -30,8 +28,12 @@ mod wall_clock;
 /// cross-file rules built on the workspace index; `3` removed
 /// `snapshot-completeness`, `snapshot-symmetry` and
 /// `digest-completeness`, whose invariants the compiler now enforces
-/// through `asan_sim::snap_fields!` and exhaustive destructuring.
-pub const CATALOG_VERSION: u32 = 3;
+/// through `asan_sim::snap_fields!` and exhaustive destructuring; `4`
+/// removed `event-exhaustiveness` and `event-flow-closure`, whose
+/// invariants hold by construction now that each engine owns its own
+/// event enum (a missing arm is E0004, a never-built variant is
+/// `dead_code`).
+pub const CATALOG_VERSION: u32 = 4;
 
 /// One per-file invariant check.
 pub trait Rule {
@@ -86,7 +88,6 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
         Box::new(wall_clock::NoWallClock),
         Box::new(ambient_randomness::NoAmbientRandomness),
         Box::new(lossy_cast::LossyModelCast),
-        Box::new(event_exhaustiveness::EventExhaustiveness),
         Box::new(hot_path_clone::NoHotPathClone),
         Box::new(unit_mixing::UnitMixing),
     ]
@@ -96,10 +97,7 @@ pub fn all_rules() -> Vec<Box<dyn Rule>> {
 /// here: it is computed by the driver, which alone knows which
 /// directives suppressed a finding (see `unused_allow`'s module docs).
 pub fn workspace_rules() -> Vec<Box<dyn WorkspaceRule>> {
-    vec![
-        Box::new(event_flow_closure::EventFlowClosure),
-        Box::new(domain_isolation::DomainIsolation),
-    ]
+    vec![Box::new(domain_isolation::DomainIsolation)]
 }
 
 /// One row of the machine-readable rule catalog (`--list-rules`).

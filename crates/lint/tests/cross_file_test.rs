@@ -23,68 +23,6 @@ fn scratch(tag: &str) -> PathBuf {
     dir
 }
 
-/// The acceptance proof for the tentpole: an orphaned `Event` variant
-/// that sails through the old per-file `event-exhaustiveness` rule is
-/// caught by the workspace `event-flow-closure` rule — and the finding
-/// names the producer site in the *other* file.
-#[test]
-fn orphaned_variant_beats_per_file_exhaustiveness() {
-    let dir = scratch("orphan");
-    std::fs::write(
-        dir.join("events.rs"),
-        "pub enum Event { Ping(u64), Orphan(u64) }\n",
-    )
-    .expect("write");
-    std::fs::write(
-        dir.join("engine.rs"),
-        "impl RelayEngine {\n\
-         \x20   pub fn on_event(&mut self, ev: Event) {\n\
-         \x20       match ev {\n\
-         \x20           Event::Ping(seq) => self.acks += seq,\n\
-         \x20           other => unreachable!(\"not ours: {other:?}\"),\n\
-         \x20       }\n\
-         \x20   }\n\
-         }\n",
-    )
-    .expect("write");
-    std::fs::write(
-        dir.join("producer.rs"),
-        "pub fn inject(bus: &mut Vec<Event>) {\n\
-         \x20   bus.push(Event::Ping(1));\n\
-         \x20   bus.push(Event::Orphan(2));\n\
-         }\n",
-    )
-    .expect("write");
-    let out = lint(
-        &[
-            "--root",
-            dir.to_str().unwrap(),
-            "--scope-all",
-            "--format",
-            "json",
-        ],
-        &[],
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert_eq!(
-        out.status.code(),
-        Some(1),
-        "orphan must be caught\n{stdout}"
-    );
-    assert!(
-        stdout.contains("\"rule\": \"event-flow-closure\""),
-        "workspace rule must fire\n{stdout}"
-    );
-    assert!(
-        !stdout.contains("\"rule\": \"event-exhaustiveness\""),
-        "the loud catch-all satisfies the per-file rule\n{stdout}"
-    );
-    assert!(
-        stdout.contains("Orphan") && stdout.contains("producer.rs"),
-        "finding must cite the producer site across files\n{stdout}"
-    );
-}
-
 /// Diagnostics come out sorted by (path, line, column, rule) and paths
 /// are workspace-relative — byte-identical across runs.
 #[test]
@@ -277,7 +215,7 @@ fn rule_catalog_json_is_pinned() {
     assert_eq!(out.status.code(), Some(0));
     let stdout = String::from_utf8_lossy(&out.stdout);
     assert!(
-        stdout.contains("\"catalog_version\": 3"),
+        stdout.contains("\"catalog_version\": 4"),
         "catalog version pins the vocabulary\n{stdout}"
     );
     for (name, since, analysis) in [
@@ -285,10 +223,8 @@ fn rule_catalog_json_is_pinned() {
         ("no-wall-clock", 3, "file"),
         ("no-ambient-randomness", 3, "file"),
         ("lossy-model-cast", 3, "file"),
-        ("event-exhaustiveness", 3, "file"),
         ("no-hot-path-clone", 5, "file"),
         ("no-unit-mixing", 8, "file"),
-        ("event-flow-closure", 8, "workspace"),
         ("domain-isolation", 8, "workspace"),
         ("unused-allow", 8, "workspace"),
     ] {
@@ -317,8 +253,8 @@ fn rule_catalog_json_is_pinned() {
     }
     assert_eq!(
         stdout.matches("\"name\": \"").count(),
-        10,
-        "exactly ten rules\n{stdout}"
+        8,
+        "exactly eight rules\n{stdout}"
     );
 }
 

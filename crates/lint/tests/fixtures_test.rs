@@ -6,16 +6,14 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
-/// The ten rules and their fixture basenames.
-const RULES: [&str; 10] = [
+/// The eight rules and their fixture basenames.
+const RULES: [&str; 8] = [
     "no-unordered-iteration",
     "no-wall-clock",
     "no-ambient-randomness",
     "lossy-model-cast",
-    "event-exhaustiveness",
     "no-hot-path-clone",
     "no-unit-mixing",
-    "event-flow-closure",
     "domain-isolation",
     "unused-allow",
 ];

@@ -163,3 +163,40 @@ fn repro_rejects_unknown_experiment() {
     assert!(stderr.contains("unknown experiment: perf"), "{stderr}");
     assert!(stderr.contains("usage: repro"), "{stderr}");
 }
+
+/// `ASAN_SNAPSHOT_LOAD` naming a directory that does not exist fails
+/// the run instead of silently running plain, and `ASAN_SNAPSHOT_SAVE`
+/// creates a missing directory instead of failing to write into it.
+#[test]
+fn snapshot_load_and_save_directories_are_symmetric() {
+    let base = std::env::temp_dir().join(format!("asan-snapdirs-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let golden = |envs: &[(&str, &str)]| {
+        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .args(["--small", "golden"])
+            .envs(envs.iter().copied())
+            .output()
+            .expect("spawn repro")
+    };
+
+    let missing = base.join("missing");
+    let out = golden(&[("ASAN_SNAPSHOT_LOAD", missing.to_str().unwrap())]);
+    assert!(!out.status.success(), "a missing LOAD dir must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("ASAN_SNAPSHOT_LOAD"), "{stderr}");
+
+    let nested = base.join("a").join("b");
+    let out = golden(&[
+        ("ASAN_SNAPSHOT_EVENTS", "10"),
+        ("ASAN_SNAPSHOT_SAVE", nested.to_str().unwrap()),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success(),
+        "a missing SAVE dir is created: {stderr}"
+    );
+    let runs = String::from_utf8_lossy(&out.stdout).lines().count();
+    let snaps = std::fs::read_dir(&nested).map_or(0, Iterator::count);
+    assert_eq!(snaps, runs, "one snapshot per golden run");
+    let _ = std::fs::remove_dir_all(&base);
+}
