@@ -337,7 +337,10 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
         (cl, host)
     };
 
-    let (mut cl, host, report) = drive(&format!("md5-{}", variant.label()), build);
+    let (mut cl, host, report) = drive(
+        &format!("md5-{}-cpu{}", variant.label(), p.switch_cpus),
+        build,
+    );
     let got = if variant.is_active() {
         cl.take_program(host)
             .expect("program")

@@ -12,7 +12,8 @@ use asan_core::cluster::{Cluster, ClusterConfig, RunReport};
 use asan_core::metrics::MetricsReport;
 use asan_net::{NodeId, TopoSpec};
 use asan_sim::stats::TimeBreakdown;
-use asan_sim::SimTime;
+use asan_sim::trace::{JsonlSink, NullSink, TraceSink};
+use asan_sim::{PerfettoSink, SimTime};
 
 /// One of the paper's four standard configurations.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,17 +181,26 @@ pub fn sweep(run: impl Fn(Variant) -> AppRun) -> Vec<AppRun> {
     Variant::ALL.iter().map(|&v| run(v)).collect()
 }
 
-/// Runs a benchmark cluster to completion, optionally exercising the
-/// crash-safe checkpoint path. `build` must construct the cluster (and
-/// any auxiliary context `T`) identically every time it is called —
-/// [`Cluster::restore`] rebuilds only dynamic state on top of it.
+/// Runs a benchmark cluster to completion, optionally tracing it and
+/// exercising the crash-safe checkpoint path. `build` must construct
+/// the cluster (and any auxiliary context `T`) identically every time
+/// it is called — [`Cluster::restore`] rebuilds only dynamic state on
+/// top of it. `tag` names the run's trace and snapshot files, so it
+/// must be unique among the runs of one invocation.
 ///
-/// Environment knobs (unset → a plain uninterrupted run):
+/// Environment knobs (unset → a plain uninterrupted, untraced run):
 ///
+/// - `ASAN_TRACE=<template>`: trace the run into its own file, the
+///   template with `{tag}` replaced by `tag` (parent directories are
+///   created). A `.json` suffix selects the Perfetto exporter, any
+///   other the JSONL sink; both truncate. `null` installs the
+///   drop-everything [`NullSink`] instead. A template without `{tag}`
+///   panics: runs on several workers would race on one shared file.
 /// - `ASAN_SNAPSHOT_EVENTS=<n>`: pause after `n` events, serialize the
 ///   full simulation state, rebuild a **fresh** cluster via `build`,
-///   restore into it, and run that to completion. The run's digests
-///   must be bit-identical to the uninterrupted run's.
+///   restore into it, and run that to completion with the paused
+///   run's trace sink. The run's digests and trace must be
+///   bit-identical to the uninterrupted run's.
 /// - `ASAN_SNAPSHOT_SAVE=<dir>` (with `EVENTS`): also write the paused
 ///   snapshot to `<dir>/<tag>.snap` (creating `<dir>` if needed) for a
 ///   later process to resume.
@@ -200,6 +210,12 @@ pub fn sweep(run: impl Fn(Variant) -> AppRun) -> Vec<AppRun> {
 ///   run to completion — the cross-process half of the round trip. A
 ///   `<dir>` that does not exist is a configuration error and panics.
 pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, RunReport) {
+    let traced = |(mut cl, cx): (Cluster, T), sink: Option<Box<dyn TraceSink>>| {
+        if let Some(sink) = sink {
+            cl.set_trace_sink(sink);
+        }
+        (cl, cx)
+    };
     if let Ok(dir) = env::var("ASAN_SNAPSHOT_LOAD") {
         let dir = Path::new(&dir);
         assert!(
@@ -207,7 +223,7 @@ pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, Run
             "ASAN_SNAPSHOT_LOAD must name an existing directory: {}",
             dir.display()
         );
-        let (mut cl, cx) = build();
+        let (mut cl, cx) = traced(build(), trace_sink(tag));
         let path = dir.join(format!("{tag}.snap"));
         match fs::read(&path) {
             Ok(bytes) => cl
@@ -219,7 +235,7 @@ pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, Run
         let report = cl.run().expect("restored run completes");
         return (cl, cx, report);
     }
-    let (mut cl, cx) = build();
+    let (mut cl, cx) = traced(build(), trace_sink(tag));
     let Some(pause) = snapshot_events() else {
         let report = cl.run().expect("benchmark run completes");
         return (cl, cx, report);
@@ -234,13 +250,43 @@ pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, Run
             .and_then(|()| fs::write(&path, &bytes))
             .unwrap_or_else(|e| panic!("write {}: {e}", path.display()));
     }
+    let sink = cl.take_trace_sink();
     drop(cl);
-    let (mut fresh, cx) = build();
+    let (mut fresh, cx) = traced(build(), sink);
     fresh
         .restore(&bytes)
         .expect("snapshot restores into an identical build");
     let report = fresh.run().expect("restored run completes");
     (fresh, cx, report)
+}
+
+/// Resolves `ASAN_TRACE` for the run `tag` (see [`drive`]). Reads the
+/// variable without allocating when it is unset.
+fn trace_sink(tag: &str) -> Option<Box<dyn TraceSink>> {
+    let template = env::var_os("ASAN_TRACE")?;
+    if template.is_empty() {
+        return None;
+    }
+    if template == "null" {
+        return Some(Box::new(NullSink));
+    }
+    let template = template.to_str().expect("ASAN_TRACE must be UTF-8");
+    assert!(
+        template.contains("{tag}"),
+        "ASAN_TRACE must be a path template containing {{tag}} so each run \
+         writes its own file (e.g. traces/{{tag}}.jsonl), got {template:?}"
+    );
+    let path = template.replace("{tag}", tag);
+    if let Some(dir) = Path::new(&path).parent() {
+        fs::create_dir_all(dir).unwrap_or_else(|e| panic!("ASAN_TRACE: create {path}: {e}"));
+    }
+    if path.ends_with(".json") {
+        Some(Box::new(PerfettoSink::create(&path)))
+    } else {
+        let sink =
+            JsonlSink::create(&path).unwrap_or_else(|e| panic!("ASAN_TRACE: create {path}: {e}"));
+        Some(Box::new(sink))
+    }
 }
 
 /// Parses `ASAN_SNAPSHOT_EVENTS`; a set-but-unparsable value is a

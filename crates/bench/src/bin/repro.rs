@@ -36,25 +36,15 @@
 //!   timeline        flight-recorder showcase: the fat-tree reduction
 //!                   with NCA vs root handler placement, Perfetto
 //!                   export on; writes timeline.json and one
-//!                   *.perfetto.json per run under `--results <dir>`
-//!                   (default sweep-results/), byte-identical across
-//!                   reruns and worker counts
-//!   sweep           fault-tolerant parameter sweep: the golden grid
-//!                   plus the MD5-CPU and reduction node-count axes,
-//!                   with a digest-keyed per-cell cache under
-//!                   `--results <dir>` (default sweep-results/). A
-//!                   killed sweep resumes from the cache and writes a
-//!                   byte-identical sweep_results.json at any ASAN_JOBS
+//!                   timeline-<tag>.perfetto.json per run under
+//!                   `--results <dir>` (default results/), byte-identical
+//!                   across reruns and worker counts
 //!   snapcheck       crash-safety check: runs the golden sweep plain,
 //!                   paused+snapshotted (ASAN_SNAPSHOT_EVENTS/_SAVE)
-//!                   at 10 and at 500 events, and restored in a fresh
-//!                   process (_LOAD); all outputs must be byte-identical
-//!                   and the 10-event pause must snapshot every run
-//!   fork            warmed-start check: snapshots a golden sweep
-//!                   paused at 10 events (every run) once, then forks
-//!                   several continuations from the same snapshots at
-//!                   different worker counts; every fork must print
-//!                   byte-identical digests
+//!                   at 10 and at 500 events, and restored in fresh
+//!                   processes (_LOAD) at ASAN_JOBS 1, 2 and 4; all
+//!                   outputs must be byte-identical and the 10-event
+//!                   pause must snapshot every run
 //!   all             everything above
 //! ```
 //!
@@ -80,8 +70,7 @@ use asan_apps::runner::{sweep, AppRun, Variant};
 use asan_apps::{grep, hashjoin, md5app, mpeg, multiprog, psort, reduce, select, tar, twolevel};
 use asan_bench::{
     breakdown_table, latency_report, metrics_json, overall_csv, overall_table, parse_metrics_doc,
-    phase_breakdown_report, pool, scale, speedups, sweep as sweep_drv, timeline_report,
-    BenchMetrics,
+    phase_breakdown_report, pool, scale, speedups, timeline_report, BenchMetrics,
 };
 use asan_core::cluster::{Cluster, ClusterConfig, Dest, FileId, HostCtx, HostProgram, ReqId};
 use asan_core::metrics::MetricsReport;
@@ -92,7 +81,7 @@ use asan_sim::faults::{FaultPlan, HandlerTrap};
 
 const USAGE: &str = "usage: repro [--small] [--csv] [--json] [--results <dir>] <experiment>...
 experiments: table1 fig3..fig17 table2 ablations twolevel multiprog chaos chaos-digest
-             metrics golden golden-fabric scale timeline sweep snapcheck fork all";
+             metrics golden golden-fabric scale timeline snapcheck all";
 
 struct Scale {
     small: bool,
@@ -703,13 +692,14 @@ fn golden_fabric() {
 /// Flight-recorder showcase: the collective reduce-to-one on a radix-4
 /// fat-tree, once with combine handlers at the participants' nearest
 /// common ancestors and once all at the root switch. Each run exports
-/// a Perfetto trace (`timeline-<tag>.perfetto.json`) via the
-/// `ASAN_TRACE` shim, and the pair's metrics document — including the
-/// windowed `timeline` section — lands in `timeline.json` under
-/// `--results <dir>`. Rendered with `analyze timeline`, the per-link
-/// sparklines show the congestion hotspot moving from the spread-out
-/// NCA switches to the single root. Runs serially, so every output is
-/// byte-identical across reruns and at any `ASAN_JOBS`.
+/// a Perfetto trace (`timeline-<run tag>.perfetto.json`, the run tags
+/// ending in `-nca` and `-root`) through an `ASAN_TRACE` template, and
+/// the pair's metrics document — including the windowed `timeline`
+/// section — lands in `timeline.json` under `--results <dir>`.
+/// Rendered with `analyze timeline`, the per-link sparklines show the
+/// congestion hotspot moving from the spread-out NCA switches to the
+/// single root. Every output is byte-identical across reruns and at
+/// any `ASAN_JOBS`.
 fn timeline_exp(sc: &Scale, results_dir: &str) {
     const RADIX: usize = 4;
     let p = if sc.small { 16 } else { 64 };
@@ -723,9 +713,9 @@ fn timeline_exp(sc: &Scale, results_dir: &str) {
     // from the 10 us default so the recorder resolves its phases.
     let mut cfg = ClusterConfig::paper();
     cfg.timeline_window = asan_sim::SimDuration::from_ns(500);
+    let trace_template = format!("{results_dir}/timeline-{{tag}}.perfetto.json");
+    env::set_var("ASAN_TRACE", &trace_template);
     for (tag, placement) in cases {
-        let trace_path = format!("{results_dir}/timeline-{tag}.perfetto.json");
-        env::set_var("ASAN_TRACE", &trace_path);
         let r = reduce::run_scaled_with_config(
             reduce::Mode::ReduceToOne,
             true,
@@ -734,13 +724,11 @@ fn timeline_exp(sc: &Scale, results_dir: &str) {
             placement,
             cfg.clone(),
         );
-        env::remove_var("ASAN_TRACE");
-        println!(
-            "reduce-to-one r{RADIX} p{p} {tag}: latency {}, wrote {trace_path}",
-            r.latency
-        );
+        println!("reduce-to-one r{RADIX} p{p} {tag}: latency {}", r.latency);
         reports.push((tag, r.metrics));
     }
+    env::remove_var("ASAN_TRACE");
+    println!("wrote one Perfetto trace per run to {trace_template}");
     let rows: Vec<(&str, &str, &MetricsReport)> = reports
         .iter()
         .map(|(tag, m)| ("reduce-to-one", *tag, m))
@@ -751,112 +739,6 @@ fn timeline_exp(sc: &Scale, results_dir: &str) {
     let parsed = parse_metrics_doc(&doc).expect("timeline document round-trips");
     print!("{}", timeline_report(&parsed));
     println!("wrote {json_path}");
-}
-
-/// Boxes one benchmark run as a *re-runnable* sweep cell (the driver
-/// re-invokes it on retry after a transient failure).
-macro_rules! sweep_cell {
-    ($cells:ident, $name:expr, $config:expr, $run:expr) => {
-        $cells.push(sweep_drv::Cell {
-            name: $name.to_string(),
-            config: $config.to_string(),
-            run: Box::new(move || {
-                let r = $run;
-                sweep_drv::CellResult {
-                    digest: r.stats_digest,
-                    events: r.events,
-                    peak_queue: r.peak_queue,
-                }
-            }),
-        });
-    };
-}
-
-/// The sweep grid: the 18 golden (benchmark × config) cells plus the
-/// parameter axes of Figures 15–17 — MD5 switch-CPU counts and
-/// reduction node counts.
-fn sweep_cells(sc: &Scale) -> Vec<sweep_drv::Cell> {
-    let mut cells = Vec::new();
-    for (config, variant) in [("normal", Variant::Normal), ("active", Variant::Active)] {
-        let p = sc.mpeg();
-        sweep_cell!(cells, "mpeg", config, mpeg::run(variant, &p));
-        let p = sc.hashjoin();
-        sweep_cell!(cells, "hashjoin", config, hashjoin::run(variant, &p));
-        let p = sc.select();
-        sweep_cell!(cells, "select", config, select::run(variant, &p));
-        let p = sc.grep();
-        sweep_cell!(cells, "grep", config, grep::run(variant, &p));
-        let p = sc.tar();
-        sweep_cell!(cells, "tar", config, tar::run(variant, &p));
-        let p = sc.psort();
-        sweep_cell!(cells, "psort", config, psort::run(variant, &p));
-        let p = sc.md5(1);
-        sweep_cell!(cells, "md5", config, md5app::run(variant, &p));
-        let active = variant.is_active();
-        sweep_cell!(
-            cells,
-            "reduce-to-one",
-            config,
-            reduce::run(reduce::Mode::ReduceToOne, active, 8)
-        );
-        sweep_cell!(
-            cells,
-            "distributed-reduce",
-            config,
-            reduce::run(reduce::Mode::Distributed, active, 8)
-        );
-    }
-    for k in [2usize, 4] {
-        let p = sc.md5(k);
-        sweep_cell!(
-            cells,
-            "md5",
-            format!("active-k{k}"),
-            md5app::run(Variant::Active, &p)
-        );
-    }
-    for p in sc.reduce_nodes() {
-        sweep_cell!(
-            cells,
-            "reduce-to-one",
-            format!("normal-p{p}"),
-            reduce::run(reduce::Mode::ReduceToOne, false, p)
-        );
-        sweep_cell!(
-            cells,
-            "reduce-to-one",
-            format!("active-p{p}"),
-            reduce::run(reduce::Mode::ReduceToOne, true, p)
-        );
-        sweep_cell!(
-            cells,
-            "distributed-reduce",
-            format!("active-p{p}"),
-            reduce::run(reduce::Mode::Distributed, true, p)
-        );
-    }
-    cells
-}
-
-/// The fault-tolerant parameter sweep. Cell records go to stdout in
-/// canonical order (deterministic at any worker count and across
-/// kill/resume); the cache-hit summary goes to stderr because it
-/// legitimately differs between a fresh run and a resumed one.
-fn sweep_exp(sc: &Scale, dir: &str) {
-    let cfg = sweep_drv::SweepConfig::new(dir);
-    let outcome = sweep_drv::run(sweep_cells(sc), &cfg).expect("sweep results dir is writable");
-    println!("== Sweep: {} cells ==", outcome.records.len());
-    for rec in &outcome.records {
-        println!(
-            "{:<20} {:<12} {:016x} {:>9} ev {:>5} pq",
-            rec.name, rec.config, rec.result.digest, rec.result.events, rec.result.peak_queue
-        );
-    }
-    println!("results: {dir}/sweep_results.json");
-    eprintln!(
-        "sweep: {} cached, {} computed, {} retries (workers = {})",
-        outcome.cached, outcome.computed, outcome.retries, cfg.workers
-    );
 }
 
 /// Re-runs this binary with `golden` under the given environment,
@@ -884,79 +766,49 @@ fn golden_child(sc: &Scale, envs: &[(&str, &str)]) -> String {
 /// each one crosses a snapshot/restore.
 const EVERY_RUN_PAUSE: &str = "10";
 
-/// Runs the golden sweep paused after `events` events, saving each
-/// paused run's snapshot into a fresh temp dir. Returns the digests,
-/// the dir and the number of snapshots written.
-fn paused_golden(sc: &Scale, tag: &str, events: &str) -> (String, String, usize) {
-    let dir = env::temp_dir().join(format!("asan-{tag}-{events}-{}", std::process::id()));
-    let dir = dir.to_str().expect("UTF-8 temp path").to_string();
-    let _ = std::fs::remove_dir_all(&dir);
-    let out = golden_child(
-        sc,
-        &[
-            ("ASAN_SNAPSHOT_EVENTS", events),
-            ("ASAN_SNAPSHOT_SAVE", &dir),
-        ],
-    );
-    let snaps = std::fs::read_dir(&dir).map_or(0, Iterator::count);
-    (out, dir, snaps)
-}
-
-/// Fails unless the pause at [`EVERY_RUN_PAUSE`] snapshotted each of the
-/// sweep's `runs` runs (one digest line per run).
-fn assert_every_run_paused(snaps: usize, runs: usize) {
-    assert_eq!(
-        snaps, runs,
-        "a pause at {EVERY_RUN_PAUSE} events must snapshot every golden run"
-    );
-}
-
 /// Crash-safety check across real process boundaries: the golden sweep
 /// must print byte-identical digests when run plain, when paused +
 /// snapshotted + restored in-process, and when restored from the saved
-/// snapshot files in a fresh process — pausing both early (every run
-/// restores) and late (runs far into their event streams).
+/// snapshot files in fresh processes at several worker counts —
+/// pausing both early (every run restores) and late (runs far into
+/// their event streams).
 fn snapcheck(sc: &Scale) {
+    const JOBS: [&str; 3] = ["1", "2", "4"];
     let plain = golden_child(sc, &[]);
     let runs = plain.lines().count();
     for events in [EVERY_RUN_PAUSE, "500"] {
-        let (paused, dir, snaps) = paused_golden(sc, "snapcheck", events);
-        if events == EVERY_RUN_PAUSE {
-            assert_every_run_paused(snaps, runs);
-        }
-        let restored = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", &dir)]);
+        let dir = env::temp_dir().join(format!("asan-snapcheck-{events}-{}", std::process::id()));
+        let dir = dir.to_str().expect("UTF-8 temp path").to_string();
         let _ = std::fs::remove_dir_all(&dir);
-        assert_eq!(plain, paused, "pause+restore at {events} changed a digest");
-        assert_eq!(
-            plain, restored,
-            "fresh-process restore at {events} changed a digest"
+        let paused = golden_child(
+            sc,
+            &[
+                ("ASAN_SNAPSHOT_EVENTS", events),
+                ("ASAN_SNAPSHOT_SAVE", &dir),
+            ],
         );
+        let snaps = std::fs::read_dir(&dir).map_or(0, Iterator::count);
+        if events == EVERY_RUN_PAUSE {
+            assert_eq!(
+                snaps, runs,
+                "a pause at {EVERY_RUN_PAUSE} events must snapshot every golden run"
+            );
+        }
+        assert_eq!(plain, paused, "pause+restore at {events} changed a digest");
+        for jobs in JOBS {
+            let restored = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", &dir), ("ASAN_JOBS", jobs)]);
+            assert_eq!(
+                plain, restored,
+                "fresh-process restore at {events} events, ASAN_JOBS={jobs} changed a digest"
+            );
+        }
+        let _ = std::fs::remove_dir_all(&dir);
         println!(
             "snapcheck: {runs} digests identical across plain / paused / fresh-process \
-             restore at {events} events ({snaps} runs restored)"
+             restore at {events} events, ASAN_JOBS {} ({snaps} runs restored)",
+            JOBS.join("/")
         );
     }
-}
-
-/// Warmed-start check: snapshot a paused golden sweep once, then fork
-/// several continuations from the same snapshot files at different
-/// worker counts — every fork must print byte-identical digests.
-fn fork_exp(sc: &Scale) {
-    let (warmed, dir, snaps) = paused_golden(sc, "fork", EVERY_RUN_PAUSE);
-    assert_every_run_paused(snaps, warmed.lines().count());
-    let forks = ["1", "2", "4"];
-    for jobs in forks {
-        let fork = golden_child(sc, &[("ASAN_SNAPSHOT_LOAD", &dir), ("ASAN_JOBS", jobs)]);
-        assert_eq!(
-            warmed, fork,
-            "fork at ASAN_JOBS={jobs} diverged from the warmed run"
-        );
-    }
-    let _ = std::fs::remove_dir_all(&dir);
-    println!(
-        "fork: {} continuations byte-identical from one warmed snapshot set",
-        forks.len()
-    );
 }
 
 fn table2() {
@@ -988,7 +840,7 @@ fn main() -> ExitCode {
         .position(|a| a == "--results")
         .and_then(|i| args.get(i + 1))
         .cloned()
-        .unwrap_or_else(|| "sweep-results".to_string());
+        .unwrap_or_else(|| "results".to_string());
     let mut skip_next = false;
     let wanted: Vec<&str> = args
         .iter()
@@ -1063,9 +915,7 @@ fn main() -> ExitCode {
             "golden-fabric" => golden_fabric(),
             "timeline" => timeline_exp(&sc, &results_dir),
             "scale" => scale_exp(&sc),
-            "sweep" => sweep_exp(&sc, &results_dir),
             "snapcheck" => snapcheck(&sc),
-            "fork" => fork_exp(&sc),
             "twolevel" => twolevel(&sc),
             "multiprog" => multiprog_exp(&sc),
             other => {

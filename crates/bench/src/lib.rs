@@ -14,7 +14,6 @@
 pub mod json;
 pub mod pool;
 pub mod scale;
-pub mod sweep;
 
 use asan_apps::runner::AppRun;
 use asan_apps::Variant;

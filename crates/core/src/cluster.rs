@@ -25,11 +25,10 @@ use asan_io::{OsCost, StorageConfig};
 use asan_net::topo::{NodeKind, TopoMap, TopoSpec, TopologyBuilder};
 use asan_net::{Bytes, Fabric, HandlerId, HcaConfig, NodeId};
 use asan_sim::faults::{FaultInjector, FaultPlan, FaultStats};
-use asan_sim::perfetto::PerfettoSink;
 use asan_sim::sched::Scheduler;
 use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::{TimeBreakdown, Traffic};
-use asan_sim::trace::{JsonlSink, NullSink, TraceSink};
+use asan_sim::trace::TraceSink;
 use asan_sim::{SimDuration, SimTime};
 
 use crate::active::{ActiveSwitch, ActiveSwitchConfig};
@@ -289,6 +288,13 @@ impl Cluster {
         self.probe.sink()
     }
 
+    /// Removes and returns the installed trace sink, e.g. to hand a
+    /// paused run's sink to the cluster it is restored into, so the
+    /// resumed run's spans continue the same trace.
+    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.probe.take_sink()
+    }
+
     /// Stores `data` as a file on `tca`'s array, returning its ID.
     ///
     /// The cluster adopts the buffer without copying it: pass a `Vec`
@@ -511,28 +517,6 @@ impl Cluster {
     /// [`SimError::RetriesExhausted`] if a request's retry budget runs
     /// out under fault injection.
     pub fn run_events(&mut self, budget: u64) -> Result<Option<RunReport>, SimError> {
-        // Environment shim for the `ASAN_TRACE` switch: when no sink
-        // was injected explicitly, a non-empty `ASAN_TRACE` selects
-        // one. `null` installs the drop-everything [`NullSink`] (for
-        // digest-neutrality checks); a path ending in `.json` installs
-        // the Perfetto exporter (truncating — one trace per file); any
-        // other path installs the JSONL file sink (appending, so
-        // multi-run sessions accumulate). Resolved once per call, not
-        // per event — and outside the arming gate, so a restored
-        // process regains its sink.
-        if !self.probe.has_sink() {
-            if let Some(path) = std::env::var_os("ASAN_TRACE") {
-                if path == "null" {
-                    self.probe.set_sink(Box::new(NullSink));
-                } else if path.to_string_lossy().ends_with(".json") {
-                    self.probe.set_sink(Box::new(PerfettoSink::create(&path)));
-                } else if !path.is_empty() {
-                    if let Ok(sink) = JsonlSink::append(&path) {
-                        self.probe.set_sink(Box::new(sink));
-                    }
-                }
-            }
-        }
         self.arm();
         let mut left = budget;
         while left > 0 {

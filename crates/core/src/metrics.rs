@@ -294,9 +294,9 @@ impl Probe {
         self.sink = Some(sink);
     }
 
-    /// Whether a sink is installed.
-    pub fn has_sink(&self) -> bool {
-        self.sink.is_some()
+    /// Removes and returns the installed sink.
+    pub fn take_sink(&mut self) -> Option<Box<dyn TraceSink>> {
+        self.sink.take()
     }
 
     /// The installed sink, for read-back (e.g. downcasting a
@@ -600,7 +600,7 @@ mod tests {
         assert_eq!(m.buffer_wait.max(), 1000);
         assert_eq!(m.packet_hops.count(), 1);
         assert_eq!(m.packet_hops.max(), 2);
-        assert!(!p.has_sink());
+        assert!(p.sink().is_none());
         // The hops fed the always-on link-utilization timeline.
         assert_eq!(m.timeline.tracks_of(series::KIND_LINK_UTIL).count(), 2);
     }

@@ -3,8 +3,12 @@
 //! gate, `--fix` idempotence, the machine-readable rule catalog, and
 //! lexer edge cases that would otherwise produce phantom findings.
 
-use std::path::{Path, PathBuf};
+mod common;
+
+use std::path::Path;
 use std::process::{Command, Output};
+
+use common::Scratch;
 
 fn lint(args: &[&str], paths: &[&Path]) -> Output {
     let mut cmd = Command::new(env!("CARGO_BIN_EXE_asan-lint"));
@@ -15,19 +19,11 @@ fn lint(args: &[&str], paths: &[&Path]) -> Output {
     cmd.output().expect("spawn asan-lint")
 }
 
-/// Fresh scratch dir per test so parallel tests never collide.
-fn scratch(tag: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("asan-lint-{tag}"));
-    let _ = std::fs::remove_dir_all(&dir);
-    std::fs::create_dir_all(&dir).expect("mkdir");
-    dir
-}
-
 /// Diagnostics come out sorted by (path, line, column, rule) and paths
 /// are workspace-relative — byte-identical across runs.
 #[test]
 fn output_is_stable_and_workspace_relative() {
-    let dir = scratch("stable");
+    let dir = Scratch::new("stable");
     std::fs::write(
         dir.join("b.rs"),
         "pub fn b() { let t = std::time::Instant::now(); let _ = t; }\n",
@@ -62,7 +58,7 @@ fn output_is_stable_and_workspace_relative() {
 /// still catching anything new.
 #[test]
 fn baseline_gates_only_new_findings() {
-    let dir = scratch("baseline");
+    let dir = Scratch::new("baseline");
     std::fs::write(
         dir.join("old.rs"),
         "pub fn old() { let t = std::time::Instant::now(); let _ = t; }\n",
@@ -126,7 +122,7 @@ fn baseline_gates_only_new_findings() {
 /// running it twice produces no further edits (idempotent).
 #[test]
 fn fix_is_idempotent() {
-    let dir = scratch("fix");
+    let dir = Scratch::new("fix");
     let file = dir.join("core").join("mod.rs");
     std::fs::create_dir_all(file.parent().unwrap()).expect("mkdir");
     std::fs::write(
@@ -158,7 +154,7 @@ fn fix_is_idempotent() {
 /// engine (or no engine, like the cluster-owned fabric) holds.
 #[test]
 fn once_cell_shared_by_two_engines_is_denied() {
-    let dir = scratch("once-cell");
+    let dir = Scratch::new("once-cell");
     std::fs::write(
         dir.join("routes.rs"),
         "pub struct Routes {\n\
@@ -263,7 +259,7 @@ fn rule_catalog_json_is_pinned() {
 /// lifetime syntax must not produce diagnostics.
 #[test]
 fn lexer_edge_cases_produce_no_phantom_findings() {
-    let dir = scratch("lexer-edge");
+    let dir = Scratch::new("lexer-edge");
     std::fs::write(
         dir.join("edges.rs"),
         "pub fn raw() -> &'static str {\n\

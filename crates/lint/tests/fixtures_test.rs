@@ -3,8 +3,12 @@
 //! real binary's `--format json` output so the CLI surface (flags,
 //! exit codes, JSON shape) is under test too.
 
+mod common;
+
 use std::path::PathBuf;
 use std::process::{Command, Output};
+
+use common::Scratch;
 
 /// The eight rules and their fixture basenames.
 const RULES: [&str; 8] = [
@@ -77,8 +81,7 @@ fn every_rule_passes_its_corrected_twin() {
 fn allow_comment_is_an_escape_hatch() {
     // The bad wall-clock fixture becomes clean when every finding line
     // carries an allow; simplest probe: a copy with a file built here.
-    let dir = std::env::temp_dir().join("asan-lint-allow-test");
-    std::fs::create_dir_all(&dir).expect("mkdir");
+    let dir = Scratch::new("allow-test");
     let file = dir.join("allowed.rs");
     std::fs::write(
         &file,
@@ -110,7 +113,7 @@ fn exit_code_contract() {
         "vanished path must be noted on stderr\n{stderr}"
     );
     // 2: internal error (path exists but cannot be read as a file).
-    let dir = std::env::temp_dir().join("asan-lint-unreadable-test");
+    let dir = Scratch::new("unreadable-test");
     let bogus = dir.join("directory_named_like_a_file.rs");
     std::fs::create_dir_all(&bogus).expect("mkdir");
     let out = lint_json(&bogus);

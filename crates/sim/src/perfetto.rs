@@ -67,8 +67,8 @@ pub fn render(spans: &[Span]) -> String {
 ///
 /// The file is created (truncating) at flush time, so several clusters
 /// flushing to the same path in one process leave the *last* run's
-/// trace — matching the "one run, one trace file" usage of the
-/// `ASAN_TRACE=<name>.json` shim.
+/// trace: one run, one trace file, as an `ASAN_TRACE=<dir>/{tag}.json`
+/// template gives each benchmark run.
 #[derive(Debug)]
 pub struct PerfettoSink {
     path: PathBuf,

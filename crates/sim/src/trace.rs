@@ -10,8 +10,8 @@
 //! Three sinks ship with the simulator:
 //!
 //! * [`NullSink`] — drops everything (the zero-cost default),
-//! * [`JsonlSink`] — appends one deterministic JSON line per span to a
-//!   file (`ASAN_TRACE=<path>` selects this sink),
+//! * [`JsonlSink`] — writes one deterministic JSON line per span to a
+//!   file (a run's `ASAN_TRACE=<dir>/{tag}.jsonl` file is one),
 //! * [`RingSink`] — keeps the last `cap` spans in memory for tests and
 //!   interactive inspection.
 //!
@@ -29,7 +29,7 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::fs::{File, OpenOptions};
+use std::fs::File;
 use std::io::{self, BufWriter, Write};
 use std::path::Path;
 
@@ -269,19 +269,6 @@ impl JsonlSink {
             out: BufWriter::new(File::create(path)?),
         })
     }
-
-    /// Opens `path` in append mode (creating it if missing), so several
-    /// runs in one process accumulate into one trace file. This is what
-    /// the `ASAN_TRACE=<path>` compatibility shim uses.
-    ///
-    /// # Errors
-    ///
-    /// Returns any I/O error from opening the file.
-    pub fn append(path: impl AsRef<Path>) -> io::Result<Self> {
-        Ok(JsonlSink {
-            out: BufWriter::new(OpenOptions::new().create(true).append(true).open(path)?),
-        })
-    }
 }
 
 impl TraceSink for JsonlSink {
@@ -423,13 +410,6 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert!(lines[0].contains("\"id\":0"));
         assert!(lines[1].contains("\"id\":1"));
-        // Append mode accumulates across sink instances.
-        {
-            let mut s = JsonlSink::append(&path).expect("append");
-            s.record(&span(2));
-        }
-        let text = std::fs::read_to_string(&path).expect("read back");
-        assert_eq!(text.lines().count(), 3);
         let _ = std::fs::remove_file(&path);
     }
 }

@@ -171,13 +171,6 @@ fn repro_rejects_unknown_experiment() {
 fn snapshot_load_and_save_directories_are_symmetric() {
     let base = std::env::temp_dir().join(format!("asan-snapdirs-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
-    let golden = |envs: &[(&str, &str)]| {
-        std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-            .args(["--small", "golden"])
-            .envs(envs.iter().copied())
-            .output()
-            .expect("spawn repro")
-    };
 
     let missing = base.join("missing");
     let out = golden(&[("ASAN_SNAPSHOT_LOAD", missing.to_str().unwrap())]);
@@ -199,4 +192,116 @@ fn snapshot_load_and_save_directories_are_symmetric() {
     let snaps = std::fs::read_dir(&nested).map_or(0, Iterator::count);
     assert_eq!(snaps, runs, "one snapshot per golden run");
     let _ = std::fs::remove_dir_all(&base);
+}
+
+/// Runs `repro --small golden` under `envs`.
+fn golden(envs: &[(&str, &str)]) -> std::process::Output {
+    std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["--small", "golden"])
+        .envs(envs.iter().copied())
+        .output()
+        .expect("spawn repro")
+}
+
+/// [`golden`]'s digest lines, failing on a non-zero exit.
+fn traced_golden(envs: &[(&str, &str)]) -> String {
+    let out = golden(envs);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(out.status.success(), "traced golden {envs:?}: {stderr}");
+    String::from_utf8(out.stdout).expect("digest output is UTF-8")
+}
+
+/// The run tag `runner::drive` substitutes for `{tag}`, per line of the
+/// small golden output (`<benchmark> <config> <digest>`), in order.
+fn golden_run_tags(golden: &str) -> Vec<String> {
+    golden
+        .lines()
+        .map(|line| {
+            let mut fields = line.split_whitespace();
+            let (name, config) = (fields.next().unwrap(), fields.next().unwrap());
+            match name {
+                "md5" => format!("md5-{config}-cpu1"),
+                "reduce-to-one" | "distributed-reduce" => format!("{name}-{config}-p8"),
+                _ => format!("{name}-{config}"),
+            }
+        })
+        .collect()
+}
+
+/// FNV-1a over `bytes`.
+fn fnv1a(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3)
+    })
+}
+
+/// An `ASAN_TRACE` template gives every golden run its own file, and
+/// the files are byte-identical whatever the worker count and whether
+/// the run paused for an in-process snapshot/restore: a run's trace
+/// depends only on the run.
+#[test]
+fn trace_template_writes_one_file_per_run_at_any_worker_count() {
+    let base = std::env::temp_dir().join(format!("asan-tracefiles-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let template = |leg: &str| format!("{}/{leg}/{{tag}}.jsonl", base.display());
+    let serial = traced_golden(&[("ASAN_JOBS", "1"), ("ASAN_TRACE", &template("serial"))]);
+    let parallel = traced_golden(&[("ASAN_JOBS", "4"), ("ASAN_TRACE", &template("parallel"))]);
+    let paused = traced_golden(&[
+        ("ASAN_SNAPSHOT_EVENTS", "10"),
+        ("ASAN_TRACE", &template("paused")),
+    ]);
+    let committed = std::fs::read_to_string(concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/../../tests/golden_digests.txt"
+    ))
+    .expect("committed golden digests");
+    for out in [&serial, &parallel, &paused] {
+        assert_eq!(out, &committed, "tracing changed a digest");
+    }
+
+    let tags = golden_run_tags(&serial);
+    assert_eq!(tags.len(), 18);
+    let mut all = Vec::new();
+    for leg in ["serial", "parallel", "paused"] {
+        let files = std::fs::read_dir(base.join(leg))
+            .expect("trace dir")
+            .count();
+        assert_eq!(files, tags.len(), "{leg}: one trace file per golden run");
+    }
+    for tag in &tags {
+        let read = |leg: &str| {
+            std::fs::read(base.join(leg).join(format!("{tag}.jsonl")))
+                .unwrap_or_else(|e| panic!("{leg}/{tag}.jsonl: {e}"))
+        };
+        let trace = read("serial");
+        assert!(!trace.is_empty(), "{tag}: empty trace");
+        assert!(
+            trace == read("parallel"),
+            "{tag}: ASAN_JOBS=4 trace differs"
+        );
+        assert!(trace == read("paused"), "{tag}: paused run's trace differs");
+        all.extend_from_slice(&trace);
+    }
+    // Concatenated in golden order, the per-run files are the single
+    // file that a serial `ASAN_JOBS=1 ASAN_TRACE=one.jsonl` run wrote
+    // when all runs appended to one trace: these are that file's size
+    // and FNV-1a. A change to the model or the span format moves them.
+    assert_eq!(
+        (all.len(), fnv1a(&all)),
+        (16_134_971, 0x0cf0_4965_02fe_f3b5)
+    );
+    let _ = std::fs::remove_dir_all(&base);
+}
+
+/// A trace path without `{tag}` would make every run of one invocation
+/// write the same file; it is rejected with a message naming the
+/// variable.
+#[test]
+fn trace_path_without_tag_is_rejected() {
+    let path = std::env::temp_dir().join(format!("asan-one-trace-{}.jsonl", std::process::id()));
+    let out = golden(&[("ASAN_TRACE", path.to_str().unwrap())]);
+    assert!(!out.status.success(), "a shared trace file must fail");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("ASAN_TRACE"), "{stderr}");
+    assert!(!path.exists(), "no run may write the shared file");
 }
