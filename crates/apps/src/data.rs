@@ -47,6 +47,10 @@ pub const FRAME_HEADER: usize = 8;
 ///
 /// Frame layout: `[0x46, type(b'I'|b'P'), 0, 0, payload_len: u32 le]`,
 /// then `payload_len` bytes of frame data.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "frame data is the low byte of each random draw"
+)]
 pub fn mpeg_stream(total: usize) -> Vec<u8> {
     let mut rng = SimRng::from_label("mpeg-stream");
     let mut out = Vec::with_capacity(total);
@@ -72,7 +76,8 @@ pub fn mpeg_stream(total: usize) -> Vec<u8> {
         });
         out.push(0);
         out.push(0);
-        out.extend_from_slice(&(payload as u32).to_le_bytes());
+        let len = u32::try_from(payload).expect("a frame payload length");
+        out.extend_from_slice(&len.to_le_bytes());
         for _ in 0..payload {
             out.push(rng.next_u32() as u8);
         }
@@ -210,7 +215,7 @@ pub fn join_tables(r_bytes: usize, s_bytes: usize, record_bytes: usize) -> (Vec<
     let mut s = Vec::with_capacity(s_records * record_bytes);
     for _ in 0..s_records {
         let key = if rng.chance(0.14) {
-            record_key(&r, record_bytes, rng.below(r_records as u64) as usize)
+            record_key(&r, record_bytes, rng.index(r_records))
         } else {
             rng.below(1 << 32)
         };
@@ -242,7 +247,7 @@ pub fn grep_corpus(total: usize, pattern: &str, matches: usize) -> Vec<u8> {
         while line.len() < line_len - 1 {
             // Lowercase words; never accidentally contains the
             // capitalized pattern.
-            line.push(b'a' + (rng.below(26)) as u8);
+            line.push(b'a' + u8::try_from(rng.below(26)).expect("a draw below 26"));
         }
         line.push(b'\n');
         out.extend_from_slice(&line);
@@ -304,7 +309,8 @@ pub fn reduce_vector(node: usize) -> Vec<u8> {
     let mut rng = SimRng::from_label(&format!("reduce-{node}"));
     let mut v = Vec::with_capacity(512);
     for _ in 0..128 {
-        v.extend_from_slice(&(rng.below(1 << 16) as u32).to_le_bytes());
+        let lane = u32::try_from(rng.below(1 << 16)).expect("a 16-bit lane");
+        v.extend_from_slice(&lane.to_le_bytes());
     }
     v
 }

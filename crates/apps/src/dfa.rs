@@ -125,7 +125,7 @@ mod tests {
         let pattern = b"red";
         let dfa = LiteralDfa::new(pattern);
         for _ in 0..50 {
-            let text: Vec<u8> = (0..1000).map(|_| b"redx "[rng.below(5) as usize]).collect();
+            let text: Vec<u8> = (0..1000).map(|_| b"redx "[rng.index(5)]).collect();
             let naive = text
                 .windows(pattern.len())
                 .filter(|w| *w == pattern)

@@ -93,7 +93,7 @@ impl HostProgram for NormalGrep {
         };
         // Search the real bytes: one DFA step per byte; memory
         // references one load per 8 bytes (double-word reads).
-        let chunk = &self.corpus[off as usize..(off + len) as usize];
+        let chunk = &self.corpus[crate::byte_range(off, len)];
         let (state, hits) = self.dfa.search(self.state, chunk);
         self.state = state;
         self.matches += hits.len() as u64;
@@ -196,7 +196,8 @@ impl Handler for GrepHandler {
                     .collect();
                 line.truncate(64);
                 ctx.send(self.host, None, self.out_addr, &line);
-                self.out_addr = self.out_addr.wrapping_add(line.len() as u32);
+                let len = u32::try_from(line.len()).expect("a line of at most 64 bytes");
+                self.out_addr = self.out_addr.wrapping_add(len);
             }
         }
         self.line_tail = payload;
@@ -323,7 +324,7 @@ fn run_inner(
     background: asan_sim::SimDuration,
 ) -> (AppRun, Option<asan_sim::SimTime>, asan_sim::SimDuration) {
     let corpus = Bytes::from(data::grep_corpus(
-        p.file_bytes as usize,
+        crate::to_usize(p.file_bytes),
         p.pattern,
         p.matches,
     ));

@@ -86,12 +86,12 @@ pub fn hash_bit(key: u64, bits: u64) -> u64 {
 /// Independent of the simulated join state: R's keys go into a
 /// sorted `Vec` that S probes by binary search.
 pub fn reference(r: &[u8], s: &[u8], p: &Params) -> (u64, u64) {
-    let rb = p.record_bytes as usize;
-    let mut bv = vec![false; p.bits as usize];
+    let rb = crate::to_usize(p.record_bytes);
+    let mut bv = vec![false; crate::to_usize(p.bits)];
     let mut keys = Vec::with_capacity(r.len() / rb);
     for i in 0..r.len() / rb {
         let k = data::record_key(r, rb, i);
-        bv[hash_bit(k, p.bits) as usize] = true;
+        bv[crate::to_usize(hash_bit(k, p.bits))] = true;
         keys.push(k);
     }
     keys.sort_unstable();
@@ -99,7 +99,7 @@ pub fn reference(r: &[u8], s: &[u8], p: &Params) -> (u64, u64) {
     let mut matches = 0u64;
     for i in 0..s.len() / rb {
         let k = data::record_key(s, rb, i);
-        if bv[hash_bit(k, p.bits) as usize] {
+        if bv[crate::to_usize(hash_bit(k, p.bits))] {
             pass += 1;
             if keys.binary_search(&k).is_ok() {
                 matches += 1;
@@ -166,8 +166,8 @@ impl NormalJoin {
     fn scan_r(&mut self, ctx: &mut HostCtx<'_>, off: u64, len: u64) {
         let rb = self.p.record_bytes;
         for i in 0..len / rb {
-            let idx = ((off + i * rb) / rb) as usize;
-            let key = data::record_key(&self.r, rb as usize, idx);
+            let idx = crate::to_usize((off + i * rb) / rb);
+            let key = data::record_key(&self.r, crate::to_usize(rb), idx);
             ctx.cpu().load(R_BUF + off + i * rb);
             ctx.cpu()
                 .compute(cost::JOIN_HASH_INSTR + cost::JOIN_INSERT_INSTR);
@@ -177,7 +177,7 @@ impl NormalJoin {
             let bit = hash_bit(key, self.p.bits);
             ctx.cpu().load(BITVEC + bit / 8);
             ctx.cpu().store(BITVEC + bit / 8);
-            self.bv[bit as usize] = true;
+            self.bv[crate::to_usize(bit)] = true;
             *self.st.table.entry(key).or_insert(0) += 1;
         }
     }
@@ -185,13 +185,13 @@ impl NormalJoin {
     fn scan_s(&mut self, ctx: &mut HostCtx<'_>, off: u64, len: u64) {
         let rb = self.p.record_bytes;
         for i in 0..len / rb {
-            let idx = ((off + i * rb) / rb) as usize;
-            let key = data::record_key(&self.s, rb as usize, idx);
+            let idx = crate::to_usize((off + i * rb) / rb);
+            let key = data::record_key(&self.s, crate::to_usize(rb), idx);
             ctx.cpu().load(S_BUF + off + i * rb);
             ctx.cpu().compute(cost::JOIN_HASH_INSTR);
             let bit = hash_bit(key, self.p.bits);
             ctx.cpu().load(BITVEC + bit / 8);
-            if self.bv[bit as usize] {
+            if self.bv[crate::to_usize(bit)] {
                 self.st.bv_pass += 1;
                 ctx.cpu().compute(cost::JOIN_PROBE_INSTR);
                 let bucket = HASHTAB + (key.wrapping_mul(0x2545F4914F6CDD1D) % (32 << 20));
@@ -298,7 +298,7 @@ pub struct JoinFilter {
 impl JoinFilter {
     fn new(p: Params, host: NodeId) -> Self {
         JoinFilter {
-            bv: vec![false; p.bits as usize],
+            bv: vec![false; crate::to_usize(p.bits)],
             bv_base: 0x4_0000,
             seen: 0,
             expect_r: p.r_bytes,
@@ -323,7 +323,8 @@ impl JoinFilter {
                 ctx.free_buffer(buf);
             } else {
                 ctx.send_buffer(buf, self.host, None, self.out_addr);
-                self.out_addr = self.out_addr.wrapping_add(self.batch.len() as u32);
+                let len = u32::try_from(self.batch.len()).expect("a batch length");
+                self.out_addr = self.out_addr.wrapping_add(len);
                 self.batch.clear();
             }
         }
@@ -334,7 +335,7 @@ impl Handler for JoinFilter {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
         let is_build = ctx.msg().handler == BUILD_HANDLER;
         let payload = ctx.payload();
-        let rb = self.p.record_bytes as usize;
+        let rb = crate::to_usize(self.p.record_bytes);
         if is_build {
             // R streaming through: set bits, forward the record stream
             // onward to the host unchanged (the host builds the real
@@ -348,10 +349,11 @@ impl Handler for JoinFilter {
                 // its limited L1 data cache").
                 ctx.mem_load(self.bv_base + bit / 8);
                 ctx.mem_store(self.bv_base + bit / 8);
-                self.bv[bit as usize] = true;
+                self.bv[crate::to_usize(bit)] = true;
             }
             ctx.send(self.host, Some(BUILD_HANDLER), self.out_addr, &payload);
-            self.out_addr = self.out_addr.wrapping_add(payload.len() as u32);
+            let len = u32::try_from(payload.len()).expect("a packet payload length");
+            self.out_addr = self.out_addr.wrapping_add(len);
             self.seen += payload.len() as u64;
             if self.seen >= self.expect_r {
                 self.seen = 0;
@@ -363,7 +365,7 @@ impl Handler for JoinFilter {
                 let key = u64::from_le_bytes(rec[..8].try_into().expect("key"));
                 let bit = hash_bit(key, self.p.bits);
                 ctx.mem_load(self.bv_base + bit / 8);
-                if self.bv[bit as usize] {
+                if self.bv[crate::to_usize(bit)] {
                     self.pass += 1;
                     if self.batch_buf.is_none() {
                         self.batch_buf = Some(ctx.alloc_buffer());
@@ -438,7 +440,21 @@ impl Handler for JoinFilter {
 /// is common). Each jump-table slot snapshots the shared state; the
 /// restores write identical bytes, so the duplication is harmless.
 #[derive(Clone)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "both handler IDs live in one switch's jump table, never in two engines"
+)]
 pub struct SharedFilter(pub std::rc::Rc<std::cell::RefCell<JoinFilter>>);
+
+impl SharedFilter {
+    #[expect(
+        clippy::disallowed_types,
+        reason = "both handler IDs live in one switch's jump table, never in two engines"
+    )]
+    fn new(filter: JoinFilter) -> Self {
+        SharedFilter(std::rc::Rc::new(std::cell::RefCell::new(filter)))
+    }
+}
 
 impl Handler for SharedFilter {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
@@ -486,7 +502,7 @@ impl HostProgram for ActiveJoin {
     }
 
     fn on_message(&mut self, ctx: &mut HostCtx<'_>, msg: &HostMsg) {
-        let rb = self.p.record_bytes as usize;
+        let rb = crate::to_usize(self.p.record_bytes);
         if msg.handler == Some(DONE_HANDLER) {
             self.bv_pass_reported =
                 Some(u64::from_le_bytes(msg.data[..8].try_into().expect("count")));
@@ -575,9 +591,9 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
 /// ablation studies to vary the active-switch hardware).
 pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppRun {
     let (r, s) = data::join_tables(
-        p.r_bytes as usize,
-        p.s_bytes as usize,
-        p.record_bytes as usize,
+        crate::to_usize(p.r_bytes),
+        crate::to_usize(p.s_bytes),
+        crate::to_usize(p.record_bytes),
     );
     let (want_pass, want_matches) = reference(&r, &s, p);
     let (r, s) = (Bytes::from(r), Bytes::from(s));
@@ -588,11 +604,11 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
         let sf = cl.add_file(ts[0], s.clone()).expect("cluster setup");
         let host = hs[0];
 
-        let filter = std::rc::Rc::new(std::cell::RefCell::new(JoinFilter::new(p.clone(), host)));
+        let filter = SharedFilter::new(JoinFilter::new(p.clone(), host));
         if variant.is_active() {
-            cl.register_handler(sw, BUILD_HANDLER, Box::new(SharedFilter(filter.clone())))
+            cl.register_handler(sw, BUILD_HANDLER, Box::new(filter.clone()))
                 .expect("cluster setup");
-            cl.register_handler(sw, PROBE_HANDLER, Box::new(SharedFilter(filter.clone())))
+            cl.register_handler(sw, PROBE_HANDLER, Box::new(filter.clone()))
                 .expect("cluster setup");
             let s_plan = BlockPlan {
                 file: sf,
@@ -651,7 +667,7 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
                         dest: Dest::HostBuf { addr: R_BUF },
                     }),
                     s_plan,
-                    bv: vec![false; p.bits as usize],
+                    bv: vec![false; crate::to_usize(p.bits)],
                     st: JoinState::default(),
                 }),
             )
@@ -669,7 +685,7 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
             .expect("active join");
         assert_eq!(prog.r_bytes_in, p.r_bytes, "R did not fully reach host");
         assert_eq!(prog.bv_pass_reported, Some(want_pass), "switch pass count");
-        assert_eq!(filter.borrow().pass_count(), want_pass, "filter state");
+        assert_eq!(filter.0.borrow().pass_count(), want_pass, "filter state");
         (prog.st.bv_pass, prog.st.matches)
     } else {
         let program = cl.take_program(host).expect("program");
@@ -692,9 +708,9 @@ mod tests {
     fn reference_pass_rate_near_024() {
         let p = Params::small();
         let (r, s) = data::join_tables(
-            p.r_bytes as usize,
-            p.s_bytes as usize,
-            p.record_bytes as usize,
+            crate::to_usize(p.r_bytes),
+            crate::to_usize(p.s_bytes),
+            crate::to_usize(p.record_bytes),
         );
         let (pass, matches) = reference(&r, &s, &p);
         let rate = pass as f64 / (s.len() as f64 / 128.0);

@@ -8,6 +8,9 @@
 //! run's result is validated against a pure-Rust reference before any
 //! timing is reported.
 
+// A model quantity that no longer fits must fail loudly, not wrap.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod blockio;
 pub mod cost;
 pub mod data;
@@ -28,3 +31,22 @@ pub mod tar_fmt;
 pub mod twolevel;
 
 pub use runner::{sweep, AppRun, Variant};
+
+/// A `u64` model quantity (a byte count, offset or record count) as a
+/// `usize` length or index.
+///
+/// # Panics
+///
+/// Panics where the value does not fit `usize`, instead of wrapping.
+pub(crate) fn to_usize(x: u64) -> usize {
+    usize::try_from(x).expect("a u64 model quantity that fits usize")
+}
+
+/// The in-memory byte range of the block at `[off, off + len)`.
+///
+/// # Panics
+///
+/// Panics where the range does not fit `usize`.
+pub(crate) fn byte_range(off: u64, len: u64) -> std::ops::Range<usize> {
+    to_usize(off)..to_usize(off + len)
+}

@@ -108,7 +108,7 @@ impl HostProgram for NormalMd5 {
         let Some((off, len)) = self.reader.on_complete(ctx, req) else {
             return;
         };
-        let chunk = &self.input[off as usize..(off + len) as usize];
+        let chunk = &self.input[crate::byte_range(off, len)];
         self.hasher.as_mut().expect("hashing").update(chunk);
         // Charge the compression: per-byte cost + streaming loads.
         ctx.cpu().scan(
@@ -275,7 +275,7 @@ impl HostProgram for ActiveMd5 {
 ///
 /// Panics if the digest is wrong.
 pub fn run(variant: Variant, p: &Params) -> AppRun {
-    let input = Bytes::from(data::md5_input(p.input_bytes as usize));
+    let input = Bytes::from(data::md5_input(crate::to_usize(p.input_bytes)));
     // Reference: single chain for normal, K-way interleave (per MTU
     // packet) for active.
     let want = if variant.is_active() {
@@ -371,7 +371,7 @@ mod tests {
                 switch_cpus: k,
                 ..Params::small()
             };
-            let input = data::md5_input(p.input_bytes as usize);
+            let input = data::md5_input(crate::to_usize(p.input_bytes));
             let r = run(Variant::Active, &p);
             assert_eq!(
                 r.artifact,
@@ -384,7 +384,7 @@ mod tests {
     #[test]
     fn normal_digest_matches_reference() {
         let p = Params::small();
-        let input = data::md5_input(p.input_bytes as usize);
+        let input = data::md5_input(crate::to_usize(p.input_bytes));
         let r = run(Variant::Normal, &p);
         assert_eq!(r.artifact, digest_tag(&md5(&input)));
     }

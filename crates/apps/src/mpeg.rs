@@ -95,7 +95,7 @@ impl HostProgram for NormalMpeg {
         let Some((off, len)) = self.reader.on_complete(ctx, req) else {
             return;
         };
-        let chunk = &self.video[off as usize..(off + len) as usize];
+        let chunk = &self.video[crate::byte_range(off, len)];
         let segs = self.scanner.feed(chunk);
         let mut pos = off;
         for (ty, n) in segs {
@@ -190,7 +190,8 @@ impl MpegFilter {
                 ctx.free_buffer(buf);
             } else {
                 ctx.send_buffer(buf, self.host, None, self.out_addr);
-                self.out_addr = self.out_addr.wrapping_add(self.batch.len() as u32);
+                let len = u32::try_from(self.batch.len()).expect("a batch length");
+                self.out_addr = self.out_addr.wrapping_add(len);
                 self.batch.clear();
             }
         }
@@ -318,7 +319,7 @@ impl HostProgram for ActiveMpeg {
 ///
 /// Panics if the filtered byte count disagrees with the reference.
 pub fn run(variant: Variant, p: &Params) -> AppRun {
-    let video = Bytes::from(data::mpeg_stream(p.video_bytes as usize));
+    let video = Bytes::from(data::mpeg_stream(crate::to_usize(p.video_bytes)));
     let want = reference_i_bytes(&video);
     let build = || {
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, ClusterConfig::paper());
@@ -409,7 +410,7 @@ mod tests {
     #[test]
     fn filter_keeps_about_63_5_percent() {
         let p = Params::small();
-        let video = data::mpeg_stream(p.video_bytes as usize);
+        let video = data::mpeg_stream(crate::to_usize(p.video_bytes));
         let frac = reference_i_bytes(&video) as f64 / video.len() as f64;
         assert!((frac - 0.635).abs() < 0.02, "I share = {frac}");
     }

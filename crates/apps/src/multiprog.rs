@@ -38,8 +38,11 @@ pub struct MultiprogRun {
 ///
 /// Panics if the Grep result fails its reference validation.
 pub fn run(variant: Variant, p: &grep::Params, background: SimDuration) -> MultiprogRun {
-    let (report, bg_done, bg_left) =
-        grep::run_with_background(variant, p, ClusterConfig::paper(), background);
+    let cfg = ClusterConfig {
+        label: format!("bg-{}us", background.as_us()),
+        ..ClusterConfig::paper()
+    };
+    let (report, bg_done, bg_left) = grep::run_with_background(variant, p, cfg, background);
     let grep_done = report;
     let background_done = match bg_done {
         Some(t) => t,

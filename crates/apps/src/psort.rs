@@ -124,7 +124,7 @@ impl NormalSortNode {
     /// far (`[0, off + len)`), carrying alignment across 64 KB blocks —
     /// records are 100 B and do not divide the block size.
     fn partition_block(&mut self, ctx: &mut HostCtx<'_>, off: u64, len: u64) {
-        let avail = (off + len) as usize;
+        let avail = crate::to_usize(off + len);
         while (self.next_rec + 1) * SORT_RECORD <= avail {
             let lo = self.next_rec * SORT_RECORD;
             let rec = &self.share[lo..lo + SORT_RECORD];
@@ -264,8 +264,8 @@ impl SortHandler {
                 ctx.free_buffer(buf);
             } else {
                 ctx.send_buffer(buf, self.hosts[owner], Some(RECORDS), self.out_addr[owner]);
-                self.out_addr[owner] =
-                    self.out_addr[owner].wrapping_add(self.batches[owner].len() as u32);
+                let len = u32::try_from(self.batches[owner].len()).expect("a batch length");
+                self.out_addr[owner] = self.out_addr[owner].wrapping_add(len);
                 self.batches[owner].clear();
             }
         }
@@ -437,7 +437,7 @@ impl ActiveSortNode {
 pub fn run(variant: Variant, p: &Params) -> AppRun {
     let per_node = p.records_per_node();
     let shares: Vec<Vec<u8>> = (0..p.nodes)
-        .map(|i| data::datamation(per_node as usize, &format!("sort-share-{i}")))
+        .map(|i| data::datamation(crate::to_usize(per_node), &format!("sort-share-{i}")))
         .collect();
     let want = reference_counts(&shares, p.nodes);
     let shares: Vec<Bytes> = shares.into_iter().map(Bytes::from).collect();
@@ -475,7 +475,7 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
                             dest: Dest::Mapped {
                                 node: sw,
                                 handler: SORT_HANDLER,
-                                base_addr: (i as u32) << 24,
+                                base_addr: u32::try_from(i).expect("a node index") << 24,
                             },
                         }),
                         received: 0,
@@ -558,7 +558,7 @@ mod tests {
         let p = Params::small();
         let per_node = p.records_per_node();
         let shares: Vec<Vec<u8>> = (0..p.nodes)
-            .map(|i| data::datamation(per_node as usize, &format!("sort-share-{i}")))
+            .map(|i| data::datamation(crate::to_usize(per_node), &format!("sort-share-{i}")))
             .collect();
         let want = reference_counts(&shares, p.nodes);
         let r = run(Variant::Active, &p);

@@ -72,6 +72,21 @@ pub fn reference_sum(p: usize) -> Vec<u8> {
     sum_vectors(&vectors)
 }
 
+/// Packs the node range `[base, base + count)` into a message address:
+/// `base` in the low 16 bits, `count` in the high 16.
+#[expect(
+    clippy::cast_possible_truncation,
+    reason = "packs two 16-bit fields into the 32-bit address"
+)]
+fn range_addr(base: usize, count: usize) -> u32 {
+    base as u32 | (count as u32) << 16
+}
+
+/// The node range a [`range_addr`] address carries, as `(base, count)`.
+fn addr_range(addr: u32) -> (usize, usize) {
+    ((addr & 0xFFFF) as usize, (addr >> 16) as usize)
+}
+
 /// The element-wise sum of `vectors` (at least one).
 fn sum_vectors(vectors: &[Vec<u8>]) -> Vec<u8> {
     let mut acc = vectors[0].clone();
@@ -221,7 +236,8 @@ impl Handler for ReduceHandler {
                         for (i, &h) in self.hosts.iter().enumerate() {
                             let lo = (i * slice).min(VECTOR_BYTES - slice);
                             let part = self.acc[lo..lo + slice].to_vec();
-                            ctx.send(h, Some(RESULT), lo as u32, &part);
+                            let addr = u32::try_from(lo).expect("an offset in the vector");
+                            ctx.send(h, Some(RESULT), addr, &part);
                         }
                         ctx.free_buffer(buf);
                     }
@@ -355,7 +371,7 @@ impl ReduceNode {
             ctx.send(
                 self.peers[base + h],
                 Some(RESULT),
-                (base + h) as u32 | ((count - h) as u32) << 16,
+                range_addr(base + h, count - h),
                 data[lo.min(data.len())..hi].to_vec(),
             );
             count = h;
@@ -380,7 +396,7 @@ impl ReduceNode {
             ctx.send(
                 self.peers[base + h],
                 Some(RESULT),
-                (base + h) as u32 | ((count - h) as u32) << 16,
+                range_addr(base + h, count - h),
                 data.to_vec(),
             );
             count = h;
@@ -439,16 +455,14 @@ impl HostProgram for ReduceNode {
         } else if self.mode == Mode::ToAll && !self.active {
             // A broadcast block for nodes [base, base+count): keep the
             // vector and forward down the binomial tree.
-            let base = (msg.addr & 0xFFFF) as usize;
-            let count = (msg.addr >> 16) as usize;
+            let (base, count) = addr_range(msg.addr);
             debug_assert_eq!(base, self.me, "broadcast block landed at wrong node");
             let data = msg.data.clone();
             self.broadcast_range(ctx, base, count, &data);
         } else if self.mode == Mode::Distributed && !self.active {
             // A scatter block covering nodes [base, base+count): keep my
             // slice and forward the rest down the binomial tree.
-            let base = (msg.addr & 0xFFFF) as usize;
-            let count = (msg.addr >> 16) as usize;
+            let (base, count) = addr_range(msg.addr);
             debug_assert_eq!(base, self.me, "scatter block landed at wrong node");
             // Rebase self as the root of this sub-range.
             let data = msg.data.clone();

@@ -4,6 +4,7 @@
 //! (host-only, synchronous I/O), `normal+pref` (two outstanding I/O
 //! requests), `active` (host + switch handler) and `active+pref`.
 
+use std::borrow::Cow;
 use std::env;
 use std::fs;
 use std::path::Path;
@@ -185,8 +186,9 @@ pub fn sweep(run: impl Fn(Variant) -> AppRun) -> Vec<AppRun> {
 /// exercising the crash-safe checkpoint path. `build` must construct
 /// the cluster (and any auxiliary context `T`) identically every time
 /// it is called — [`Cluster::restore`] rebuilds only dynamic state on
-/// top of it. `tag` names the run's trace and snapshot files, so it
-/// must be unique among the runs of one invocation.
+/// top of it. `tag` names the run's trace and snapshot files, followed
+/// by `-<label>` when the cluster's [`ClusterConfig::label`] is set; the
+/// result must be unique among the runs of one invocation.
 ///
 /// Environment knobs (unset → a plain uninterrupted, untraced run):
 ///
@@ -216,6 +218,12 @@ pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, Run
         }
         (cl, cx)
     };
+    let (cl, cx) = build();
+    let tag: Cow<'_, str> = match cl.config().label.as_str() {
+        "" => Cow::Borrowed(tag),
+        label => Cow::Owned(format!("{tag}-{label}")),
+    };
+    let (mut cl, cx) = traced((cl, cx), trace_sink(&tag));
     if let Ok(dir) = env::var("ASAN_SNAPSHOT_LOAD") {
         let dir = Path::new(&dir);
         assert!(
@@ -223,7 +231,6 @@ pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, Run
             "ASAN_SNAPSHOT_LOAD must name an existing directory: {}",
             dir.display()
         );
-        let (mut cl, cx) = traced(build(), trace_sink(tag));
         let path = dir.join(format!("{tag}.snap"));
         match fs::read(&path) {
             Ok(bytes) => cl
@@ -235,7 +242,6 @@ pub fn drive<T>(tag: &str, build: impl Fn() -> (Cluster, T)) -> (Cluster, T, Run
         let report = cl.run().expect("restored run completes");
         return (cl, cx, report);
     }
-    let (mut cl, cx) = traced(build(), trace_sink(tag));
     let Some(pause) = snapshot_events() else {
         let report = cl.run().expect("benchmark run completes");
         return (cl, cx, report);

@@ -63,9 +63,9 @@ impl Params {
 
 /// Reference result computed in plain Rust (no simulation).
 pub fn reference_count(table: &[u8], p: &Params) -> u64 {
-    let n = table.len() / p.record_bytes as usize;
-    (0..n)
-        .filter(|&i| data::record_key(table, p.record_bytes as usize, i) < p.key_hi)
+    let rb = crate::to_usize(p.record_bytes);
+    (0..table.len() / rb)
+        .filter(|&i| data::record_key(table, rb, i) < p.key_hi)
         .count() as u64
 }
 
@@ -99,10 +99,10 @@ impl HostProgram for NormalSelect {
         let rb = self.p.record_bytes;
         let n = len / rb;
         for i in 0..n {
-            let rec = (off + i * rb) as usize;
+            let rec = crate::to_usize((off + i * rb) / rb);
             ctx.cpu().compute(cost::SELECT_PREDICATE_INSTR);
             ctx.cpu().load(self.buf_base + off + i * rb);
-            let key = data::record_key(&self.table, rb as usize, rec / rb as usize);
+            let key = data::record_key(&self.table, crate::to_usize(rb), rec);
             if key < self.p.key_hi {
                 self.matches += 1;
                 ctx.cpu().compute(cost::SELECT_COUNT_INSTR);
@@ -190,7 +190,8 @@ impl SelectHandler {
                 ctx.free_buffer(buf);
             } else {
                 ctx.send_buffer(buf, self.host, self.out_handler, self.out_addr);
-                self.out_addr = self.out_addr.wrapping_add(self.batch.len() as u32);
+                let len = u32::try_from(self.batch.len()).expect("a batch length");
+                self.out_addr = self.out_addr.wrapping_add(len);
                 self.batch.clear();
             }
         }
@@ -200,7 +201,7 @@ impl SelectHandler {
 impl Handler for SelectHandler {
     fn on_message(&mut self, ctx: &mut HandlerCtx<'_>) {
         let payload = ctx.payload();
-        let rb = self.p.record_bytes as usize;
+        let rb = crate::to_usize(self.p.record_bytes);
         debug_assert_eq!(payload.len() % rb, 0, "packets are record-aligned");
         for rec in payload.chunks_exact(rb) {
             ctx.compute(cost::SELECT_PREDICATE_INSTR);
@@ -311,8 +312,8 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
 /// injection experiments to attach a [`asan_sim::faults::FaultPlan`]).
 pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppRun {
     let table = Bytes::from(data::db_table(
-        p.table_bytes as usize,
-        p.record_bytes as usize,
+        crate::to_usize(p.table_bytes),
+        crate::to_usize(p.record_bytes),
         "select-table",
     ));
     run_on(variant, p, cfg, &table)
@@ -411,7 +412,11 @@ mod tests {
     #[test]
     fn chaos_leaves_the_shared_input_untouched() {
         let p = Params::small();
-        let table = Bytes::from(data::db_table(p.table_bytes as usize, 128, "select-table"));
+        let table = Bytes::from(data::db_table(
+            crate::to_usize(p.table_bytes),
+            128,
+            "select-table",
+        ));
         let mut cfg = ClusterConfig::paper_db();
         cfg.faults = Some(asan_sim::faults::FaultPlan::chaos(7));
         for v in [Variant::NormalPref, Variant::ActivePref] {
@@ -420,7 +425,7 @@ mod tests {
                 run.faults.packet_corrupt.injected > 0,
                 "{v:?}: no packet corrupted"
             );
-            let fresh = data::db_table(p.table_bytes as usize, 128, "select-table");
+            let fresh = data::db_table(crate::to_usize(p.table_bytes), 128, "select-table");
             assert!(table.as_slice() == fresh.as_slice(), "{v:?}: input changed");
         }
     }
@@ -428,7 +433,7 @@ mod tests {
     #[test]
     fn reference_selectivity_near_25pct() {
         let p = Params::small();
-        let table = data::db_table(p.table_bytes as usize, 128, "select-table");
+        let table = data::db_table(crate::to_usize(p.table_bytes), 128, "select-table");
         let frac = reference_count(&table, &p) as f64 / (table.len() / 128) as f64;
         assert!((frac - 0.25).abs() < 0.02, "selectivity {frac}");
     }

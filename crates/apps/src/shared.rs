@@ -5,6 +5,10 @@
 //! marker, or HashJoin's build and probe phases) must update the same
 //! state, register [`Shared`] clones of one inner handler under both
 //! IDs.
+#![expect(
+    clippy::disallowed_types,
+    reason = "the IDs sharing one handler live in one switch's jump table, never in two engines"
+)]
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -122,7 +122,7 @@ impl HostProgram for NormalTar {
             cost::TAR_COPY_INSTR_PER_BYTE * 64,
             false,
         );
-        let bytes = self.contents[self.current][off as usize..(off + len) as usize].to_vec();
+        let bytes = self.contents[self.current][crate::byte_range(off, len)].to_vec();
         ctx.send(self.archive, None, 0, bytes);
         self.sent += len;
         if let Some(r) = self.reader.as_mut() {
@@ -229,7 +229,9 @@ impl Handler for TarHandler {
         // Trigger payload: file id + length (the host already appended
         // the 512 B ustar header to the archive stream itself).
         let payload = ctx.payload();
-        let file = u64::from_le_bytes(payload[0..8].try_into().expect("file id")) as usize;
+        let file = crate::to_usize(u64::from_le_bytes(
+            payload[0..8].try_into().expect("file id"),
+        ));
         let len = u64::from_le_bytes(payload[8..16].try_into().expect("len"));
         // Initiate the disk read, delivering straight to the archive.
         ctx.request_disk_read(self.tca, file, 0, len, self.archive, None, 0);
@@ -269,7 +271,8 @@ impl HostProgram for ActiveTar {
             // …and asks the switch handler to stream the file body.
             let mut trigger = (f.0 as u64).to_le_bytes().to_vec();
             trigger.extend_from_slice(&self.p.file_bytes.to_le_bytes());
-            ctx.send(self.sw, Some(TAR_HANDLER), (i as u32) * 1024, trigger);
+            let addr = u32::try_from(i).expect("a file index") * 1024;
+            ctx.send(self.sw, Some(TAR_HANDLER), addr, trigger);
         }
         ctx.finish();
     }
@@ -286,7 +289,7 @@ impl HostProgram for ActiveTar {
 ///
 /// Panics if the archive stream does not carry the expected bytes.
 pub fn run(variant: Variant, p: &Params) -> AppRun {
-    let contents: Vec<Bytes> = data::file_set(p.files, p.file_bytes as usize)
+    let contents: Vec<Bytes> = data::file_set(p.files, crate::to_usize(p.file_bytes))
         .into_iter()
         .map(Bytes::from)
         .collect();

@@ -191,8 +191,8 @@ pub fn run(placement: Placement, p: &select::Params) -> PlacementRun {
     }
 
     let table = data::db_table(
-        p.table_bytes as usize,
-        p.record_bytes as usize,
+        crate::to_usize(p.table_bytes),
+        crate::to_usize(p.record_bytes),
         "select-table",
     );
     let want = select::reference_count(&table, p);

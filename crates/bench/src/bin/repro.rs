@@ -78,6 +78,7 @@ use asan_core::HandlerPlacement;
 use asan_net::topo::{SwitchSpec, TopologyBuilder};
 use asan_net::LinkConfig;
 use asan_sim::faults::{FaultPlan, HandlerTrap};
+use asan_sim::{SimDuration, SimTime};
 
 const USAGE: &str = "usage: repro [--small] [--csv] [--json] [--results <dir>] <experiment>...
 experiments: table1 fig3..fig17 table2 ablations twolevel multiprog chaos chaos-digest
@@ -246,6 +247,7 @@ fn ablations(sc: &Scale) {
     println!(" vector is still arriving — §3's parallelism argument)");
     let on = reduce::run_with_config(reduce::Mode::ReduceToOne, true, 8, ClusterConfig::paper());
     let mut cfg = ClusterConfig::paper();
+    cfg.label = "no-overlap".to_string();
     cfg.active.valid_bit_overlap = false;
     let off = reduce::run_with_config(reduce::Mode::ReduceToOne, true, 8, cfg);
     println!("overlap on : {}", on.latency);
@@ -258,6 +260,7 @@ fn ablations(sc: &Scale) {
 
     println!("== Ablation B: ATB vs software translation (Reduce-to-one, 8 nodes) ==");
     let mut cfg = ClusterConfig::paper();
+    cfg.label = "no-atb".to_string();
     cfg.active.atb_enabled = false;
     let sw_off = reduce::run_with_config(reduce::Mode::ReduceToOne, true, 8, cfg);
     println!("ATB on : {}", on.latency);
@@ -272,6 +275,7 @@ fn ablations(sc: &Scale) {
     let jp = sc.hashjoin();
     for kb in [1u64, 4, 16, 64] {
         let mut cfg = ClusterConfig::paper_db();
+        cfg.label = format!("dcache-{kb}k");
         cfg.active.cpu.hierarchy.l1d.size_bytes = kb * 1024;
         let r = hashjoin::run_with_config(Variant::ActivePref, &jp, cfg);
         println!(
@@ -287,6 +291,7 @@ fn ablations(sc: &Scale) {
     println!("== Ablation D: switch CPU clock (Grep, active+pref) ==");
     for mhz in [250u64, 500, 1000, 2000] {
         let mut cfg = ClusterConfig::paper();
+        cfg.label = format!("switch-{mhz}mhz");
         cfg.active.cpu.hz = mhz * 1_000_000;
         cfg.active.cpu.hierarchy.hz = mhz * 1_000_000;
         let r = grep::run_with_config(Variant::ActivePref, &gp, cfg);
@@ -312,7 +317,7 @@ fn multiprog_exp(sc: &Scale) {
         "bg job", "config", "grep done", "background", "makespan"
     );
     for bg_ms in [2u64, 10, 30] {
-        let bg = asan_sim::SimDuration::from_ms(bg_ms);
+        let bg = SimDuration::from_ms(bg_ms);
         for v in [Variant::NormalPref, Variant::ActivePref] {
             let r = multiprog::run(v, &p, bg);
             println!(
@@ -387,6 +392,7 @@ fn chaos(sc: &Scale) {
         };
         let clean = run(base.clone());
         let mut cfg = base;
+        cfg.label = "chaos".to_string();
         cfg.faults = Some(FaultPlan::chaos(0xC4A05));
         let faulted = run(cfg);
         assert_eq!(
@@ -421,6 +427,7 @@ fn chaos(sc: &Scale) {
     // combine engine traps and migrates to a host fallback.
     let clean = reduce::run_with_config(reduce::Mode::ReduceToOne, true, 8, ClusterConfig::paper());
     let mut cfg = ClusterConfig::paper();
+    cfg.label = "trap".to_string();
     let mut plan = FaultPlan::quiet(0xC4A05);
     plan.handler_traps.push(HandlerTrap {
         node: None,
@@ -609,7 +616,7 @@ fn scale_exp(sc: &Scale) {
     } else {
         (vec![4, 16], vec![64, 256, 1024])
     };
-    let mut jobs: Vec<pool::Job<u64>> = Vec::new();
+    let mut jobs: Vec<pool::Job<SimTime>> = Vec::new();
     for &radix in &radices {
         for &p in &hosts {
             jobs.push(Box::new(move || {
@@ -621,13 +628,10 @@ fn scale_exp(sc: &Scale) {
                     HandlerPlacement::Nca,
                 )
                 .latency
-                .as_ps()
             }));
             for placement in HandlerPlacement::ALL {
                 jobs.push(Box::new(move || {
-                    reduce::run_scaled(reduce::Mode::ReduceToOne, true, p, radix, placement)
-                        .latency
-                        .as_ps()
+                    reduce::run_scaled(reduce::Mode::ReduceToOne, true, p, radix, placement).latency
                 }));
             }
         }
@@ -636,15 +640,15 @@ fn scale_exp(sc: &Scale) {
     let mut samples = Vec::new();
     for &radix in &radices {
         for &p in &hosts {
-            let normal_ps = results.next().expect("baseline cell");
+            let normal = results.next().expect("baseline cell");
             for placement in HandlerPlacement::ALL {
-                let active_ps = results.next().expect("active cell");
+                let active = results.next().expect("active cell");
                 samples.push(scale::ScaleSample {
                     hosts: p as u64,
                     topo: format!("fat-tree-r{radix}"),
                     placement: placement.label().to_string(),
-                    normal_ps,
-                    active_ps,
+                    normal,
+                    active,
                 });
             }
         }
@@ -712,7 +716,7 @@ fn timeline_exp(sc: &Scale, results_dir: &str) {
     // A reduction finishes in tens of microseconds; narrow the window
     // from the 10 us default so the recorder resolves its phases.
     let mut cfg = ClusterConfig::paper();
-    cfg.timeline_window = asan_sim::SimDuration::from_ns(500);
+    cfg.timeline_window = SimDuration::from_ns(500);
     let trace_template = format!("{results_dir}/timeline-{{tag}}.perfetto.json");
     env::set_var("ASAN_TRACE", &trace_template);
     for (tag, placement) in cases {

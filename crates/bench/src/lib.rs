@@ -141,12 +141,12 @@ pub struct LatencySummary {
     pub span: String,
     /// Number of recorded spans.
     pub count: u64,
-    /// 50th-percentile latency (simulated picoseconds).
-    pub p50_ps: u64,
+    /// 50th-percentile latency.
+    pub p50: SimDuration,
     /// 90th-percentile latency.
-    pub p90_ps: u64,
+    pub p90: SimDuration,
     /// 99th-percentile latency.
-    pub p99_ps: u64,
+    pub p99: SimDuration,
 }
 
 /// One benchmark × configuration row of a metrics document: the phase
@@ -161,9 +161,9 @@ pub struct BenchMetrics {
     pub phases: PhaseBreakdown,
     /// Percentile summaries, in the report's canonical span order.
     pub latency: Vec<LatencySummary>,
-    /// Width of one timeline window in picoseconds (0 when the run
-    /// produced no timeline).
-    pub timeline_window_ps: u64,
+    /// Width of one timeline window (zero when the run produced no
+    /// timeline).
+    pub timeline_window: SimDuration,
     /// Windowed time-series tracks, in the report's canonical
     /// (kind, key) order.
     pub timeline: Vec<TimelineTrack>,
@@ -183,12 +183,12 @@ impl BenchMetrics {
                 .map(|(span, h)| LatencySummary {
                     span: (*span).to_string(),
                     count: h.count(),
-                    p50_ps: h.percentile(50),
-                    p90_ps: h.percentile(90),
-                    p99_ps: h.percentile(99),
+                    p50: SimDuration::from_ps(h.percentile(50)),
+                    p90: SimDuration::from_ps(h.percentile(90)),
+                    p99: SimDuration::from_ps(h.percentile(99)),
                 })
                 .collect(),
-            timeline_window_ps: m.timeline.window_ps,
+            timeline_window: m.timeline.window,
             timeline: m
                 .timeline
                 .tracks
@@ -291,14 +291,14 @@ pub fn parse_metrics_doc(text: &str) -> Result<Vec<BenchMetrics>, String> {
                 latency.push(LatencySummary {
                     span: span.clone(),
                     count: field(v, "count")?,
-                    p50_ps: field(v, "p50_ps")?,
-                    p90_ps: field(v, "p90_ps")?,
-                    p99_ps: field(v, "p99_ps")?,
+                    p50: SimDuration::from_ps(field(v, "p50_ps")?),
+                    p90: SimDuration::from_ps(field(v, "p90_ps")?),
+                    p99: SimDuration::from_ps(field(v, "p99_ps")?),
                 });
             }
         }
         let tl = m.get("timeline").ok_or("missing \"timeline\"")?;
-        let timeline_window_ps = field(tl, "window_ps")?;
+        let timeline_window = SimDuration::from_ps(field(tl, "window_ps")?);
         let tracks = tl
             .get("tracks")
             .and_then(json::Value::as_arr)
@@ -312,6 +312,9 @@ pub fn parse_metrics_doc(text: &str) -> Result<Vec<BenchMetrics>, String> {
                 .to_string();
             let key = field(t, "key")?;
             let windows = field(t, "windows")? as usize;
+            if windows > asan_sim::series::MAX_WINDOWS {
+                return Err(format!("track of {windows} windows exceeds the cap"));
+            }
             let mut samples = vec![0u64; windows];
             let pairs = t
                 .get("samples")
@@ -337,7 +340,7 @@ pub fn parse_metrics_doc(text: &str) -> Result<Vec<BenchMetrics>, String> {
             config,
             phases,
             latency,
-            timeline_window_ps,
+            timeline_window,
             timeline,
         });
     }
@@ -387,9 +390,9 @@ pub fn latency_report(rows: &[BenchMetrics]) -> String {
                 r.config,
                 l.span,
                 l.count,
-                format!("{}", SimDuration::from_ps(l.p50_ps)),
-                format!("{}", SimDuration::from_ps(l.p90_ps)),
-                format!("{}", SimDuration::from_ps(l.p99_ps)),
+                format!("{}", l.p50),
+                format!("{}", l.p90),
+                format!("{}", l.p99),
             ));
         }
     }
@@ -443,9 +446,7 @@ pub fn timeline_report(rows: &[BenchMetrics]) -> String {
         }
         out.push_str(&format!(
             "-- {} / {} (window {}) --\n",
-            r.name,
-            r.config,
-            SimDuration::from_ps(r.timeline_window_ps),
+            r.name, r.config, r.timeline_window,
         ));
         for t in &r.timeline {
             out.push_str(&format!(
@@ -502,7 +503,7 @@ pub fn timeline_report(rows: &[BenchMetrics]) -> String {
             t.kind,
             t.key,
             w,
-            format!("{}", SimDuration::from_ps(w as u64 * r.timeline_window_ps)),
+            format!("{}", r.timeline_window * w as u64),
             format!("{}", SimDuration::from_ps(v)),
         ));
     }
@@ -676,7 +677,7 @@ mod tests {
     #[test]
     fn parse_metrics_doc_reconstructs_sparse_timelines() {
         let mut m = fake_metrics();
-        m.timeline.window_ps = 1_000_000;
+        m.timeline.window = SimDuration::from_us(1);
         m.timeline.tracks.push(asan_sim::series::Track {
             kind: asan_sim::series::KIND_LINK_UTIL,
             key: 3,
@@ -684,7 +685,7 @@ mod tests {
         });
         let doc = metrics_json(&[("grep", "active", &m)]);
         let rows = parse_metrics_doc(&doc).expect("parses");
-        assert_eq!(rows[0].timeline_window_ps, 1_000_000);
+        assert_eq!(rows[0].timeline_window, SimDuration::from_us(1));
         assert_eq!(
             rows[0].timeline,
             vec![TimelineTrack {
@@ -700,7 +701,7 @@ mod tests {
     #[test]
     fn timeline_report_renders_sparklines_and_hotspots() {
         let mut m = fake_metrics();
-        m.timeline.window_ps = 1_000_000;
+        m.timeline.window = SimDuration::from_us(1);
         m.timeline.tracks.push(asan_sim::series::Track {
             kind: asan_sim::series::KIND_LINK_UTIL,
             key: 0,

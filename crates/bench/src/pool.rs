@@ -26,6 +26,11 @@
 //! let squares = pool::run_indexed(jobs, 4);
 //! assert_eq!(squares, vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
+#![expect(
+    clippy::disallowed_types,
+    clippy::disallowed_methods,
+    reason = "the harness's one worker pool; every job is a whole simulation with no shared state"
+)]
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Mutex;
@@ -132,7 +137,7 @@ mod tests {
             .map(|i| {
                 Box::new(move || {
                     if i < 2 {
-                        // Test-only delay. asan-lint: allow(no-wall-clock)
+                        // Test-only delay.
                         std::thread::sleep(std::time::Duration::from_millis(20));
                     }
                     i

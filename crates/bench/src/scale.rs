@@ -9,6 +9,8 @@
 //! (integral picoseconds) — the document is deterministic and safe to
 //! commit or diff.
 
+use asan_sim::SimTime;
+
 use crate::json::{self, Value};
 
 /// One cell of the scale sweep: a node count on a topology, reduced
@@ -23,16 +25,16 @@ pub struct ScaleSample {
     pub topo: String,
     /// Handler placement label ([`asan_core::HandlerPlacement::label`]).
     pub placement: String,
-    /// Host-side MST completion latency, simulated picoseconds.
-    pub normal_ps: u64,
-    /// Active in-fabric completion latency, simulated picoseconds.
-    pub active_ps: u64,
+    /// Host-side MST completion time.
+    pub normal: SimTime,
+    /// Active in-fabric completion time.
+    pub active: SimTime,
 }
 
 impl ScaleSample {
     /// Speedup of the active fabric over the host-side baseline.
     pub fn speedup(&self) -> f64 {
-        self.normal_ps as f64 / self.active_ps.max(1) as f64
+        self.normal.as_ps() as f64 / self.active.as_ps().max(1) as f64
     }
 }
 
@@ -54,7 +56,11 @@ pub fn scale_json(samples: &[ScaleSample]) -> String {
         out.push_str(&format!(
             "{{\"hosts\":{},\"topo\":\"{}\",\"placement\":\"{}\",\
              \"normal_ps\":{},\"active_ps\":{}}}",
-            s.hosts, s.topo, s.placement, s.normal_ps, s.active_ps
+            s.hosts,
+            s.topo,
+            s.placement,
+            s.normal.as_ps(),
+            s.active.as_ps()
         ));
     }
     out.push_str("]}\n");
@@ -93,8 +99,8 @@ pub fn parse_scale_doc(text: &str) -> Result<ScaleDoc, String> {
             hosts: field(s, "hosts")?,
             topo: text_field(s, "topo")?,
             placement: text_field(s, "placement")?,
-            normal_ps: field(s, "normal_ps")?,
-            active_ps: field(s, "active_ps")?,
+            normal: SimTime::from_ps(field(s, "normal_ps")?),
+            active: SimTime::from_ps(field(s, "active_ps")?),
         });
     }
     Ok(ScaleDoc { samples })
@@ -116,8 +122,8 @@ pub fn scale_report(doc: &ScaleDoc) -> String {
             s.hosts,
             s.topo,
             s.placement,
-            s.normal_ps as f64 / 1e6,
-            s.active_ps as f64 / 1e6,
+            s.normal.as_ps() as f64 / 1e6,
+            s.active.as_ps() as f64 / 1e6,
             s.speedup(),
         ));
     }
@@ -133,8 +139,8 @@ mod tests {
             hosts,
             topo: "fat-tree-r4".to_string(),
             placement: placement.to_string(),
-            normal_ps: 4_000_000,
-            active_ps: 1_000_000,
+            normal: SimTime::from_us(4),
+            active: SimTime::from_us(1),
         }
     }
 

@@ -15,7 +15,7 @@
 
 use asan_cpu::{Cpu, CpuConfig};
 use asan_net::{HandlerId, Packet};
-use asan_net::{NodeId, MTU};
+use asan_net::{NodeId, MTU_U32};
 use asan_sim::snap::{FixedShape, Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::stats::{Counter, TimeBreakdown};
 use asan_sim::{Period, SimDuration, SimTime};
@@ -310,7 +310,7 @@ impl ActiveSwitch {
             }
         };
 
-        let window_base = msg.addr - (msg.addr % MTU as u32);
+        let window_base = msg.addr - (msg.addr % MTU_U32);
         self.atbs[cpu_idx].map(window_base, buf);
 
         let start = granted.max(header_at + self.dispatch_lat);

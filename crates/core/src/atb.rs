@@ -20,6 +20,10 @@ use crate::buffer::{BufId, BUFFER_BYTES};
 /// Number of ATB entries (one per data buffer in the paper).
 pub const ATB_ENTRIES: usize = 16;
 
+/// [`BUFFER_BYTES`] in the 32-bit switch address space.
+const WINDOW_BYTES: u32 = 512;
+const _: () = assert!(WINDOW_BYTES as usize == BUFFER_BYTES);
+
 #[derive(Debug, Clone, Copy)]
 struct Entry {
     /// Base address of the mapped 512 B window.
@@ -59,6 +63,12 @@ impl Atb {
         }
     }
 
+    /// The base of the buffer-sized window containing `addr`.
+    #[inline]
+    fn window_base(addr: u32) -> u32 {
+        addr - addr % WINDOW_BYTES
+    }
+
     #[inline]
     fn slot(addr: u32) -> usize {
         (addr as usize / BUFFER_BYTES) % ATB_ENTRIES
@@ -85,7 +95,7 @@ impl Atb {
 
     /// Translates `addr` to a `(buffer, offset)` pair, if mapped.
     pub fn translate(&mut self, addr: u32) -> Option<(BufId, usize)> {
-        let base = addr - (addr % BUFFER_BYTES as u32);
+        let base = Self::window_base(addr);
         let slot = Self::slot(base);
         match self.entries[slot] {
             Some(e) if e.base == base => {
@@ -101,7 +111,7 @@ impl Atb {
 
     /// Checks a mapping without counting statistics.
     pub fn probe(&self, addr: u32) -> Option<(BufId, usize)> {
-        let base = addr - (addr % BUFFER_BYTES as u32);
+        let base = Self::window_base(addr);
         match self.entries[Self::slot(base)] {
             Some(e) if e.base == base => Some((e.buf, (addr - base) as usize)),
             _ => None,
@@ -127,7 +137,7 @@ impl Atb {
 
     /// Removes the mapping of the window containing `addr`, if any.
     pub fn unmap(&mut self, addr: u32) -> Option<BufId> {
-        let base = addr - (addr % BUFFER_BYTES as u32);
+        let base = Self::window_base(addr);
         let slot = Self::slot(base);
         match self.entries[slot] {
             Some(e) if e.base == base => {
@@ -228,12 +238,12 @@ mod tests {
     #[test]
     fn sixteen_consecutive_windows_coexist() {
         let mut atb = Atb::new();
-        for i in 0..16u32 {
-            assert_eq!(atb.map(i * 512, BufId(i as u8)), None);
+        for i in 0..16u8 {
+            assert_eq!(atb.map(u32::from(i) * 512, BufId(i)), None);
         }
         assert_eq!(atb.mapped_count(), 16);
-        for i in 0..16u32 {
-            assert_eq!(atb.probe(i * 512 + 100), Some((BufId(i as u8), 100)));
+        for i in 0..16u8 {
+            assert_eq!(atb.probe(u32::from(i) * 512 + 100), Some((BufId(i), 100)));
         }
         // The 17th window conflicts with the 1st (direct-mapped).
         assert_eq!(atb.map(16 * 512, BufId(0)), Some(BufId(0)));
@@ -243,8 +253,8 @@ mod tests {
     #[test]
     fn deallocate_below_frees_prefix() {
         let mut atb = Atb::new();
-        for i in 0..4u32 {
-            atb.map(i * 512, BufId(i as u8));
+        for i in 0..4u8 {
+            atb.map(u32::from(i) * 512, BufId(i));
         }
         // Free everything below 1024: windows 0 and 1.
         let freed = atb.deallocate_below(1024);

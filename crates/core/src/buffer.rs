@@ -209,7 +209,7 @@ pub fn line_schedule(payload_len: usize, first: SimTime, last: SimTime) -> Vec<S
         .map(|i| {
             let end_byte = ((i + 1) * LINE_BYTES).min(payload_len) as u64;
             let frac = span as u128 * end_byte as u128 / payload_len as u128;
-            first + asan_sim::SimDuration::from_ps(frac as u64)
+            first + asan_sim::SimDuration::from_ps(u64::try_from(frac).expect("at most the span"))
         })
         .collect()
 }
@@ -247,7 +247,7 @@ mod tests {
     #[test]
     fn fill_and_read_back() {
         let mut b = DataBuffer::new();
-        let payload: Vec<u8> = (0..512u32).map(|i| i as u8).collect();
+        let payload: Vec<u8> = (0..=u8::MAX).cycle().take(512).collect();
         let times: Vec<SimTime> = (0..16).map(|i| SimTime::from_ns(i * 10)).collect();
         b.fill(&payload, &times);
         assert_eq!(b.len(), 512);

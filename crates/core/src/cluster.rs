@@ -67,6 +67,12 @@ pub struct ClusterConfig {
     /// into fixed windows of this width; it is observation-only and
     /// never changes simulated behaviour.
     pub timeline_window: SimDuration,
+    /// Names a non-standard configuration in run tags: the benchmark
+    /// driver appends a non-empty label to the run's tag, so runs of
+    /// one benchmark under several configurations write distinct trace
+    /// and snapshot files. Empty (the default) for the standard
+    /// configurations; it never changes simulated behaviour.
+    pub label: String,
 }
 
 impl ClusterConfig {
@@ -81,6 +87,7 @@ impl ClusterConfig {
             max_events: 80_000_000,
             faults: None,
             timeline_window: SimDuration::from_us(10),
+            label: String::new(),
         }
     }
 
@@ -231,7 +238,7 @@ impl Cluster {
         let mut storage = StorageEngine::default();
         let (mut hosts, mut switches) = (Vec::new(), Vec::new());
         for i in 0..fabric.num_nodes() {
-            let id = NodeId(i as u16);
+            let id = NodeId::from_index(i);
             match fabric.kind(id) {
                 NodeKind::Host => hosts.push(id),
                 NodeKind::Switch => switches.push(id),
@@ -429,6 +436,11 @@ impl Cluster {
     /// state accumulated inside it.
     pub fn take_program(&mut self, node: NodeId) -> Option<Box<dyn HostProgram>> {
         self.host.take_program(node)
+    }
+
+    /// The configuration the cluster was built with.
+    pub fn config(&self) -> &ClusterConfig {
+        &self.cfg
     }
 
     /// The fabric (for traffic inspection).

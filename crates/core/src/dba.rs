@@ -94,7 +94,7 @@ impl BufferAdmin {
         // Mark open-ended busy; `release` closes it.
         self.busy[idx] = Some(SimTime::MAX);
         self.buffers[idx].reset();
-        (BufId(idx as u8), granted)
+        (BufId(u8::try_from(idx).expect("a buffer index")), granted)
     }
 
     /// Releases `id` at time `t` (handler done with it, or the send unit

@@ -387,7 +387,10 @@ impl DispatchEngine {
     /// with its accumulated state — to a software engine on the
     /// fallback host; the stream's packets then cross the fabric to
     /// that host (graceful degradation: slower, still correct).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one PacketToSwitch event, passed unpacked"
+    )]
     fn dispatch_active(
         &mut self,
         sw: NodeId,

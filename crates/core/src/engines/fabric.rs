@@ -10,13 +10,13 @@
 //! the loss is detected and repaired (NAK retransmits, end-to-end
 //! timeouts with exponential backoff).
 
-use asan_net::{Fabric, HEADER_BYTES, MTU};
+use asan_net::{Fabric, HEADER_BYTES, MTU_U32};
 use asan_sim::faults::{FaultInjector, FaultPlan, PacketFate};
 use asan_sim::trace::TraceCtx;
 use asan_sim::SimTime;
 
 use crate::error::SimError;
-use crate::events::{Dest, EventBus, FabricEvent, HostEvent, ReqId};
+use crate::events::{EventBus, FabricEvent, HostEvent, ReqId};
 
 /// The fabric subsystem engine: the packet reliability protocol over
 /// the shared request table.
@@ -136,12 +136,10 @@ impl FabricEngine {
                 st.timeout = st.timeout.saturating_add(st.timeout);
                 let next_attempt = st.attempt;
                 let next_at = t.saturating_add(st.timeout);
-                let missing: Vec<u32> = st
-                    .got
-                    .iter()
-                    .enumerate()
+                let missing: Vec<u32> = (0u32..)
+                    .zip(&st.got)
                     .filter(|&(_, &g)| !g)
-                    .map(|(i, _)| i as u32)
+                    .map(|(seq, _)| seq)
                     .collect();
                 bus.injector.as_mut().expect("armed").stats.timeouts += 1;
                 for seq in missing {
@@ -197,16 +195,9 @@ impl FabricEngine {
     /// that scheduled it), and it passes through fault injection again.
     fn retransmit_seq(req: ReqId, seq: u32, now: SimTime, bus: &mut EventBus<'_>) {
         let st = &bus.reqs[&req];
-        let (dst, handler, base_addr) = match st.dest {
-            Dest::HostBuf { addr } => (st.host, None, addr as u32),
-            Dest::Mapped {
-                node,
-                handler,
-                base_addr,
-            } => (node, Some(handler), base_addr),
-        };
+        let (dst, handler, base_addr) = st.dest.packet_target(st.host);
         let prefix: u64 = st.lens[..seq as usize].iter().map(|&l| l as u64).sum();
-        let start = st.offset as usize + prefix as usize;
+        let start = usize::try_from(st.offset + prefix).expect("a file offset");
         let plen = st.lens[seq as usize] as usize;
         let payload = bus.files.data[st.file.0].slice(start..start + plen);
         let src = st.tca;
@@ -219,7 +210,7 @@ impl FabricEngine {
                 src,
                 dst,
                 handler,
-                addr: base_addr.wrapping_add(seq.wrapping_mul(MTU as u32)),
+                addr: base_addr.wrapping_add(seq.wrapping_mul(MTU_U32)),
                 payload,
                 seq,
                 io_req: Some(req),

@@ -325,12 +325,7 @@ impl HostEngine {
                 // the per-KB cost — only for data that landed in host
                 // memory (active completions are consumed by polling).
                 let (per_req, per_kb) = if matches!(st.dest, Dest::HostBuf { .. }) {
-                    (
-                        bus.cfg.os.per_request / 2,
-                        SimDuration::from_ns_f64(
-                            st.bytes as f64 * bus.cfg.os.per_kb_ns as f64 / 1024.0,
-                        ),
-                    )
+                    (bus.cfg.os.per_request / 2, bus.cfg.os.per_kb_cost(st.bytes))
                 } else {
                     (SimDuration::ZERO, SimDuration::ZERO)
                 };
@@ -602,9 +597,9 @@ impl HostEngine {
                             host,
                             dst,
                             handler,
-                            addr.wrapping_add(off as u32),
+                            addr.wrapping_add(u32::try_from(off).expect("a message offset")),
                             payload,
-                            i as u32,
+                            u32::try_from(i).expect("a packet sequence number"),
                             d,
                             None,
                             ctx.trace,

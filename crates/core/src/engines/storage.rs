@@ -10,7 +10,7 @@
 use std::collections::BTreeMap;
 
 use asan_io::Storage;
-use asan_net::{NodeId, MTU};
+use asan_net::{NodeId, MTU_U32};
 use asan_sim::trace::TraceCtx;
 use asan_sim::{SimDuration, SimTime};
 
@@ -251,7 +251,10 @@ impl StorageEngine {
     }
 
     /// Starts a host-requested storage read at its TCA.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one IoRequestAtTca event, passed unpacked"
+    )]
     fn start_storage_read(
         &mut self,
         tca: NodeId,
@@ -277,14 +280,7 @@ impl StorageEngine {
             bus.probe.disk(tca, now, last, len, ctx);
         }
         let host = bus.reqs[&req].host;
-        let (dst, handler, base_addr) = match dest {
-            Dest::HostBuf { addr } => (host, None, addr as u32),
-            Dest::Mapped {
-                node,
-                handler,
-                base_addr,
-            } => (node, Some(handler), base_addr),
-        };
+        let (dst, handler, base_addr) = dest.packet_target(host);
         let track_packets = matches!(dest, Dest::HostBuf { .. });
         // Under an armed fault plan every fabric-crossing data packet is
         // tracked per sequence number, so drops/corruption can be
@@ -301,13 +297,15 @@ impl StorageEngine {
                 }
             }
         }
-        let mut cursor = offset as usize;
+        let mut cursor = usize::try_from(offset).expect("a file offset");
         for (i, (&ready, &plen)) in sched
             .packet_ready
             .iter()
             .zip(sched.packet_len.iter())
             .enumerate()
         {
+            let seq = u32::try_from(i).expect("a packet sequence number");
+            let addr = base_addr.wrapping_add(seq.wrapping_mul(MTU_U32));
             let plen = plen as usize;
             let payload = bus.files.data[file.0].slice(cursor..cursor + plen);
             cursor += plen;
@@ -322,8 +320,8 @@ impl StorageEngine {
                         dst,
                         len: u16::try_from(plen).expect("packet bounded by MTU"),
                         handler: Some(h),
-                        addr: base_addr.wrapping_add((i * MTU) as u32),
-                        seq: i as u32,
+                        addr,
+                        seq,
                     },
                     payload,
                 );
@@ -347,9 +345,9 @@ impl StorageEngine {
                     src: tca,
                     dst,
                     handler,
-                    addr: base_addr.wrapping_add((i * MTU) as u32),
+                    addr,
                     payload,
-                    seq: i as u32,
+                    seq,
                     io_req: (track_packets || faulted_path).then_some(req),
                     trace: ctx.trace,
                 },
@@ -386,13 +384,14 @@ impl StorageEngine {
         if let Some(&last) = sched.packet_ready.last() {
             bus.probe.disk(r.tca, now, last, r.len, ctx);
         }
-        let mut cursor = r.offset as usize;
+        let mut cursor = usize::try_from(r.offset).expect("a file offset");
         for (i, (&ready, &plen)) in sched
             .packet_ready
             .iter()
             .zip(sched.packet_len.iter())
             .enumerate()
         {
+            let seq = u32::try_from(i).expect("a packet sequence number");
             let plen = plen as usize;
             let payload = bus.files.data[r.file].slice(cursor..cursor + plen);
             cursor += plen;
@@ -402,9 +401,9 @@ impl StorageEngine {
                     src: r.tca,
                     dst: r.deliver_to,
                     handler: r.deliver_handler,
-                    addr: r.deliver_addr.wrapping_add((i * MTU) as u32),
+                    addr: r.deliver_addr.wrapping_add(seq.wrapping_mul(MTU_U32)),
                     payload,
-                    seq: i as u32,
+                    seq,
                     io_req: None,
                     trace: ctx.trace,
                 },

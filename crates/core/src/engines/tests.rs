@@ -212,7 +212,7 @@ fn host_engine_send_packetizes_per_mtu_and_finishes() {
             Event::Host(HostEvent::PacketToHost { host, msg, io_req }) => {
                 assert_eq!(*host, rig.host2);
                 assert_eq!(msg.src, rig.host);
-                assert_eq!(msg.seq, i as u32);
+                assert_eq!(usize::try_from(msg.seq), Ok(i));
                 assert!(io_req.is_none());
                 lens.push(msg.data.len());
             }
@@ -333,7 +333,7 @@ fn fabric_engine_injects_and_delivers_by_node_kind() {
 fn storage_engine_turns_request_into_per_mtu_packet_schedule() {
     let mut rig = Rig::new();
     let len = 8192u64;
-    let file = rig.add_file(len as usize);
+    let file = rig.add_file(usize::try_from(len).expect("a file length"));
     let req = ReqId(0);
     let st = rig.io_state(len);
     rig.reqs.insert(req, st);
@@ -376,7 +376,7 @@ fn storage_engine_turns_request_into_per_mtu_packet_schedule() {
             }) => {
                 assert_eq!(*src, rig.tca);
                 assert_eq!(*dst, rig.host);
-                assert_eq!(*seq, i as u32);
+                assert_eq!(usize::try_from(*seq), Ok(i));
                 assert_eq!(*io_req, Some(req));
                 assert!(payload.len() <= MTU);
                 total += payload.len();
@@ -493,4 +493,44 @@ fn dispatch_engine_invokes_handler_and_routes_its_output() {
         }
         other => panic!("expected PacketToHost, got {other:?}"),
     }
+}
+
+/// Every scheduled event runs exactly one engine's `on_event`, so a
+/// `.clone()` there is a per-event allocation or payload copy; payloads
+/// are [`asan_net::Bytes`] so the handlers can share them instead.
+#[test]
+fn on_event_bodies_do_not_clone() {
+    for (file, src) in [
+        ("host.rs", include_str!("host.rs")),
+        ("fabric.rs", include_str!("fabric.rs")),
+        ("dispatch.rs", include_str!("dispatch.rs")),
+        ("storage.rs", include_str!("storage.rs")),
+    ] {
+        let body = on_event_body(src).unwrap_or_else(|| panic!("{file}: no on_event body"));
+        assert!(
+            !body.contains(".clone()"),
+            "{file}: on_event clones on the per-event path"
+        );
+    }
+}
+
+/// The text of `fn on_event`'s body, from its opening brace to the
+/// matching closing one (braces are counted, not parsed).
+fn on_event_body(src: &str) -> Option<&str> {
+    let sig = src.find("fn on_event(")?;
+    let open = sig + src[sig..].find('{')?;
+    let mut depth = 0;
+    for (i, c) in src[open..].char_indices() {
+        match c {
+            '{' => depth += 1,
+            '}' => {
+                depth -= 1;
+                if depth == 0 {
+                    return Some(&src[open..=open + i]);
+                }
+            }
+            _ => {}
+        }
+    }
+    None
 }

@@ -201,6 +201,25 @@ pub enum Dest {
     },
 }
 
+impl Dest {
+    /// The data packets' destination node, handler and base address
+    /// for a read issued by `host`.
+    pub(crate) fn packet_target(self, host: NodeId) -> (NodeId, Option<HandlerId>, u32) {
+        match self {
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "the 32-bit header address carries the low bits of a host buffer address"
+            )]
+            Dest::HostBuf { addr } => (host, None, addr as u32),
+            Dest::Mapped {
+                node,
+                handler,
+                base_addr,
+            } => (node, Some(handler), base_addr),
+        }
+    }
+}
+
 /// A message as seen by a host program.
 #[derive(Debug, Clone)]
 pub struct HostMsg {
@@ -443,8 +462,10 @@ impl From<DispatchEvent> for Event {
 
 /// Events owned by the storage engine ([`crate::engines::StorageEngine`]):
 /// TCAs and their disk arrays.
-// The variant names are the events' trace labels, which stay fixed.
-#[allow(clippy::enum_variant_names)]
+#[expect(
+    clippy::enum_variant_names,
+    reason = "the variant names are the events' trace labels, which stay fixed"
+)]
 #[derive(Debug)]
 pub(crate) enum StorageEvent {
     /// Raw data arrived at a TCA (archive-write stream).
@@ -856,7 +877,10 @@ impl EventBus<'_> {
     /// into the fabric: the receiving node's kind decides which
     /// subsystem sees it next. `trace` is the causal trace id stamped
     /// on switch-bound follow-up events (0 = untraced).
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "one injected packet's header fields and timing, passed unpacked"
+    )]
     pub(crate) fn deliver(
         &mut self,
         src: NodeId,
@@ -907,7 +931,10 @@ impl EventBus<'_> {
     }
 
     /// Schedules the [`DispatchEvent::PacketToSwitch`] for one active packet.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one PacketToSwitch event, passed unpacked"
+    )]
     fn push_switch_packet(
         &mut self,
         src: NodeId,
@@ -1009,7 +1036,11 @@ mod tests {
 
     #[test]
     fn corrupted_packet_keeps_its_icrc_mismatch_through_the_codec() {
-        let data: Vec<u8> = (0..700u32).map(|i| (i * 13) as u8).collect();
+        let data: Vec<u8> = (0..=u8::MAX)
+            .cycle()
+            .take(700)
+            .map(|i| i.wrapping_mul(13))
+            .collect();
         let mut pkt = asan_net::packetize(NodeId(0), NodeId(1), None, 0, &data).remove(1);
         assert!(pkt.icrc_ok());
         pkt.corrupt_payload_bit(41);

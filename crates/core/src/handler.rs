@@ -182,7 +182,7 @@ impl HandlerCtx<'_> {
                 out.extend_from_slice(self.dba.buffer(buf).bytes(o, chunk));
                 o += chunk;
             }
-            a += window as u32;
+            a += u32::try_from(window).expect("a window within one buffer");
             remaining -= window;
         }
         out
@@ -292,7 +292,7 @@ impl HandlerCtx<'_> {
             self.outbox.push(OutMsg {
                 dst,
                 handler,
-                addr: addr.wrapping_add(offset as u32),
+                addr: addr.wrapping_add(u32::try_from(offset).expect("a message offset")),
                 data: data[offset..offset + chunk].to_vec(),
                 ready,
                 buf,
@@ -328,7 +328,10 @@ impl HandlerCtx<'_> {
     /// Initiates a disk read from the switch (Tar's handler): the
     /// embedded kernel posts a request to `tca` asking it to deliver
     /// `[offset, offset+len)` of `file` to `deliver_to`.
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one SwitchIoReq, the handler API's disk-read call"
+    )]
     pub fn request_disk_read(
         &mut self,
         tca: NodeId,

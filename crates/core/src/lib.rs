@@ -37,6 +37,9 @@
 //! assert_eq!(sw.config().num_cpus, 1);
 //! ```
 
+// A model quantity that no longer fits must fail loudly, not wrap.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod active;
 pub mod atb;
 pub mod buffer;

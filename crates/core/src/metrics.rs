@@ -13,8 +13,7 @@
 //! Instrumentation is observation-only: nothing here schedules events
 //! or advances clocks, so golden digests are bit-identical whether a
 //! sink is installed or not. All times are simulated picoseconds
-//! ([`SimTime`]); wall-clock reads are banned by asan-lint's
-//! `no-wall-clock` rule.
+//! ([`SimTime`]); `clippy.toml` disallows wall-clock reads.
 
 use std::collections::BTreeMap;
 use std::fmt;
@@ -366,7 +365,10 @@ impl Probe {
         self.series.gauge_max(series::KIND_QUEUE_DEPTH, 0, t, depth);
     }
 
-    #[allow(clippy::too_many_arguments)]
+    #[expect(
+        clippy::too_many_arguments,
+        reason = "the fields of one Span, passed unpacked by every span helper"
+    )]
     fn span(
         &mut self,
         kind: SpanKind,

@@ -20,6 +20,9 @@
 //! assert!(b.stall.as_ns() > 0, "streaming scans are memory-bound");
 //! ```
 
+// A model quantity that no longer fits must fail loudly, not wrap.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod model;
 
 pub use model::{Cpu, CpuConfig};

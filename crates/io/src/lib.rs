@@ -21,6 +21,9 @@
 //! assert_eq!(sched.len(), 64); // 32 KB in 512 B packets
 //! ```
 
+// A model quantity that no longer fits must fail loudly, not wrap.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod disk;
 pub mod oscost;
 pub mod scsi;

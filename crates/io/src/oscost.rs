@@ -13,8 +13,9 @@ use asan_sim::SimDuration;
 pub struct OsCost {
     /// Fixed cost per I/O request (syscall, request setup, interrupt).
     pub per_request: SimDuration,
-    /// Marginal cost per KB transferred (unbuffered path).
-    pub per_kb_ns: u64,
+    /// Marginal cost per KB transferred (unbuffered path), in whole
+    /// nanoseconds.
+    pub per_kb: SimDuration,
     /// Fixed cost to issue a request whose data is delivered to an
     /// active switch: the buffer mapping is pre-established and no
     /// completion interrupt copies data, so only a light descriptor
@@ -29,7 +30,7 @@ impl OsCost {
     pub fn paper() -> Self {
         OsCost {
             per_request: SimDuration::from_us(30),
-            per_kb_ns: 270,
+            per_kb: SimDuration::from_ns(270),
             active_request: SimDuration::from_us(5),
         }
     }
@@ -43,14 +44,20 @@ impl OsCost {
     pub fn switch_kernel() -> Self {
         OsCost {
             per_request: SimDuration::from_us(3),
-            per_kb_ns: 27,
+            per_kb: SimDuration::from_ns(27),
             active_request: SimDuration::from_us(3),
         }
     }
 
     /// Host CPU time consumed by a request of `bytes` bytes.
     pub fn request_cost(&self, bytes: u64) -> SimDuration {
-        self.per_request + SimDuration::from_ns_f64(bytes as f64 * self.per_kb_ns as f64 / 1024.0)
+        self.per_request + self.per_kb_cost(bytes)
+    }
+
+    /// The per-KB share of a request of `bytes` bytes, rounded to the
+    /// nearest picosecond.
+    pub fn per_kb_cost(&self, bytes: u64) -> SimDuration {
+        SimDuration::from_ns_f64(bytes as f64 * self.per_kb.as_ns() as f64 / 1024.0)
     }
 }
 

@@ -171,7 +171,7 @@ impl Storage {
         let mut disk_xfers = Vec::new(); // per unit: (disk xfer, base within xfer)
         let mut per_disk_span: Vec<Option<(u64, u64)>> = vec![None; self.cfg.num_disks];
         for unit in first_unit..=last_unit {
-            let disk = (unit % n_disks) as usize;
+            let disk = usize::try_from(unit % n_disks).expect("a disk index below num_disks");
             let unit_start = (unit * stripe).max(offset);
             let unit_end = ((unit + 1) * stripe).min(offset + len);
             let disk_off = (unit / n_disks) * stripe + (unit_start - unit * stripe);
@@ -185,7 +185,7 @@ impl Storage {
         // Cursor into each disk's transfer as units consume it.
         let mut disk_cursor = vec![0u64; self.cfg.num_disks];
         for unit in first_unit..=last_unit {
-            let disk = (unit % n_disks) as usize;
+            let disk = usize::try_from(unit % n_disks).expect("a disk index below num_disks");
             let unit_start = (unit * stripe).max(offset);
             let unit_end = ((unit + 1) * stripe).min(offset + len);
             let xfer = per_disk_xfer[disk].expect("disk has data");
@@ -195,7 +195,9 @@ impl Storage {
 
         // Move each unit across the bus in bursts, in logical order, and
         // cut packets as bytes clear the bus.
-        let mut packet_ready = Vec::with_capacity((len / self.cfg.mtu + 1) as usize);
+        let mtu = u32::try_from(self.cfg.mtu).expect("an MTU below 4 GiB");
+        let packets = usize::try_from(len / self.cfg.mtu + 1).expect("a packet count");
+        let mut packet_ready = Vec::with_capacity(packets);
         let mut packet_len = Vec::with_capacity(packet_ready.capacity());
         let mut pkt_fill = 0u64; // bytes of the current packet already crossed
         let mut complete = now;
@@ -216,7 +218,7 @@ impl Storage {
                     pkt_fill += take;
                     if pkt_fill == self.cfg.mtu {
                         packet_ready.push(bx.byte_ready(in_burst) + self.cfg.tca_packet_latency);
-                        packet_len.push(self.cfg.mtu as u32);
+                        packet_len.push(mtu);
                         pkt_fill = 0;
                     }
                 }
@@ -225,7 +227,7 @@ impl Storage {
         }
         if pkt_fill > 0 {
             packet_ready.push(complete + self.cfg.tca_packet_latency);
-            packet_len.push(pkt_fill as u32);
+            packet_len.push(u32::try_from(pkt_fill).expect("a partial packet below the MTU"));
         }
         ReadSchedule {
             packet_ready,
@@ -244,7 +246,7 @@ impl Storage {
         let last_unit = (offset + len - 1) / stripe;
         let mut per_disk: Vec<Option<(u64, u64)>> = vec![None; self.cfg.num_disks];
         for unit in first_unit..=last_unit {
-            let disk = (unit % n_disks) as usize;
+            let disk = usize::try_from(unit % n_disks).expect("a disk index below num_disks");
             let unit_start = (unit * stripe).max(offset);
             let unit_end = ((unit + 1) * stripe).min(offset + len);
             let disk_off = (unit / n_disks) * stripe + (unit_start - unit * stripe);

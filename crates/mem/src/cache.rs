@@ -258,7 +258,8 @@ impl Cache {
         // all), a power of two so a set's chunk is a shift away.
         let fit = (CHUNK_LINES / cfg.assoc).max(1) as u64;
         let chunk_bits = fit.ilog2().min(num_sets.trailing_zeros());
-        let chunks = vec![Box::default(); (num_sets >> chunk_bits) as usize];
+        let chunks =
+            vec![Box::default(); usize::try_from(num_sets >> chunk_bits).expect("a chunk count")];
         let line_shift = cfg.line_bytes.trailing_zeros();
         let set_bits = num_sets.trailing_zeros();
         assert!(
@@ -318,7 +319,8 @@ impl Cache {
     #[inline]
     fn index(&self, addr: u64) -> (usize, u64) {
         let line = addr >> self.line_shift;
-        ((line & self.set_mask) as usize, line >> self.set_bits)
+        let set = usize::try_from(line & self.set_mask).expect("a set index below num_sets");
+        (set, line >> self.set_bits)
     }
 
     /// Presents an access; returns whether it hit and any dirty eviction.
@@ -599,7 +601,7 @@ mod tests {
     impl LruModel {
         fn new(cfg: &CacheConfig) -> Self {
             LruModel {
-                sets: vec![Vec::new(); cfg.num_sets() as usize],
+                sets: vec![Vec::new(); usize::try_from(cfg.num_sets()).expect("a set count")],
                 assoc: cfg.assoc,
                 line_bytes: cfg.line_bytes,
                 hits: 0,
@@ -611,7 +613,7 @@ mod tests {
         fn access(&mut self, addr: u64, kind: AccessKind) -> AccessOutcome {
             let line = addr / self.line_bytes;
             let num_sets = self.sets.len() as u64;
-            let set = &mut self.sets[(line % num_sets) as usize];
+            let set = &mut self.sets[usize::try_from(line % num_sets).expect("a set index")];
             let write = kind == AccessKind::Write;
             if let Some(pos) = set.iter().position(|&(l, _)| l == line) {
                 let (_, dirty) = set.remove(pos);

@@ -125,7 +125,8 @@ impl Dram {
     pub fn access(&mut self, addr: u64, bytes: u64, now: SimTime) -> DramAccess {
         assert!(bytes > 0, "zero-length DRAM access");
         let page = addr / self.cfg.page_bytes;
-        let bank = (page % self.cfg.num_banks as u64) as usize;
+        let bank =
+            usize::try_from(page % self.cfg.num_banks as u64).expect("a bank below num_banks");
         let row = page / self.cfg.num_banks as u64;
 
         let page_hit = self.open_row[bank] == Some(row);

@@ -27,6 +27,9 @@
 //! assert!(second.l1_hit);             // same 64 B line
 //! ```
 
+// A model quantity that no longer fits must fail loudly, not wrap.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod cache;
 pub mod dram;
 pub mod hierarchy;

@@ -111,7 +111,7 @@ impl Index {
             }
             index.insert(page, slot);
         }
-        let mut order: Vec<u8> = (0..cap as u8).collect();
+        let mut order: Vec<u8> = (0..u8::try_from(cap).expect("at most 255 entries")).collect();
         order.sort_unstable_by_key(|&slot| entries[usize::from(slot)].1);
         if order
             .windows(2)
@@ -131,7 +131,8 @@ impl Index {
 
     /// The page's home cell in the table.
     fn home(&self, page: u64) -> usize {
-        (page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits)) as usize
+        usize::try_from(page.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - self.bits))
+            .expect("a cell below 2^bits")
     }
 
     fn cell(&self, i: usize) -> u8 {
@@ -168,7 +169,7 @@ impl Index {
         while self.cell(i) != 0 {
             i = (i + 1) & mask;
         }
-        self.set_cell(i, slot as u8 + 1);
+        self.set_cell(i, u8::try_from(slot + 1).expect("at most 255 entries"));
     }
 
     /// Unindexes resident `page` (backward-shift deletion, so probe
@@ -286,7 +287,7 @@ impl Tlb {
         if let Some(i) = found {
             self.entries[i].1 = self.stamp;
             if let Some(index) = &mut self.index {
-                index.touch(i as u8);
+                index.touch(u8::try_from(i).expect("at most 255 entries"));
             }
             self.mru = i;
             self.stats.hits.inc();

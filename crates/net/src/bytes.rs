@@ -18,6 +18,10 @@
 //! cluster simulation is single-threaded by design, and parallel
 //! harnesses run one simulation per thread, never sharing packets
 //! across threads.
+#![expect(
+    clippy::disallowed_types,
+    reason = "`Rc` sharing of immutable payload bytes is this module's purpose"
+)]
 
 use std::fmt;
 use std::ops::Deref;

@@ -27,6 +27,9 @@
 //! assert_eq!(d.hops, 2);
 //! ```
 
+// A model quantity that no longer fits must fail loudly, not wrap.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod bytes;
 pub mod hca;
 pub mod link;
@@ -38,7 +41,7 @@ pub use hca::{Hca, HcaConfig};
 pub use link::{Link, LinkConfig, LinkTiming};
 pub use packet::{
     crc32, packetize, reassemble, HandlerId, Header, NodeId, Packet, ReassembleError, HEADER_BYTES,
-    MTU,
+    MTU, MTU_U32,
 };
 pub use topo::{
     single_switch_cluster, Delivery, Fabric, Hop, NodeKind, SwitchSpec, TopoError, TopoMap,

@@ -10,7 +10,10 @@ use std::fmt;
 use crate::bytes::Bytes;
 
 /// Network-wide maximum transfer unit (bytes of payload per packet).
-pub const MTU: usize = 512;
+pub const MTU: usize = MTU_U32 as usize;
+
+/// [`MTU`] as a stride in the 32-bit switch address space.
+pub const MTU_U32: u32 = 512;
 
 /// Size of the wire header in bytes (128 bits).
 pub const HEADER_BYTES: usize = 16;
@@ -22,6 +25,17 @@ pub const HEADER_BYTES: usize = 16;
 pub struct NodeId(pub u16);
 
 asan_sim::snap_fields!(NodeId(id));
+
+impl NodeId {
+    /// The node with dense index `i`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `i` does not fit a 16-bit node id.
+    pub fn from_index(i: usize) -> NodeId {
+        NodeId(u16::try_from(i).expect("a node index below 65536"))
+    }
+}
 
 impl fmt::Display for NodeId {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
@@ -174,9 +188,9 @@ impl std::error::Error for HeaderError {}
 /// per iteration.
 const CRC32_TABLES: [[u32; 256]; 8] = {
     let mut tables = [[0u32; 256]; 8];
-    let mut i = 0;
+    let mut i = 0u32;
     while i < 256 {
-        let mut c = i as u32;
+        let mut c = i;
         let mut k = 0;
         while k < 8 {
             c = if c & 1 != 0 {
@@ -186,7 +200,7 @@ const CRC32_TABLES: [[u32; 256]; 8] = {
             };
             k += 1;
         }
-        tables[0][i] = c;
+        tables[0][i as usize] = c;
         i += 1;
     }
     let mut j = 1;
@@ -363,14 +377,15 @@ pub fn packetize(
     // Intern the stream once; every payload is an O(1) view into it.
     let shared = Bytes::from(data);
     for (i, start) in (0..data.len()).step_by(MTU).enumerate() {
+        let seq = u32::try_from(i).expect("a packet sequence number");
         let end = (start + MTU).min(data.len());
         let header = Header {
             src,
             dst,
             len: u16::try_from(end - start).expect("chunk bounded by MTU"),
             handler,
-            addr: base_addr.wrapping_add((i * MTU) as u32),
-            seq: i as u32,
+            addr: base_addr.wrapping_add(seq.wrapping_mul(MTU_U32)),
+            seq,
         };
         out.push(Packet::new(header, shared.slice(start..end)));
     }
@@ -407,7 +422,7 @@ impl std::error::Error for ReassembleError {}
 pub fn reassemble(packets: &[Packet]) -> Result<Vec<u8>, ReassembleError> {
     let mut data = Vec::new();
     for (i, p) in packets.iter().enumerate() {
-        if p.header.seq != i as u32 {
+        if usize::try_from(p.header.seq) != Ok(i) {
             return Err(ReassembleError::OutOfOrder(p.header.seq));
         }
         if !p.icrc_ok() {
@@ -473,7 +488,7 @@ mod tests {
 
     #[test]
     fn packetize_covers_all_data_with_sequential_addresses() {
-        let data: Vec<u8> = (0..1500u32).map(|i| i as u8).collect();
+        let data: Vec<u8> = (0..=u8::MAX).cycle().take(1500).collect();
         let pkts = packetize(NodeId(0), NodeId(1), None, 0x1000, &data);
         assert_eq!(pkts.len(), 3);
         assert_eq!(pkts[0].payload.len(), 512);
@@ -502,7 +517,7 @@ mod tests {
 
     #[test]
     fn reassemble_detects_corruption() {
-        let data: Vec<u8> = (0..1024u32).map(|i| i as u8).collect();
+        let data: Vec<u8> = (0..=u8::MAX).cycle().take(1024).collect();
         let mut pkts = packetize(NodeId(0), NodeId(1), None, 0, &data);
         assert!(pkts[1].icrc_ok());
         pkts[1].corrupt_payload_bit(77);
@@ -567,7 +582,7 @@ mod tests {
 
     #[test]
     fn from_parts_preserves_icrc_mismatch() {
-        let data: Vec<u8> = (0..100u32).map(|i| i as u8).collect();
+        let data: Vec<u8> = (0..=u8::MAX).cycle().take(100).collect();
         let mut p = packetize(NodeId(0), NodeId(1), None, 0, &data).remove(0);
         p.corrupt_payload_bit(13);
         assert!(!p.icrc_ok());
@@ -578,7 +593,11 @@ mod tests {
 
     #[test]
     fn on_demand_icrc_covers_header_and_payload_at_every_length() {
-        let data: Vec<u8> = (0..MTU as u32).map(|i| (i * 7 + 3) as u8).collect();
+        let data: Vec<u8> = (0..=u8::MAX)
+            .cycle()
+            .take(MTU)
+            .map(|i| i.wrapping_mul(7).wrapping_add(3))
+            .collect();
         for len in 0..=MTU {
             let p = packetize(
                 NodeId(2),
@@ -596,7 +615,7 @@ mod tests {
 
     #[test]
     fn corruption_pins_the_pre_corruption_icrc() {
-        let data: Vec<u8> = (0..300u32).map(|i| i as u8).collect();
+        let data: Vec<u8> = (0..=u8::MAX).cycle().take(300).collect();
         let mut p = packetize(NodeId(0), NodeId(1), None, 0, &data).remove(0);
         let intact = p.icrc();
         p.corrupt_payload_bit(5);

@@ -33,7 +33,6 @@
 //! Packet *data* is not carried here — the cluster layer moves the real
 //! bytes; the fabric answers "when does it arrive, and what did it cost".
 
-use std::cell::OnceCell;
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 
@@ -208,13 +207,13 @@ impl TopologyBuilder {
         for &(a, b, _) in &self.edges {
             if !seen_pairs.insert((a.min(b), a.max(b))) {
                 return Err(TopoError::DuplicateLink {
-                    a: NodeId(a as u16),
-                    b: NodeId(b as u16),
+                    a: NodeId::from_index(a),
+                    b: NodeId::from_index(b),
                 });
             }
             for (from, to) in [(a, b), (b, a)] {
-                out_links[from].push(link_to.len() as u32);
-                link_to.push(to as u32);
+                out_links[from].push(u32::try_from(link_to.len()).expect("a link index"));
+                link_to.push(u32::try_from(to).expect("a node index"));
             }
         }
         Ok((out_links, link_to))
@@ -246,7 +245,7 @@ impl TopologyBuilder {
         if n > 1 {
             for (i, kind) in self.kinds.iter().enumerate() {
                 if *kind == NodeKind::Switch && out_links[i].is_empty() {
-                    return Err(TopoError::IsolatedSwitch(NodeId(i as u16)));
+                    return Err(TopoError::IsolatedSwitch(NodeId::from_index(i)));
                 }
             }
         }
@@ -256,7 +255,7 @@ impl TopologyBuilder {
         let row = bfs_row(&out_links, &link_to, 0);
         if let Some(v) = (1..n).find(|&v| row[v] == NO_ROUTE) {
             return Err(TopoError::Disconnected {
-                from: NodeId(v as u16),
+                from: NodeId::from_index(v),
                 to: NodeId(0),
             });
         }
@@ -265,7 +264,7 @@ impl TopologyBuilder {
             Routes::Tree(euler_tour(&out_links, &link_to))
         } else {
             Routes::Rows {
-                rows: (0..n).map(|_| OnceCell::new()).collect(),
+                rows: (0..n).map(|_| LazyRow::new()).collect(),
                 out_links,
             }
         };
@@ -302,7 +301,7 @@ const NO_ROUTE: u32 = u32::MAX;
 fn bfs_row(out_links: &[Vec<u32>], link_to: &[u32], dst: usize) -> Box<[u32]> {
     let mut row = vec![NO_ROUTE; out_links.len()].into_boxed_slice();
     let mut queue = Vec::with_capacity(out_links.len());
-    queue.push(dst as u32);
+    queue.push(u32::try_from(dst).expect("a node index"));
     let mut head = 0;
     while let Some(&u) = queue.get(head) {
         head += 1;
@@ -353,7 +352,7 @@ fn euler_tour(out_links: &[Vec<u32>], link_to: &[u32]) -> Box<[TreeNode]> {
                 let v = link_to[l as usize];
                 if v != nodes[u].parent {
                     nodes[v as usize] = TreeNode {
-                        parent: u as u32,
+                        parent: u32::try_from(u).expect("a node index"),
                         up: l ^ 1,
                         tin: clock,
                         tout: 0,
@@ -371,6 +370,13 @@ fn euler_tour(out_links: &[Vec<u32>], link_to: &[u32]) -> Box<[TreeNode]> {
     nodes
 }
 
+/// One routing row, built on first use.
+#[expect(
+    clippy::disallowed_types,
+    reason = "a fabric is owned by its cluster and lent to engines per event, never shared"
+)]
+type LazyRow = std::cell::OnceCell<Box<[u32]>>;
+
 /// How a [`Fabric`] answers "first link from `from` toward `dst`".
 #[derive(Debug)]
 enum Routes {
@@ -381,7 +387,7 @@ enum Routes {
         /// `rows[dst][from]`: the first link from `from` toward `dst`,
         /// [`NO_ROUTE`] at `from == dst`; built by [`bfs_row`] on the
         /// first query for `dst`.
-        rows: Vec<OnceCell<Box<[u32]>>>,
+        rows: Vec<LazyRow>,
         /// `out_links[u]`: the links leaving node `u`, in
         /// edge-insertion order.
         out_links: Vec<Vec<u32>>,
@@ -655,7 +661,7 @@ impl TopoSpec {
         let mut tcas = Vec::new();
         let mut switches = Vec::new();
         for (i, k) in kinds.iter().enumerate() {
-            let id = NodeId(i as u16);
+            let id = NodeId::from_index(i);
             match k {
                 NodeKind::Host => hosts.push(id),
                 NodeKind::Tca => tcas.push(id),
@@ -675,7 +681,7 @@ impl TopoSpec {
                 .copied()
                 .find(|&nb| kinds[nb] == NodeKind::Switch)
                 .ok_or(TopoError::BadSpec("host must attach directly to a switch"))?;
-            host_leaf.push(NodeId(leaf as u16));
+            host_leaf.push(NodeId::from_index(leaf));
         }
         // Root: the switch with minimum eccentricity over hosts (ties
         // break to the lowest id) — the natural rendezvous for
@@ -698,7 +704,7 @@ impl TopoSpec {
             for &v in &adj[u] {
                 if kinds[v] == NodeKind::Switch && !visited[v] {
                     visited[v] = true;
-                    parent.insert(NodeId(v as u16), NodeId(u as u16));
+                    parent.insert(NodeId::from_index(v), NodeId::from_index(u));
                     q.push_back(v);
                 }
             }
@@ -841,7 +847,7 @@ impl Delivery {
         }
         let span = self.arrival.since(self.payload_start).as_ps();
         let frac = (span as u128 * (k.min(len) as u128)) / (len as u128);
-        self.payload_start + SimDuration::from_ps(frac as u64)
+        self.payload_start + SimDuration::from_ps(u64::try_from(frac).expect("at most the span"))
     }
 }
 
@@ -859,7 +865,7 @@ impl Delivery {
 /// this is exactly the hop a BFS from the destination would pick, with
 /// no tie to break. A graph with cycles keeps lazily built BFS rows,
 /// and building them in any order, or again after a restore, yields the
-/// same routes. The rows sit in [`OnceCell`]s, so a `Fabric` is `Send`
+/// same routes. The rows sit in [`OnceCell`](std::cell::OnceCell)s, so a `Fabric` is `Send`
 /// but not `Sync`: one simulation owns it, as it owns the rest of its
 /// cluster.
 #[derive(Debug)]
@@ -968,9 +974,9 @@ impl Fabric {
         // serialization ends.
         let busy_until = timing.done - self.links[link_idx].config().propagation;
         Hop {
-            link: link_idx as u32,
-            from: NodeId(from as u16),
-            to: NodeId(to as u16),
+            link: u32::try_from(link_idx).expect("a link index"),
+            from: NodeId::from_index(from),
+            to: NodeId::from_index(to),
             wait: timing.start.since(entry_ready),
             start: timing.start,
             busy_until,
@@ -1592,7 +1598,7 @@ mod tests {
         let mut rng = asan_sim::SimRng::from_label(&format!("routes-{n}"));
         let mut order: Vec<usize> = (0..n).collect();
         for i in (1..n).rev() {
-            order.swap(i, rng.below(i as u64 + 1) as usize);
+            order.swap(i, rng.index(i + 1));
         }
         let queried = &order[..dsts.min(n)];
         for (k, &dst) in queried.iter().enumerate() {
@@ -1600,10 +1606,10 @@ mod tests {
             let dist = oracle_dist(&adj, dst);
             let sources: Vec<usize> = match srcs {
                 None => (0..n).collect(),
-                Some(m) => (0..m).map(|_| rng.below(n as u64) as usize).collect(),
+                Some(m) => (0..m).map(|_| rng.index(n)).collect(),
             };
             for src in sources {
-                let (s, d) = (NodeId(src as u16), NodeId(dst as u16));
+                let (s, d) = (NodeId::from_index(src), NodeId::from_index(dst));
                 assert_eq!(f.path_len(s, d), dist[src], "{s} -> {d}");
                 assert_eq!(f.route(src, dst).is_none(), src == dst);
                 let mut cur = src;
@@ -1684,11 +1690,10 @@ mod tests {
         for k in 0..20 {
             let label = format!("random-tree-{k}");
             let mut rng = asan_sim::SimRng::from_label(&label);
-            let n = 2 + rng.below(60) as usize;
+            let n = 2 + rng.index(60);
             // Node i > 0 hangs off a random earlier node; inner nodes
             // are switches, so every host or TCA leaf sits on a switch.
-            let edges: Vec<(usize, usize)> =
-                (1..n).map(|i| (rng.below(i as u64) as usize, i)).collect();
+            let edges: Vec<(usize, usize)> = (1..n).map(|i| (rng.index(i), i)).collect();
             let mut degree = vec![0; n];
             for &(a, b) in &edges {
                 degree[a] += 1;
@@ -1706,7 +1711,7 @@ mod tests {
             // Shuffle node ids, edge order and each edge's orientation.
             let mut perm: Vec<usize> = (0..n).collect();
             for i in (1..n).rev() {
-                perm.swap(i, rng.below(i as u64 + 1) as usize);
+                perm.swap(i, rng.index(i + 1));
             }
             let mut shuffled = vec![Switch; n];
             for v in 0..n {
@@ -1715,7 +1720,7 @@ mod tests {
             let mut order: Vec<(u16, u16)> = edges
                 .iter()
                 .map(|&(a, b)| {
-                    let (a, b) = (perm[a] as u16, perm[b] as u16);
+                    let (a, b) = (NodeId::from_index(perm[a]).0, NodeId::from_index(perm[b]).0);
                     if rng.chance(0.5) {
                         (a, b)
                     } else {
@@ -1724,7 +1729,7 @@ mod tests {
                 })
                 .collect();
             for i in (1..order.len()).rev() {
-                order.swap(i, rng.below(i as u64 + 1) as usize);
+                order.swap(i, rng.index(i + 1));
             }
             let spec = TopoSpec::explicit(shuffled, order);
             check_tree_routes_against_bfs_rows(spec.builder().0, &label);

@@ -341,6 +341,10 @@ impl FaultInjector {
     pub fn packet_fate(&mut self) -> PacketFate {
         if self.packet_rng.chance(self.plan.packet_corrupt_prob) {
             self.stats.packet_corrupt.injected += 1;
+            #[expect(
+                clippy::cast_possible_truncation,
+                reason = "raw RNG bits; the packet path reduces them modulo its bit count"
+            )]
             let bit = self.packet_rng.next_u64() as usize;
             return PacketFate::Corrupt(bit);
         }

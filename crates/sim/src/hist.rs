@@ -36,7 +36,7 @@ const SUB_BITS: u32 = 5;
 /// Sub-buckets per major (power-of-two) bucket.
 const SUB_BUCKETS: u64 = 1 << SUB_BITS;
 /// Total bucket count covering the full `u64` range.
-const NUM_BUCKETS: usize = ((64 - SUB_BITS as usize) + 1) * SUB_BUCKETS as usize;
+const NUM_BUCKETS: usize = (65 - SUB_BITS as usize) << SUB_BITS;
 
 /// A log-linear histogram of `u64` samples (picoseconds, typically).
 ///
@@ -65,13 +65,15 @@ impl Default for LogHistogram {
 
 /// Index of the bucket holding `v`.
 fn bucket_index(v: u64) -> usize {
-    if v < SUB_BUCKETS {
-        return v as usize;
-    }
-    let msb = 63 - v.leading_zeros();
-    let shift = msb - SUB_BITS;
-    let major = (msb - SUB_BITS + 1) as u64;
-    (major * SUB_BUCKETS + ((v >> shift) & (SUB_BUCKETS - 1))) as usize
+    let i = if v < SUB_BUCKETS {
+        v
+    } else {
+        let msb = 63 - v.leading_zeros();
+        let shift = msb - SUB_BITS;
+        let major = (msb - SUB_BITS + 1) as u64;
+        major * SUB_BUCKETS + ((v >> shift) & (SUB_BUCKETS - 1))
+    };
+    usize::try_from(i).expect("a bucket index below NUM_BUCKETS")
 }
 
 /// Smallest value landing in bucket `i`.
@@ -238,7 +240,7 @@ impl Snap for LogHistogram {
         w.usize(counts.iter().filter(|&&c| c != 0).count());
         for (i, &c) in counts.iter().enumerate() {
             if c != 0 {
-                w.u32(i as u32);
+                w.u32(u32::try_from(i).expect("a bucket index below NUM_BUCKETS"));
                 w.u64(c);
             }
         }
@@ -283,10 +285,10 @@ mod tests {
 
     #[test]
     fn bucket_boundaries_are_exact_below_32() {
-        for v in 0..32u64 {
-            assert_eq!(bucket_index(v), v as usize);
-            assert_eq!(bucket_lower(v as usize), v);
-            assert_eq!(bucket_upper(v as usize), v);
+        for (i, v) in (0..32u64).enumerate() {
+            assert_eq!(bucket_index(v), i);
+            assert_eq!(bucket_lower(i), v);
+            assert_eq!(bucket_upper(i), v);
         }
     }
 

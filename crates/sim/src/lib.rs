@@ -46,6 +46,9 @@
 //! assert_eq!(t, SimTime::from_ns(1));
 //! ```
 
+// A model quantity that no longer fits must fail loudly, not wrap.
+#![warn(clippy::cast_possible_truncation)]
+
 pub mod faults;
 pub mod hist;
 pub mod mutate;

@@ -27,14 +27,14 @@ pub fn mutate(rng: &mut SimRng, base: &[u8]) -> Vec<u8> {
     match rng.below(3) {
         0 => {
             for _ in 0..=rng.below(4) {
-                let i = rng.below(bytes.len() as u64) as usize;
+                let i = rng.index(bytes.len());
                 bytes[i] ^= 1 << rng.below(8);
             }
         }
-        1 => bytes.truncate(rng.below(bytes.len() as u64) as usize),
+        1 => bytes.truncate(rng.index(bytes.len())),
         _ => {
             let extra = 1 + rng.below(32);
-            bytes.extend((0..extra).map(|_| rng.below(256) as u8));
+            bytes.extend((0..extra).map(|_| u8::try_from(rng.below(256)).expect("a byte draw")));
         }
     }
     bytes

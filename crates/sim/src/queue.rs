@@ -115,7 +115,7 @@ impl<E> EventQueue<E> {
             if word != 0 {
                 let slot = w * 64 + word.trailing_zeros() as usize;
                 // Ring distance from `start`, wrapping once at most.
-                let dist = (slot + RING_BUCKETS as usize - start) as u64 % RING_BUCKETS;
+                let dist = (slot as u64 + RING_BUCKETS - start as u64) % RING_BUCKETS;
                 return from + dist;
             }
             dist_base += 64;
@@ -546,9 +546,10 @@ mod tests {
         q.snapshot_with(&mut w, |w, e| w.u32(*e));
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        // A closure (not `SnapReader::u32`) because the decoder must be
-        // higher-ranked over the reader's lifetime.
-        #[allow(clippy::redundant_closure_for_method_calls)]
+        #[expect(
+            clippy::redundant_closure_for_method_calls,
+            reason = "the decoder must be higher-ranked over the reader's lifetime"
+        )]
         let mut q2: EventQueue<u32> = EventQueue::restore_with(&mut r, |r| r.u32()).unwrap();
         r.finish().unwrap();
 
@@ -583,7 +584,10 @@ mod tests {
         w.u64(2);
         let bytes = w.into_bytes();
         let mut r = SnapReader::new(&bytes).unwrap();
-        #[allow(clippy::redundant_closure_for_method_calls)]
+        #[expect(
+            clippy::redundant_closure_for_method_calls,
+            reason = "the decoder must be higher-ranked over the reader's lifetime"
+        )]
         let got: Result<EventQueue<u32>, _> = EventQueue::restore_with(&mut r, |r| r.u32());
         assert!(matches!(got, Err(SnapError::Malformed(_))));
     }

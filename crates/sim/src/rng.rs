@@ -74,6 +74,10 @@ impl SimRng {
     /// # Panics
     ///
     /// Panics if `bound` is zero.
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "Lemire's method keeps the low 64 bits of the 128-bit product"
+    )]
     pub fn below(&mut self, bound: u64) -> u64 {
         assert!(bound > 0, "below(0)");
         // Lemire's multiply-shift rejection method.
@@ -89,6 +93,16 @@ impl SimRng {
             }
         }
         (m >> 64) as u64
+    }
+
+    /// A uniformly distributed index in `[0, len)`: the same draw as
+    /// `below(len)`, typed as a `usize`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is zero.
+    pub fn index(&mut self, len: usize) -> usize {
+        usize::try_from(self.below(len as u64)).expect("a draw below a usize length")
     }
 
     /// A uniformly distributed value in the inclusive range `[lo, hi]`.
@@ -126,7 +140,7 @@ impl SimRng {
 
     /// Random printable ASCII byte (space through `~`).
     pub fn ascii(&mut self) -> u8 {
-        b' ' + self.below(95) as u8
+        b' ' + u8::try_from(self.below(95)).expect("a draw below 95")
     }
 }
 
@@ -235,7 +249,7 @@ mod tests {
         let mut r = SimRng::from_seed(23);
         let mut buckets = [0u32; 10];
         for _ in 0..100_000 {
-            buckets[r.below(10) as usize] += 1;
+            buckets[r.index(10)] += 1;
         }
         for &b in &buckets {
             assert!((9_000..11_000).contains(&b), "bucket = {b}");

@@ -75,7 +75,7 @@ pub fn kind_label(kind: u8) -> &'static str {
 /// `(kind, resource)`.
 #[derive(Debug, Clone)]
 pub struct TimeSeries {
-    window_ps: u64,
+    window: SimDuration,
     tracks: BTreeMap<(u8, u64), Vec<u64>>,
 }
 
@@ -94,14 +94,14 @@ impl TimeSeries {
     pub fn new(window: SimDuration) -> Self {
         assert!(window.as_ps() > 0, "time-series window must be non-zero");
         TimeSeries {
-            window_ps: window.as_ps(),
+            window,
             tracks: BTreeMap::new(),
         }
     }
 
     /// The window width.
     pub fn window(&self) -> SimDuration {
-        SimDuration::from_ps(self.window_ps)
+        self.window
     }
 
     /// Replaces the window width. Only legal before any sample has been
@@ -116,12 +116,13 @@ impl TimeSeries {
             self.tracks.is_empty(),
             "cannot resize a time-series that already holds samples"
         );
-        self.window_ps = window.as_ps();
+        self.window = window;
     }
 
     /// Window index of instant `t`, clamped to the cap.
     fn index(&self, t: SimTime) -> usize {
-        ((t.as_ps() / self.window_ps) as usize).min(MAX_WINDOWS - 1)
+        usize::try_from(t.as_ps() / self.window.as_ps())
+            .map_or(MAX_WINDOWS - 1, |w| w.min(MAX_WINDOWS - 1))
     }
 
     fn track(&mut self, kind: u8, key: u64, upto: usize) -> &mut Vec<u64> {
@@ -141,7 +142,7 @@ impl TimeSeries {
             return;
         }
         let (w0, w1) = (self.index(start), self.index(end));
-        let window_ps = self.window_ps;
+        let window_ps = self.window.as_ps();
         let track = self.track(kind, key, w1);
         if w0 == w1 {
             track[w0] += end.since(start).as_ps();
@@ -173,7 +174,7 @@ impl TimeSeries {
     /// tracks in ascending `(kind, key)` order.
     pub fn timeline(&self) -> Timeline {
         Timeline {
-            window_ps: self.window_ps,
+            window: self.window,
             tracks: self
                 .tracks
                 .iter()
@@ -191,15 +192,15 @@ impl TimeSeries {
 /// samples, in key order.
 impl Snap for TimeSeries {
     fn snapshot(&self, w: &mut SnapWriter) {
-        let TimeSeries { window_ps, tracks } = self;
-        window_ps.snapshot(w);
+        let TimeSeries { window, tracks } = self;
+        window.snapshot(w);
         tracks.snapshot(w);
     }
 
     fn restore(&mut self, r: &mut SnapReader<'_>) -> Result<(), SnapError> {
-        let TimeSeries { window_ps, tracks } = self;
-        window_ps.restore(r)?;
-        if *window_ps == 0 {
+        let TimeSeries { window, tracks } = self;
+        window.restore(r)?;
+        if *window == SimDuration::ZERO {
             return Err(SnapError::Malformed("zero time-series window"));
         }
         tracks.restore(r)?;
@@ -230,8 +231,8 @@ pub struct Track {
 /// layer, deterministic track order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Timeline {
-    /// Window width in picoseconds (0 only in an empty default report).
-    pub window_ps: u64,
+    /// Window width (zero only in an empty default report).
+    pub window: SimDuration,
     /// All tracks, ascending `(kind, key)`.
     pub tracks: Vec<Track>,
 }
@@ -242,8 +243,8 @@ impl Timeline {
     /// dense sample values. Keeps the timeline under the same
     /// digest contract as the histograms.
     pub fn digest(&self, seed: u64) -> u64 {
-        let Timeline { window_ps, tracks } = self;
-        let mut h = fnv1a_fold(seed, *window_ps);
+        let Timeline { window, tracks } = self;
+        let mut h = fnv1a_fold(seed, window.as_ps());
         for Track { kind, key, samples } in tracks {
             h = fnv1a_fold(h, u64::from(*kind));
             h = fnv1a_fold(h, *key);
@@ -264,7 +265,7 @@ impl Timeline {
     /// sparse samples (only non-zero windows, as `[index, value]`
     /// pairs) so quiet tracks stay small.
     pub fn to_json(&self) -> String {
-        let mut out = format!("{{\"window_ps\":{},\"tracks\":[", self.window_ps);
+        let mut out = format!("{{\"window_ps\":{},\"tracks\":[", self.window.as_ps());
         for (i, t) in self.tracks.iter().enumerate() {
             if i > 0 {
                 out.push(',');

@@ -158,13 +158,18 @@ impl SimDuration {
     ///
     /// Useful for derived quantities like "0.27 µs per KB".
     #[inline]
+    #[expect(
+        clippy::cast_possible_truncation,
+        reason = "a float-to-integer `as` rounds and saturates; there is no `TryFrom<f64>`"
+    )]
     pub fn from_ns_f64(ns: f64) -> Self {
         debug_assert!(ns >= 0.0, "negative duration");
         SimDuration((ns * 1_000.0).round() as u64)
     }
 
     /// The time it takes to transfer `bytes` at `bytes_per_sec`, rounded
-    /// up to the next picosecond.
+    /// up to the next picosecond and saturating at `u64::MAX` ps
+    /// (about 213 days) rather than wrapping.
     ///
     /// # Example
     ///
@@ -179,10 +184,11 @@ impl SimDuration {
         assert!(bytes_per_sec > 0, "zero bandwidth");
         // ps = bytes * 1e12 / B/s, computed in u128 to avoid overflow.
         let ps = (bytes as u128 * 1_000_000_000_000u128).div_ceil(bytes_per_sec as u128);
-        SimDuration(ps as u64)
+        SimDuration(u64::try_from(ps).unwrap_or(u64::MAX))
     }
 
-    /// The duration of `cycles` cycles of a clock at `hz`.
+    /// The duration of `cycles` cycles of a clock at `hz`, saturating
+    /// like [`transfer`](SimDuration::transfer).
     ///
     /// # Example
     ///
@@ -194,7 +200,7 @@ impl SimDuration {
     pub fn cycles(cycles: u64, hz: u64) -> Self {
         assert!(hz > 0, "zero frequency");
         let ps = (cycles as u128 * 1_000_000_000_000u128).div_ceil(hz as u128);
-        SimDuration(ps as u64)
+        SimDuration(u64::try_from(ps).unwrap_or(u64::MAX))
     }
 
     /// Raw picoseconds.

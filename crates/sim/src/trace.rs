@@ -19,8 +19,8 @@
 //!
 //! Spans carry **simulated time only** ([`SimTime`], picoseconds).
 //! Sinks must not read wall-clock time, environment state, or any other
-//! ambient input while formatting (the asan-lint `no-wall-clock` rule
-//! enforces the first of these mechanically): a trace file produced by
+//! ambient input while formatting (`clippy.toml` disallows the host
+//! clock, which enforces the first of these): a trace file produced by
 //! two runs of the same configuration must be byte-for-byte identical,
 //! and CI diffs exactly that. Instrumentation must also never *change*
 //! the simulation — a sink observes timings, it does not schedule

@@ -154,10 +154,7 @@ fn reduction_scaling_shape() {
 /// the `repro` run, not print a warning and exit 0.
 #[test]
 fn repro_rejects_unknown_experiment() {
-    let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .arg("perf")
-        .output()
-        .expect("spawn repro");
+    let out = repro(&["perf"], &[]);
     assert!(!out.status.success(), "`perf` exited {}", out.status);
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("unknown experiment: perf"), "{stderr}");
@@ -194,21 +191,69 @@ fn snapshot_load_and_save_directories_are_symmetric() {
     let _ = std::fs::remove_dir_all(&base);
 }
 
-/// Runs `repro --small golden` under `envs`.
-fn golden(envs: &[(&str, &str)]) -> std::process::Output {
+/// Runs `repro <args>` under `envs`.
+fn repro(args: &[&str], envs: &[(&str, &str)]) -> std::process::Output {
     std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
-        .args(["--small", "golden"])
+        .args(args)
         .envs(envs.iter().copied())
         .output()
         .expect("spawn repro")
 }
 
-/// [`golden`]'s digest lines, failing on a non-zero exit.
-fn traced_golden(envs: &[(&str, &str)]) -> String {
-    let out = golden(envs);
+/// [`repro`]'s stdout, failing on a non-zero exit.
+fn repro_ok(args: &[&str], envs: &[(&str, &str)]) -> String {
+    let out = repro(args, envs);
     let stderr = String::from_utf8_lossy(&out.stderr);
-    assert!(out.status.success(), "traced golden {envs:?}: {stderr}");
-    String::from_utf8(out.stdout).expect("digest output is UTF-8")
+    assert!(out.status.success(), "repro {args:?} {envs:?}: {stderr}");
+    String::from_utf8(out.stdout).expect("repro output is UTF-8")
+}
+
+/// Runs `repro --small golden` under `envs`.
+fn golden(envs: &[(&str, &str)]) -> std::process::Output {
+    repro(&["--small", "golden"], envs)
+}
+
+/// Runs of one benchmark under several configurations (the ablations'
+/// hardware variants, chaos's faulted twins) each get their own run
+/// tag: every run writes its own trace file, and a snapshot saved
+/// under one configuration is never restored into another.
+#[test]
+fn every_configuration_gets_its_own_run_tag() {
+    let base = std::env::temp_dir().join(format!("asan-configtags-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&base);
+    let template = |leg: &str| format!("{}/{leg}/{{tag}}.jsonl", base.display());
+    let files = |leg: &str| std::fs::read_dir(base.join(leg)).map_or(0, Iterator::count);
+
+    let plain = repro_ok(&["--small", "ablations"], &[]);
+    assert!(plain.contains("overlap on : 10.816us"), "{plain}");
+    assert!(plain.contains("overlap off: 10.936us"), "{plain}");
+    let traced = repro_ok(
+        &["--small", "ablations"],
+        &[("ASAN_TRACE", &template("ablations"))],
+    );
+    assert_eq!(traced, plain, "tracing changed the ablations");
+    // 3 Reduce-to-one, 4 D-cache and 4 switch-clock runs.
+    assert_eq!(files("ablations"), 11, "one trace file per ablation run");
+    repro_ok(&["--small", "chaos"], &[("ASAN_TRACE", &template("chaos"))]);
+    // Grep, Select and HashJoin clean and under chaos; Reduce clean and trapped.
+    assert_eq!(files("chaos"), 8, "one trace file per chaos run");
+
+    let snaps = base.join("snaps");
+    let snaps = snaps.to_str().unwrap();
+    let saved = repro_ok(
+        &["--small", "ablations"],
+        &[
+            ("ASAN_SNAPSHOT_EVENTS", "10"),
+            ("ASAN_SNAPSHOT_SAVE", snaps),
+        ],
+    );
+    assert_eq!(saved, plain, "an in-process restore changed the ablations");
+    let loaded = repro_ok(&["--small", "ablations"], &[("ASAN_SNAPSHOT_LOAD", snaps)]);
+    assert_eq!(
+        loaded, plain,
+        "each configuration restores its own snapshot"
+    );
+    let _ = std::fs::remove_dir_all(&base);
 }
 
 /// The run tag `runner::drive` substitutes for `{tag}`, per line of the
@@ -244,12 +289,21 @@ fn trace_template_writes_one_file_per_run_at_any_worker_count() {
     let base = std::env::temp_dir().join(format!("asan-tracefiles-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&base);
     let template = |leg: &str| format!("{}/{leg}/{{tag}}.jsonl", base.display());
-    let serial = traced_golden(&[("ASAN_JOBS", "1"), ("ASAN_TRACE", &template("serial"))]);
-    let parallel = traced_golden(&[("ASAN_JOBS", "4"), ("ASAN_TRACE", &template("parallel"))]);
-    let paused = traced_golden(&[
-        ("ASAN_SNAPSHOT_EVENTS", "10"),
-        ("ASAN_TRACE", &template("paused")),
-    ]);
+    let serial = repro_ok(
+        &["--small", "golden"],
+        &[("ASAN_JOBS", "1"), ("ASAN_TRACE", &template("serial"))],
+    );
+    let parallel = repro_ok(
+        &["--small", "golden"],
+        &[("ASAN_JOBS", "4"), ("ASAN_TRACE", &template("parallel"))],
+    );
+    let paused = repro_ok(
+        &["--small", "golden"],
+        &[
+            ("ASAN_SNAPSHOT_EVENTS", "10"),
+            ("ASAN_TRACE", &template("paused")),
+        ],
+    );
     let committed = std::fs::read_to_string(concat!(
         env!("CARGO_MANIFEST_DIR"),
         "/../../tests/golden_digests.txt"
@@ -304,4 +358,32 @@ fn trace_path_without_tag_is_rejected() {
     let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(stderr.contains("ASAN_TRACE"), "{stderr}");
     assert!(!path.exists(), "no run may write the shared file");
+}
+
+/// The metrics and scale documents are read back from files, so their
+/// parsers see bytes from outside the process: 1 000 seeded flips,
+/// truncations and extensions of each real `repro` document must parse
+/// or fail, never panic.
+#[test]
+fn document_parsers_survive_mutated_input() {
+    type Parse = fn(&str) -> bool;
+    let cases: [(&str, Parse); 2] = [
+        ("metrics", |t| asan_bench::parse_metrics_doc(t).is_ok()),
+        ("scale", |t| asan_bench::scale::parse_scale_doc(t).is_ok()),
+    ];
+    for (experiment, parses) in cases {
+        let doc = repro_ok(&["--small", experiment, "--json"], &[]);
+        assert!(parses(&doc), "{experiment}: the unmutated document parses");
+        let mut rng = asan_sim::SimRng::from_label(experiment);
+        let ok = (0..1_000)
+            .filter(|_| {
+                let bytes = asan_sim::mutate::mutate(&mut rng, doc.as_bytes());
+                parses(&String::from_utf8_lossy(&bytes))
+            })
+            .count();
+        assert!(
+            (1..1_000).contains(&ok),
+            "{experiment}: {ok} of 1 000 mutations parsed; both outcomes must occur"
+        );
+    }
 }

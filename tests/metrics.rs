@@ -157,8 +157,8 @@ fn timeline_is_always_on_and_sink_independent() {
     let (_, m_ring) = run_with_sink(Some(Box::new(RingSink::new(1 << 16))));
     let tl = &m_none.timeline;
     assert_eq!(
-        tl.window_ps,
-        ClusterConfig::paper().timeline_window.as_ps(),
+        tl.window,
+        ClusterConfig::paper().timeline_window,
         "window comes from the cluster config"
     );
     assert!(

@@ -7,6 +7,8 @@
 //! failure prints the case index, and re-running replays the identical
 //! sequence.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use asan_apps::data;
 use asan_apps::dfa::LiteralDfa;
 use asan_apps::md5::{md5, md5_interleaved, Md5};
@@ -70,8 +72,7 @@ fn cache_hit_iff_recently_resident() {
             line_bytes: 32,
             assoc: 2,
         });
-        use std::collections::HashSet;
-        let mut ever: HashSet<u64> = HashSet::new();
+        let mut ever: BTreeSet<u64> = BTreeSet::new();
         for _ in 0..n {
             let a = rng.below(1 << 16);
             let line = a / 32;
@@ -98,8 +99,7 @@ fn cache_never_loses_dirty_lines() {
             line_bytes: 32,
             assoc: 2,
         });
-        use std::collections::HashSet;
-        let mut dirty: HashSet<u64> = HashSet::new();
+        let mut dirty: BTreeSet<u64> = BTreeSet::new();
         for _ in 0..n {
             let a = rng.below(1 << 14);
             let line_base = a / 32 * 32;
@@ -260,7 +260,7 @@ fn atb_translation_partial_order() {
         let windows: Vec<u32> = (0..n).map(|_| rng.below(64) as u32).collect();
         let cut = rng.below(70) as u32;
         let mut atb = Atb::new();
-        let mut mapped = std::collections::HashMap::new();
+        let mut mapped = BTreeMap::new();
         for (i, &w) in windows.iter().enumerate() {
             let base = w * 512;
             let old = atb.map(base, BufId(i as u8));
