@@ -12,6 +12,7 @@
 #![warn(clippy::cast_possible_truncation)]
 
 pub mod blockio;
+pub mod catalog;
 pub mod cost;
 pub mod data;
 pub mod dfa;

@@ -57,20 +57,21 @@
 //!
 //! An unknown experiment name prints the usage and exits non-zero.
 //!
-//! The `golden` and `metrics` sweeps run their 18 independent
-//! (benchmark × config) simulations on a worker pool
-//! (`asan_bench::pool`); results are printed in submission order, so
+//! The `golden`, `metrics` and `golden-fabric` sweeps run the rows of
+//! the golden-run catalog (`asan_apps::catalog`) on a worker pool
+//! (`asan_bench::pool`); results are printed in catalog order, so
 //! output is byte-identical for any worker count. `ASAN_JOBS=<n>`
 //! overrides the worker count (default: available parallelism).
 
 use std::env;
 use std::process::ExitCode;
 
+use asan_apps::catalog::{self, Size};
 use asan_apps::runner::{sweep, AppRun, Variant};
 use asan_apps::{grep, hashjoin, md5app, mpeg, multiprog, psort, reduce, select, tar, twolevel};
 use asan_bench::{
     breakdown_table, latency_report, metrics_json, overall_csv, overall_table, parse_metrics_doc,
-    phase_breakdown_report, pool, scale, speedups, timeline_report, BenchMetrics,
+    phase_breakdown_report, pool, run_catalog, scale, speedups, timeline_report, BenchMetrics,
 };
 use asan_core::cluster::{Cluster, ClusterConfig, Dest, FileId, HostCtx, HostProgram, ReqId};
 use asan_core::metrics::MetricsReport;
@@ -85,70 +86,9 @@ experiments: table1 fig3..fig17 table2 ablations twolevel multiprog chaos chaos-
              metrics golden golden-fabric scale timeline snapcheck all";
 
 struct Scale {
-    small: bool,
+    size: Size,
     csv: bool,
     json: bool,
-}
-
-impl Scale {
-    fn mpeg(&self) -> mpeg::Params {
-        if self.small {
-            mpeg::Params::small()
-        } else {
-            mpeg::Params::paper()
-        }
-    }
-    fn hashjoin(&self) -> hashjoin::Params {
-        if self.small {
-            hashjoin::Params::small()
-        } else {
-            hashjoin::Params::paper()
-        }
-    }
-    fn select(&self) -> select::Params {
-        if self.small {
-            select::Params::small()
-        } else {
-            select::Params::paper()
-        }
-    }
-    fn grep(&self) -> grep::Params {
-        if self.small {
-            grep::Params::small()
-        } else {
-            grep::Params::paper()
-        }
-    }
-    fn tar(&self) -> tar::Params {
-        if self.small {
-            tar::Params::small()
-        } else {
-            tar::Params::paper()
-        }
-    }
-    fn psort(&self) -> psort::Params {
-        if self.small {
-            psort::Params::small()
-        } else {
-            psort::Params::paper()
-        }
-    }
-    fn md5(&self, cpus: usize) -> md5app::Params {
-        let mut p = if self.small {
-            md5app::Params::small()
-        } else {
-            md5app::Params::paper()
-        };
-        p.switch_cpus = cpus;
-        p
-    }
-    fn reduce_nodes(&self) -> Vec<usize> {
-        if self.small {
-            vec![2, 4, 8, 16]
-        } else {
-            vec![2, 4, 8, 16, 32, 64, 128]
-        }
-    }
 }
 
 fn print_pair(sc: &Scale, name: &str, overall_id: &str, breakdown_id: &str, runs: &[AppRun]) {
@@ -168,15 +108,19 @@ fn print_pair(sc: &Scale, name: &str, overall_id: &str, breakdown_id: &str, runs
 fn table1(sc: &Scale) {
     println!("== Table 1: Applications and Problem Sizes ==");
     println!("{:<22} {:>20}", "Application", "Input Data Size (B)");
-    println!("{:<22} {:>20}", "MPEG filter", sc.mpeg().video_bytes);
-    let hj = sc.hashjoin();
+    println!("{:<22} {:>20}", "MPEG filter", sc.size.mpeg().video_bytes);
+    let hj = sc.size.hashjoin();
     println!("{:<22} {:>9} x {:>8}", "HashJoin", hj.r_bytes, hj.s_bytes);
-    println!("{:<22} {:>20}", "Select", sc.select().table_bytes);
-    println!("{:<22} {:>20}", "Grep", sc.grep().file_bytes);
-    let t = sc.tar();
+    println!("{:<22} {:>20}", "Select", sc.size.select().table_bytes);
+    println!("{:<22} {:>20}", "Grep", sc.size.grep().file_bytes);
+    let t = sc.size.tar();
     println!("{:<22} {:>20}", "Tar", t.files as u64 * t.file_bytes);
-    println!("{:<22} {:>20}", "Parallel sort", sc.psort().total_bytes);
-    println!("{:<22} {:>20}", "MD5", sc.md5(1).input_bytes);
+    println!(
+        "{:<22} {:>20}",
+        "Parallel sort",
+        sc.size.psort().total_bytes
+    );
+    println!("{:<22} {:>20}", "MD5", sc.size.md5(1).input_bytes);
     println!("{:<22} {:>20}", "Collective Reduction", 512);
     println!();
 }
@@ -187,7 +131,7 @@ fn fig_reduce(mode: reduce::Mode, id: &str, name: &str, sc: &Scale) {
         "{:<8} {:>14} {:>14} {:>10}",
         "nodes", "normal (us)", "active (us)", "speedup"
     );
-    for p in sc.reduce_nodes() {
+    for p in sc.size.reduce_nodes() {
         let n = reduce::run(mode, false, p);
         let a = reduce::run(mode, true, p);
         let nu = n.latency.as_ns() as f64 / 1000.0;
@@ -199,8 +143,8 @@ fn fig_reduce(mode: reduce::Mode, id: &str, name: &str, sc: &Scale) {
 
 fn fig17(sc: &Scale) {
     println!("== Figure 17: MD5 with multiple switch CPUs ==");
-    let normal = md5app::run(Variant::Normal, &sc.md5(1));
-    let normal_p = md5app::run(Variant::NormalPref, &sc.md5(1));
+    let normal = md5app::run(Variant::Normal, &sc.size.md5(1));
+    let normal_p = md5app::run(Variant::NormalPref, &sc.size.md5(1));
     println!("{:<16} {:>12} {:>10}", "config", "exec", "vs normal");
     let base = normal.exec.as_ps() as f64;
     let base_p = normal_p.exec.as_ps() as f64;
@@ -217,8 +161,8 @@ fn fig17(sc: &Scale) {
         base / base_p.max(1.0)
     );
     for cpus in [1usize, 2, 4] {
-        let a = md5app::run(Variant::Active, &sc.md5(cpus));
-        let ap = md5app::run(Variant::ActivePref, &sc.md5(cpus));
+        let a = md5app::run(Variant::Active, &sc.size.md5(cpus));
+        let ap = md5app::run(Variant::ActivePref, &sc.size.md5(cpus));
         println!(
             "{:<16} {:>12} {:>10.2}",
             format!("active {cpus}cpu"),
@@ -240,7 +184,7 @@ fn fig17(sc: &Scale) {
 /// D-cache size (HashJoin's bit-vector), and the host:switch clock
 /// ratio.
 fn ablations(sc: &Scale) {
-    let gp = sc.grep();
+    let gp = sc.size.grep();
 
     println!("== Ablation A: per-line valid bits (Reduce-to-one, 8 nodes) ==");
     println!("(latency-bound: overlap lets the combine begin while the");
@@ -272,7 +216,7 @@ fn ablations(sc: &Scale) {
     println!();
 
     println!("== Ablation C: switch D-cache size (HashJoin, active+pref) ==");
-    let jp = sc.hashjoin();
+    let jp = sc.size.hashjoin();
     for kb in [1u64, 4, 16, 64] {
         let mut cfg = ClusterConfig::paper_db();
         cfg.label = format!("dcache-{kb}k");
@@ -311,7 +255,7 @@ fn ablations(sc: &Scale) {
 /// each Grep configuration leaves idle; the makespan shows the effect.
 fn multiprog_exp(sc: &Scale) {
     println!("== Multiprogrammed server: Grep + background job ==");
-    let p = sc.grep();
+    let p = sc.size.grep();
     println!(
         "{:<14} {:>14} {:>12} {:>14} {:>12}",
         "bg job", "config", "grep done", "background", "makespan"
@@ -340,7 +284,7 @@ fn twolevel(sc: &Scale) {
         "{:<16} {:>12} {:>9} {:>16} {:>14}",
         "placement", "exec", "speedup", "host bytes", "SAN link bytes"
     );
-    let p = sc.select();
+    let p = sc.size.select();
     let runs: Vec<twolevel::PlacementRun> = twolevel::Placement::ALL
         .iter()
         .map(|&pl| twolevel::run(pl, &p))
@@ -372,15 +316,15 @@ fn chaos(sc: &Scale) {
     type ChaosApp = Box<dyn Fn(ClusterConfig) -> AppRun>;
     let apps: [(&str, ChaosApp); 3] = [
         ("Grep", {
-            let p = sc.grep();
+            let p = sc.size.grep();
             Box::new(move |cfg| grep::run_with_config(Variant::ActivePref, &p, cfg))
         }),
         ("Select", {
-            let p = sc.select();
+            let p = sc.size.select();
             Box::new(move |cfg| select::run_with_config(Variant::ActivePref, &p, cfg))
         }),
         ("HashJoin", {
-            let p = sc.hashjoin();
+            let p = sc.size.hashjoin();
             Box::new(move |cfg| hashjoin::run_with_config(Variant::ActivePref, &p, cfg))
         }),
     ];
@@ -507,79 +451,15 @@ fn chaos_digest() {
     println!("{}", cl.fault_stats());
 }
 
-/// One finished (benchmark × config) run, as collected by the parallel
-/// sweep harness: everything `golden` and `metrics` need.
-struct RunRecord {
-    name: &'static str,
-    config: &'static str,
-    digest: u64,
-    metrics: MetricsReport,
-}
-
-/// Boxes one benchmark run as a pool job producing a [`RunRecord`].
-/// A macro (not a function) because `AppRun` and `ReduceRun` share the
-/// field names but not a trait.
-macro_rules! sweep_job {
-    ($jobs:ident, $name:literal, $config:ident, $run:expr) => {
-        $jobs.push(Box::new(move || {
-            let r = $run;
-            RunRecord {
-                name: $name,
-                config: $config,
-                digest: r.stats_digest,
-                metrics: r.metrics,
-            }
-        }) as pool::Job<RunRecord>);
-    };
-}
-
-/// Runs all nine benchmarks in the `normal` and `active` configurations
-/// on the worker pool and returns the 18 records in canonical order
-/// (the committed golden-digest order): benchmarks within `normal`,
-/// then within `active`. Index-ordered collection makes the order — and
-/// thus every report built from it — independent of the worker count.
-fn run_sweep(sc: &Scale) -> Vec<RunRecord> {
-    let mut jobs: Vec<pool::Job<RunRecord>> = Vec::new();
-    for (config, variant) in [("normal", Variant::Normal), ("active", Variant::Active)] {
-        let p = sc.mpeg();
-        sweep_job!(jobs, "mpeg", config, mpeg::run(variant, &p));
-        let p = sc.hashjoin();
-        sweep_job!(jobs, "hashjoin", config, hashjoin::run(variant, &p));
-        let p = sc.select();
-        sweep_job!(jobs, "select", config, select::run(variant, &p));
-        let p = sc.grep();
-        sweep_job!(jobs, "grep", config, grep::run(variant, &p));
-        let p = sc.tar();
-        sweep_job!(jobs, "tar", config, tar::run(variant, &p));
-        let p = sc.psort();
-        sweep_job!(jobs, "psort", config, psort::run(variant, &p));
-        let p = sc.md5(1);
-        sweep_job!(jobs, "md5", config, md5app::run(variant, &p));
-        let active = variant.is_active();
-        sweep_job!(
-            jobs,
-            "reduce-to-one",
-            config,
-            reduce::run(reduce::Mode::ReduceToOne, active, 8)
-        );
-        sweep_job!(
-            jobs,
-            "distributed-reduce",
-            config,
-            reduce::run(reduce::Mode::Distributed, active, 8)
-        );
-    }
-    pool::run_indexed(jobs, pool::default_workers())
-}
-
-/// Golden digests: every benchmark's canonical `ClusterStats::digest()`
-/// in the `normal` and `active` configurations. The committed
-/// `tests/golden_digests.txt` holds the output of
-/// `repro -- --small golden`; CI regenerates and diffs it, so any
+/// Prints the digest line of every catalog row, in catalog order.
+/// `repro --small golden` (the 18 paper runs) and `repro golden-fabric`
+/// (the 8 fat-tree cells) print the committed `tests/golden_digests.txt`
+/// and `tests/golden_digests_fabric.txt`; CI regenerates and diffs
+/// both, at several worker counts and across snapshot/restore, so any
 /// change that silently perturbs simulation results fails loudly.
-fn golden(sc: &Scale) {
-    for r in run_sweep(sc) {
-        println!("{} {} {:016x}", r.name, r.config, r.digest);
+fn print_catalog(rows: Vec<catalog::Run>) {
+    for r in run_catalog(rows) {
+        println!("{r}");
     }
 }
 
@@ -588,18 +468,18 @@ fn golden(sc: &Scale) {
 /// the latency percentiles (human tables, or the analyzer's JSON
 /// document with `--json`).
 fn metrics_exp(sc: &Scale) {
-    let rows = run_sweep(sc);
+    let rows = run_catalog(catalog::golden(sc.size));
     if sc.json {
         let refs: Vec<(&str, &str, &MetricsReport)> = rows
             .iter()
-            .map(|r| (r.name, r.config, &r.metrics))
+            .map(|r| (r.name.as_str(), r.config, &r.metrics))
             .collect();
         println!("{}", metrics_json(&refs));
         return;
     }
     let summaries: Vec<BenchMetrics> = rows
         .iter()
-        .map(|r| BenchMetrics::from_report(r.name, r.config, &r.metrics))
+        .map(|r| BenchMetrics::from_report(&r.name, r.config, &r.metrics))
         .collect();
     println!("{}", phase_breakdown_report(&summaries));
     println!("{}", latency_report(&summaries));
@@ -611,7 +491,7 @@ fn metrics_exp(sc: &Scale) {
 /// worker pool and are collected in submission order, so the document
 /// is byte-identical at any `ASAN_JOBS`.
 fn scale_exp(sc: &Scale) {
-    let (radices, hosts): (Vec<usize>, Vec<usize>) = if sc.small {
+    let (radices, hosts): (Vec<usize>, Vec<usize>) = if sc.size == Size::Small {
         (vec![4], vec![16, 64])
     } else {
         (vec![4, 16], vec![64, 256, 1024])
@@ -661,38 +541,6 @@ fn scale_exp(sc: &Scale) {
     println!();
 }
 
-/// Multi-switch golden digests: the collective reduction on a radix-4
-/// fat-tree at 64 hosts, every handler placement × result mode, plus
-/// the host-side baseline. The committed
-/// `tests/golden_digests_fabric.txt` holds this output; CI regenerates
-/// and diffs it at ASAN_JOBS 1 and 4 and across snapshot/restore.
-fn golden_fabric() {
-    const P: usize = 64;
-    const RADIX: usize = 4;
-    let mut jobs: Vec<pool::Job<(String, u64)>> = Vec::new();
-    for mode in [reduce::Mode::ReduceToOne, reduce::Mode::Distributed] {
-        jobs.push(Box::new(move || {
-            let r = reduce::run_scaled(mode, false, P, RADIX, HandlerPlacement::Nca);
-            (
-                format!("{}-r{RADIX}-p{P} normal", mode.tag()),
-                r.stats_digest,
-            )
-        }));
-        for placement in HandlerPlacement::ALL {
-            jobs.push(Box::new(move || {
-                let r = reduce::run_scaled(mode, true, P, RADIX, placement);
-                (
-                    format!("{}-r{RADIX}-p{P} {}", mode.tag(), placement.label()),
-                    r.stats_digest,
-                )
-            }));
-        }
-    }
-    for (name, digest) in pool::run_indexed(jobs, pool::default_workers()) {
-        println!("{name} {digest:016x}");
-    }
-}
-
 /// Flight-recorder showcase: the collective reduce-to-one on a radix-4
 /// fat-tree, once with combine handlers at the participants' nearest
 /// common ancestors and once all at the root switch. Each run exports
@@ -706,7 +554,7 @@ fn golden_fabric() {
 /// any `ASAN_JOBS`.
 fn timeline_exp(sc: &Scale, results_dir: &str) {
     const RADIX: usize = 4;
-    let p = if sc.small { 16 } else { 64 };
+    let p = if sc.size == Size::Small { 16 } else { 64 };
     std::fs::create_dir_all(results_dir).expect("create results dir");
     let cases = [
         ("nca", asan_core::HandlerPlacement::Nca),
@@ -750,7 +598,7 @@ fn timeline_exp(sc: &Scale, results_dir: &str) {
 fn golden_child(sc: &Scale, envs: &[(&str, &str)]) -> String {
     let exe = env::current_exe().expect("own binary path");
     let mut cmd = std::process::Command::new(exe);
-    if sc.small {
+    if sc.size == Size::Small {
         cmd.arg("--small");
     }
     cmd.arg("golden");
@@ -838,7 +686,8 @@ fn main() -> ExitCode {
     let small = args.iter().any(|a| a == "--small");
     let csv = args.iter().any(|a| a == "--csv");
     let json = args.iter().any(|a| a == "--json");
-    let sc = Scale { small, csv, json };
+    let size = if small { Size::Small } else { Size::Paper };
+    let sc = Scale { size, csv, json };
     let results_dir = args
         .iter()
         .position(|a| a == "--results")
@@ -874,27 +723,27 @@ fn main() -> ExitCode {
         match w {
             "table1" => table1(&sc),
             "fig3" | "fig4" => {
-                let runs = sweep(|v| mpeg::run(v, &sc.mpeg()));
+                let runs = sweep(|v| mpeg::run(v, &sc.size.mpeg()));
                 print_pair(&sc, "MPEG-Filter", "Figure 3", "Figure 4", &runs);
             }
             "fig5" | "fig6" => {
-                let runs = sweep(|v| hashjoin::run(v, &sc.hashjoin()));
+                let runs = sweep(|v| hashjoin::run(v, &sc.size.hashjoin()));
                 print_pair(&sc, "HashJoin", "Figure 5", "Figure 6", &runs);
             }
             "fig7" | "fig8" => {
-                let runs = sweep(|v| select::run(v, &sc.select()));
+                let runs = sweep(|v| select::run(v, &sc.size.select()));
                 print_pair(&sc, "Select", "Figure 7", "Figure 8", &runs);
             }
             "fig9" | "fig10" => {
-                let runs = sweep(|v| grep::run(v, &sc.grep()));
+                let runs = sweep(|v| grep::run(v, &sc.size.grep()));
                 print_pair(&sc, "Grep", "Figure 9", "Figure 10", &runs);
             }
             "fig11" | "fig12" => {
-                let runs = sweep(|v| tar::run(v, &sc.tar()));
+                let runs = sweep(|v| tar::run(v, &sc.size.tar()));
                 print_pair(&sc, "Tar", "Figure 11", "Figure 12", &runs);
             }
             "fig13" | "fig14" => {
-                let runs = sweep(|v| psort::run(v, &sc.psort()));
+                let runs = sweep(|v| psort::run(v, &sc.size.psort()));
                 print_pair(&sc, "Parallel Sort", "Figure 13", "Figure 14", &runs);
             }
             "fig15" => fig_reduce(
@@ -915,8 +764,8 @@ fn main() -> ExitCode {
             "chaos" => chaos(&sc),
             "chaos-digest" => chaos_digest(),
             "metrics" => metrics_exp(&sc),
-            "golden" => golden(&sc),
-            "golden-fabric" => golden_fabric(),
+            "golden" => print_catalog(catalog::golden(sc.size)),
+            "golden-fabric" => print_catalog(catalog::fabric()),
             "timeline" => timeline_exp(&sc, &results_dir),
             "scale" => scale_exp(&sc),
             "snapcheck" => snapcheck(&sc),

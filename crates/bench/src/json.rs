@@ -78,16 +78,22 @@ impl fmt::Display for ParseError {
 
 impl std::error::Error for ParseError {}
 
+/// The deepest nesting of arrays and objects [`parse`] accepts. The
+/// parser recurses once per level, so a cap keeps hostile input from
+/// overflowing the stack; the committed documents nest 6 levels.
+pub const MAX_DEPTH: usize = 128;
+
 /// Parses `input` as one JSON document.
 ///
 /// # Errors
 ///
-/// Returns a [`ParseError`] with a byte offset on malformed input or
-/// trailing garbage.
+/// Returns a [`ParseError`] with a byte offset on malformed input,
+/// nesting deeper than [`MAX_DEPTH`], or trailing garbage.
 pub fn parse(input: &str) -> Result<Value, ParseError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -101,6 +107,8 @@ pub fn parse(input: &str) -> Result<Value, ParseError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around the current position.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -138,8 +146,17 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<Value, ParseError> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{' | b'[') if self.depth == MAX_DEPTH => Err(self.err("nesting too deep")),
+            Some(open @ (b'{' | b'[')) => {
+                self.depth += 1;
+                let v = if open == b'{' {
+                    self.object()
+                } else {
+                    self.array()
+                };
+                self.depth -= 1;
+                v
+            }
             Some(b'"') => Ok(Value::Str(self.string()?)),
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
@@ -321,6 +338,20 @@ mod tests {
         assert!(parse("\"open").is_err());
         let e = parse("nope").unwrap_err();
         assert!(e.to_string().contains("byte 0"));
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let nested = |open: &str, close: &str, n: usize| open.repeat(n) + "0" + &close.repeat(n);
+        assert!(parse(&nested("[", "]", MAX_DEPTH)).is_ok());
+        assert!(parse(&nested("{\"a\":", "}", MAX_DEPTH)).is_ok());
+        for n in [MAX_DEPTH + 1, 60_000] {
+            let e = parse(&nested("[", "]", n)).unwrap_err();
+            assert_eq!((e.msg, e.at), ("nesting too deep", MAX_DEPTH));
+            assert!(parse(&nested("{\"a\":", "}", n)).is_err());
+            // Unclosed, as a truncated or hostile document would be.
+            assert!(parse(&"[".repeat(n)).is_err());
+        }
     }
 
     #[test]

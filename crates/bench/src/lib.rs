@@ -15,6 +15,9 @@ pub mod json;
 pub mod pool;
 pub mod scale;
 
+use std::fmt;
+
+use asan_apps::catalog;
 use asan_apps::runner::AppRun;
 use asan_apps::Variant;
 use asan_core::metrics::{MetricsReport, PhaseBreakdown};
@@ -524,6 +527,46 @@ pub fn speedups(runs: &[AppRun]) -> (f64, f64) {
         get(Variant::Normal) / get(Variant::Active),
         get(Variant::NormalPref) / get(Variant::ActivePref),
     )
+}
+
+/// One finished [`catalog::Run`]. It displays as its golden-file line,
+/// `"{name} {config} {digest:016x}"`.
+pub struct Finished {
+    /// The row's name.
+    pub name: String,
+    /// The row's configuration.
+    pub config: &'static str,
+    /// Canonical stats digest.
+    pub digest: u64,
+    /// The run's metrics report.
+    pub metrics: MetricsReport,
+}
+
+impl fmt::Display for Finished {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} {} {:016x}", self.name, self.config, self.digest)
+    }
+}
+
+/// Makes catalog rows on the worker pool and returns them in catalog
+/// order, so every report built from them is the same at any worker
+/// count.
+pub fn run_catalog(rows: Vec<catalog::Run>) -> Vec<Finished> {
+    let (labels, jobs): (Vec<_>, Vec<_>) = rows
+        .into_iter()
+        .map(|r| ((r.name, r.config), r.job))
+        .unzip();
+    let outcomes = pool::run_indexed(jobs, pool::default_workers());
+    labels
+        .into_iter()
+        .zip(outcomes)
+        .map(|((name, config), (digest, metrics))| Finished {
+            name,
+            config,
+            digest,
+            metrics,
+        })
+        .collect()
 }
 
 #[cfg(test)]
