@@ -328,6 +328,7 @@ pub fn vector_add(a: &mut [u8], b: &[u8]) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::hashjoin::{hash_bit, BitVector};
 
     #[test]
     fn mpeg_stream_has_exact_length_and_ratio() {
@@ -405,23 +406,18 @@ mod tests {
         // fraction (and hence the false-positive rate) matches the
         // paper's full-size configuration.
         let (r, s) = join_tables(512 << 10, 2 << 20, 128);
-        let bits = 1usize << 15;
-        let mut bv = vec![false; bits];
+        let bits = 1 << 15;
+        let mut bv = BitVector::new(bits);
         let nr = r.len() / 128;
         for i in 0..nr {
-            let k = record_key(&r, 128, i);
-            bv[hash_bit(k, bits)] = true;
+            bv.set(hash_bit(record_key(&r, 128, i), bits));
         }
         let ns = s.len() / 128;
         let pass = (0..ns)
-            .filter(|&i| bv[hash_bit(record_key(&s, 128, i), bits)])
+            .filter(|&i| bv.get(hash_bit(record_key(&s, 128, i), bits)))
             .count();
         let rate = pass as f64 / ns as f64;
         assert!((rate - 0.24).abs() < 0.08, "pass rate = {rate}");
-    }
-
-    fn hash_bit(key: u64, bits: usize) -> usize {
-        (key.wrapping_mul(0x9E3779B97F4A7C15) >> 40) as usize % bits
     }
 
     #[test]

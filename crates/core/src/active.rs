@@ -21,7 +21,6 @@ use asan_sim::stats::{Counter, TimeBreakdown};
 use asan_sim::{Period, SimDuration, SimTime};
 
 use crate::atb::Atb;
-use crate::buffer::line_schedule;
 use crate::dba::BufferAdmin;
 use crate::handler::{Handler, HandlerCtx, MsgInfo, OutMsg, SwitchIoReq};
 
@@ -290,14 +289,16 @@ impl ActiveSwitch {
         // The Dispatch unit: allocate a data buffer, map it in the ATB,
         // choose a CPU.
         let (buf, granted) = self.dba.alloc(header_at);
-        let schedule = if self.cfg.valid_bit_overlap {
-            line_schedule(pkt.payload.len(), payload_start, payload_end)
+        // Without valid-bit overlap (store-and-forward) no line is
+        // readable before the last byte arrived.
+        let first = if self.cfg.valid_bit_overlap {
+            payload_start
         } else {
-            // Store-and-forward: nothing is readable before the last
-            // byte arrived.
-            vec![payload_end; pkt.payload.len().div_ceil(crate::buffer::LINE_BYTES)]
+            payload_end
         };
-        self.dba.buffer_mut(buf).fill(&pkt.payload, &schedule);
+        self.dba
+            .buffer_mut(buf)
+            .fill(&pkt.payload, first, payload_end);
 
         let mut handler = self.jump[hid.as_u8() as usize].take().expect("checked");
         let cpu_idx = match handler.cpu_affinity(&msg) {

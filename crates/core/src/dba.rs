@@ -241,7 +241,8 @@ mod tests {
     fn buffer_contents_reset_on_alloc() {
         let mut a = BufferAdmin::new(1);
         let (id, _) = a.alloc(SimTime::ZERO);
-        a.buffer_mut(id).fill_local(&[1u8; 64], SimTime::ZERO);
+        a.buffer_mut(id)
+            .fill(&[1u8; 64], SimTime::ZERO, SimTime::ZERO);
         a.release(id, SimTime::from_ns(1));
         let (id2, _) = a.alloc(SimTime::from_ns(2));
         assert_eq!(id, id2);
