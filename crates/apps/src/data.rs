@@ -5,7 +5,19 @@
 //! I/P-frame byte split, the database record layout, the grep corpus
 //! with exactly 16 matching lines, Datamation-format sort records, and
 //! so on. All randomness is seeded from stable labels.
+//!
+//! Most inputs are byte buffers. The database tables of HashJoin and
+//! Select are [`RecordTable`]s instead: they hold only each record's
+//! key and write the bytes of a range when a disk read asks for it, so
+//! a paper-size run never builds its 144 MB (HashJoin) or 128 MB
+//! (Select) of input. [`db_table`] and [`join_tables`] write the same
+//! tables out in full.
 
+use std::fmt;
+use std::ops::Range;
+
+use asan_core::cluster::FileSource;
+use asan_net::Bytes;
 use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 use asan_sim::SimRng;
 
@@ -181,48 +193,207 @@ impl Default for FrameScanner {
     }
 }
 
-/// Generates a database table of fixed-size records. Record layout:
-/// 8-byte little-endian key, then filler to `record_bytes`. Keys are
-/// uniform in `[0, u32::MAX]` (stored in 64 bits).
-pub fn db_table(total_bytes: usize, record_bytes: usize, label: &str) -> Vec<u8> {
-    assert!(record_bytes >= 8, "record too small for a key");
-    let mut rng = SimRng::from_label(label);
-    let records = total_bytes / record_bytes;
-    let mut out = Vec::with_capacity(records * record_bytes);
-    for _ in 0..records {
-        let key = rng.below(1 << 32);
-        out.extend_from_slice(&key.to_le_bytes());
-        out.resize(out.len() + record_bytes - 8, 0x2E);
+/// Bytes of the little-endian key that opens every database record.
+const KEY_BYTES: usize = 8;
+
+/// The byte that fills every database record after its key.
+const RECORD_FILLER: u8 = 0x2E;
+
+/// A database table of fixed-size records, held as its keys.
+///
+/// Record `i` is `record_bytes` long: key `i` as 8 little-endian
+/// bytes, then the filler byte `0x2E`. The keys are the only
+/// content a run depends on, and every generator draws them below
+/// 2³², so the table keeps each as a `u32` (a 32nd of a 128-byte
+/// record) and writes a range's bytes only when the storage engine
+/// reads it. Clones share the keys.
+#[derive(Clone)]
+#[expect(
+    clippy::disallowed_types,
+    reason = "immutable keys shared by a file and the host program that reads it, like `Bytes`"
+)]
+pub struct RecordTable {
+    keys: std::rc::Rc<Vec<u32>>,
+    record_bytes: usize,
+}
+
+impl RecordTable {
+    /// `total_bytes / record_bytes` records with keys uniform in
+    /// `[0, 2³²)`, drawn from the generator labelled `label`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a record cannot hold a key.
+    pub fn uniform(total_bytes: usize, record_bytes: usize, label: &str) -> Self {
+        let keys = uniform_keys(total_bytes / record_bytes, label).collect();
+        RecordTable::from_keys(keys, record_bytes)
     }
+
+    /// The HashJoin pair: relation R (`r_bytes`) with uniform keys, and
+    /// relation S (`s_bytes`) in which a calibrated fraction of keys is
+    /// drawn from R so that the bit-vector pass rate is the paper's
+    /// 0.24 (direct hits plus hash false positives).
+    pub fn join_pair(r_bytes: usize, s_bytes: usize, record_bytes: usize) -> (Self, Self) {
+        let r = RecordTable::uniform(r_bytes, record_bytes, "hashjoin-R");
+        let s_keys = join_s_keys(&r.keys, s_bytes / record_bytes).collect();
+        (r, RecordTable::from_keys(s_keys, record_bytes))
+    }
+
+    #[expect(
+        clippy::disallowed_types,
+        reason = "immutable keys shared by a file and the host program that reads it, like `Bytes`"
+    )]
+    fn from_keys(keys: Vec<u32>, record_bytes: usize) -> Self {
+        assert!(record_bytes >= KEY_BYTES, "record too small for a key");
+        RecordTable {
+            keys: std::rc::Rc::new(keys),
+            record_bytes,
+        }
+    }
+
+    /// Number of records.
+    pub fn records(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// The key of record `i`.
+    #[inline]
+    pub fn key(&self, i: usize) -> u64 {
+        u64::from(self.keys[i])
+    }
+
+    /// Every key, in record order.
+    pub fn keys(&self) -> impl Iterator<Item = u64> + '_ {
+        self.keys.iter().map(|&k| u64::from(k))
+    }
+
+    /// The whole table's bytes.
+    pub fn to_vec(&self) -> Vec<u8> {
+        self.bytes(0..self.len())
+    }
+
+    fn bytes(&self, range: Range<usize>) -> Vec<u8> {
+        assert!(
+            range.start <= range.end && range.end <= self.len(),
+            "read {}..{} out of bounds for a table of {} B",
+            range.start,
+            range.end,
+            self.len()
+        );
+        let rb = self.record_bytes;
+        let keys = self.keys[range.start / rb..].iter().copied();
+        write_records(keys, rb, range.start % rb, range.len())
+    }
+}
+
+impl FileSource for RecordTable {
+    fn len(&self) -> usize {
+        self.keys.len() * self.record_bytes
+    }
+
+    fn read(&self, range: Range<usize>) -> Bytes {
+        Bytes::from(self.bytes(range))
+    }
+}
+
+impl fmt::Debug for RecordTable {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "RecordTable({} records of {} B)",
+            self.records(),
+            self.record_bytes
+        )
+    }
+}
+
+/// `records` keys uniform in `[0, 2³²)`, drawn from the generator
+/// labelled `label`.
+fn uniform_keys(records: usize, label: &str) -> impl Iterator<Item = u32> {
+    let mut rng = SimRng::from_label(label);
+    (0..records).map(move |_| draw_key(&mut rng))
+}
+
+/// HashJoin's `records` S keys: each is one of R's keys with
+/// probability 0.14, else uniform.
+fn join_s_keys(r: &[u32], records: usize) -> impl Iterator<Item = u32> + '_ {
+    let mut rng = SimRng::from_label("hashjoin-S");
+    (0..records).map(move |_| {
+        if rng.chance(0.14) {
+            r[rng.index(r.len())]
+        } else {
+            draw_key(&mut rng)
+        }
+    })
+}
+
+/// One key drawn uniformly below 2³².
+fn draw_key(rng: &mut SimRng) -> u32 {
+    u32::try_from(rng.below(1 << 32)).expect("a draw below 2^32")
+}
+
+/// Writes `len` bytes of the records keyed by `keys` in one pass,
+/// starting `skip` bytes into the first.
+fn write_records(
+    keys: impl Iterator<Item = u32>,
+    record_bytes: usize,
+    mut skip: usize,
+    len: usize,
+) -> Vec<u8> {
+    assert!(record_bytes >= KEY_BYTES, "record too small for a key");
+    let mut out = Vec::with_capacity(len);
+    for key in keys {
+        if out.len() == len {
+            break;
+        }
+        // This record's bytes `skip..end`: key bytes, then filler.
+        let end = record_bytes.min(skip + len - out.len());
+        let key_end = end.min(KEY_BYTES);
+        if skip < key_end {
+            out.extend_from_slice(&u64::from(key).to_le_bytes()[skip..key_end]);
+        }
+        let filler_start = skip.max(KEY_BYTES);
+        if filler_start < end {
+            out.resize(out.len() + end - filler_start, RECORD_FILLER);
+        }
+        skip = 0;
+    }
+    assert_eq!(out.len(), len, "fewer records than bytes asked for");
     out
 }
 
-/// The key of record `i` in a [`db_table`]-formatted buffer.
-pub fn record_key(table: &[u8], record_bytes: usize, i: usize) -> u64 {
-    let off = i * record_bytes;
-    u64::from_le_bytes(table[off..off + 8].try_into().expect("key bytes"))
+/// Generates a database table of fixed-size records as bytes: the
+/// [`RecordTable::uniform`] table, written out without holding its
+/// keys.
+pub fn db_table(total_bytes: usize, record_bytes: usize, label: &str) -> Vec<u8> {
+    let records = total_bytes / record_bytes;
+    let keys = uniform_keys(records, label);
+    write_records(keys, record_bytes, 0, records * record_bytes)
 }
 
-/// Generates the HashJoin pair: relation R (`r_bytes`) with uniform
-/// keys, and relation S (`s_bytes`) in which a calibrated fraction of
-/// keys is drawn from R so that the bit-vector pass rate is the paper's
-/// 0.24 (direct hits plus hash false positives).
+/// The keys of a [`db_table`]-formatted buffer, in record order.
+pub fn record_keys(table: &[u8], record_bytes: usize) -> impl Iterator<Item = u64> + '_ {
+    table
+        .chunks_exact(record_bytes)
+        .map(|rec| u64::from_le_bytes(rec[..KEY_BYTES].try_into().expect("key bytes")))
+}
+
+/// Generates the HashJoin pair as bytes: the [`RecordTable::join_pair`]
+/// tables, written out holding only R's keys, which S draws from.
 pub fn join_tables(r_bytes: usize, s_bytes: usize, record_bytes: usize) -> (Vec<u8>, Vec<u8>) {
-    let r = db_table(r_bytes, record_bytes, "hashjoin-R");
-    let r_records = r_bytes / record_bytes;
-    let mut rng = SimRng::from_label("hashjoin-S");
-    let s_records = s_bytes / record_bytes;
-    let mut s = Vec::with_capacity(s_records * record_bytes);
-    for _ in 0..s_records {
-        let key = if rng.chance(0.14) {
-            record_key(&r, record_bytes, rng.index(r_records))
-        } else {
-            rng.below(1 << 32)
-        };
-        s.extend_from_slice(&key.to_le_bytes());
-        s.resize(s.len() + record_bytes - 8, 0x2E);
-    }
-    (r, s)
+    let (r_records, s_records) = (r_bytes / record_bytes, s_bytes / record_bytes);
+    let r_keys: Vec<u32> = uniform_keys(r_records, "hashjoin-R").collect();
+    let r = write_records(
+        r_keys.iter().copied(),
+        record_bytes,
+        0,
+        r_records * record_bytes,
+    );
+    let s_keys = join_s_keys(&r_keys, s_records);
+    (
+        r,
+        write_records(s_keys, record_bytes, 0, s_records * record_bytes),
+    )
 }
 
 /// Generates the grep corpus: `total` bytes of newline-terminated lines
@@ -391,12 +562,9 @@ mod tests {
 
     #[test]
     fn db_table_keys_are_uniform() {
-        let t = db_table(128 * 1024, 128, "unit");
-        let n = t.len() / 128;
-        let below_quarter = (0..n)
-            .filter(|&i| record_key(&t, 128, i) < (1u64 << 32) / 4)
-            .count();
-        let frac = below_quarter as f64 / n as f64;
+        let t = RecordTable::uniform(128 * 1024, 128, "unit");
+        let below_quarter = t.keys().filter(|&k| k < (1u64 << 32) / 4).count();
+        let frac = below_quarter as f64 / t.records() as f64;
         assert!((frac - 0.25).abs() < 0.05, "selectivity = {frac}");
     }
 
@@ -405,19 +573,114 @@ mod tests {
         // Scaled like `hashjoin::Params::small`: the bit-vector fill
         // fraction (and hence the false-positive rate) matches the
         // paper's full-size configuration.
-        let (r, s) = join_tables(512 << 10, 2 << 20, 128);
+        let (r, s) = RecordTable::join_pair(512 << 10, 2 << 20, 128);
         let bits = 1 << 15;
         let mut bv = BitVector::new(bits);
-        let nr = r.len() / 128;
-        for i in 0..nr {
-            bv.set(hash_bit(record_key(&r, 128, i), bits));
+        for k in r.keys() {
+            bv.set(hash_bit(k, bits));
         }
-        let ns = s.len() / 128;
-        let pass = (0..ns)
-            .filter(|&i| bv.get(hash_bit(record_key(&s, 128, i), bits)))
-            .count();
-        let rate = pass as f64 / ns as f64;
+        let pass = s.keys().filter(|&k| bv.get(hash_bit(k, bits))).count();
+        let rate = pass as f64 / s.records() as f64;
         assert!((rate - 0.24).abs() < 0.08, "pass rate = {rate}");
+    }
+
+    /// The byte loop `db_table` ran before tables were held as keys.
+    fn db_table_oracle(total_bytes: usize, record_bytes: usize, label: &str) -> Vec<u8> {
+        let mut rng = SimRng::from_label(label);
+        let records = total_bytes / record_bytes;
+        let mut out = Vec::with_capacity(records * record_bytes);
+        for _ in 0..records {
+            let key = rng.below(1 << 32);
+            out.extend_from_slice(&key.to_le_bytes());
+            out.resize(out.len() + record_bytes - 8, 0x2E);
+        }
+        out
+    }
+
+    /// The byte loop `join_tables` ran before tables were held as keys.
+    fn join_tables_oracle(
+        r_bytes: usize,
+        s_bytes: usize,
+        record_bytes: usize,
+    ) -> (Vec<u8>, Vec<u8>) {
+        let r = db_table_oracle(r_bytes, record_bytes, "hashjoin-R");
+        let r_records = r_bytes / record_bytes;
+        let mut rng = SimRng::from_label("hashjoin-S");
+        let mut s = Vec::new();
+        for _ in 0..s_bytes / record_bytes {
+            let key = if rng.chance(0.14) {
+                let off = rng.index(r_records) * record_bytes;
+                u64::from_le_bytes(r[off..off + 8].try_into().unwrap())
+            } else {
+                rng.below(1 << 32)
+            };
+            s.extend_from_slice(&key.to_le_bytes());
+            s.resize(s.len() + record_bytes - 8, 0x2E);
+        }
+        (r, s)
+    }
+
+    #[test]
+    fn record_tables_write_the_oracles_bytes() {
+        for (total, rb) in [
+            (0, 128),
+            (1000, 128),
+            (64 << 10, 128),
+            (999, 8),
+            (4321, 100),
+        ] {
+            let table = RecordTable::uniform(total, rb, "oracle");
+            let want = db_table_oracle(total, rb, "oracle");
+            assert_eq!(table.to_vec(), want, "{total} B of {rb} B records");
+            assert_eq!(db_table(total, rb, "oracle"), want);
+            assert_eq!(table.len(), want.len());
+            assert!(table.keys().eq(record_keys(&want, rb)));
+        }
+        for (r_bytes, s_bytes, rb) in [(16 << 10, 128 << 10, 128), (3000, 20_000, 100)] {
+            let want = join_tables_oracle(r_bytes, s_bytes, rb);
+            let (r, s) = RecordTable::join_pair(r_bytes, s_bytes, rb);
+            assert_eq!((r.to_vec(), s.to_vec()), want);
+            assert_eq!(join_tables(r_bytes, s_bytes, rb), want);
+        }
+    }
+
+    #[test]
+    fn record_table_reads_match_the_oracles_slices() {
+        let mut rng = SimRng::from_label("record-table-reads");
+        for rb in [8, 100, 128] {
+            let table = RecordTable::uniform(50 * rb + 7, rb, "reads");
+            let bytes = db_table_oracle(50 * rb + 7, rb, "reads");
+            let len = bytes.len();
+            let read = |range: Range<usize>| {
+                assert_eq!(
+                    table.read(range.clone()).as_slice(),
+                    &bytes[range.clone()],
+                    "{rb} B records, read {range:?}"
+                );
+            };
+            read(0..len);
+            read(len - rb..len);
+            read(len..len);
+            for _ in 0..500 {
+                // Edges inside and around a key: a start or end that
+                // splits one, or a zero-length read.
+                let record = rng.index(50) * rb;
+                let start = (record + rng.index(KEY_BYTES + 2)).min(len);
+                let end = match rng.index(3) {
+                    0 => start,
+                    1 => (rng.index(50) * rb + rng.index(KEY_BYTES + 2)).clamp(start, len),
+                    _ => start + rng.index(len - start + 1),
+                };
+                read(start..end);
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of bounds")]
+    fn record_table_reads_are_bounds_checked() {
+        let table = RecordTable::uniform(1024, 128, "bounds");
+        table.read(1000..1025);
     }
 
     #[test]
@@ -471,9 +734,7 @@ mod tests {
     #[test]
     fn db_keys_fit_32_bits() {
         let t = db_table(64 * 1024, 128, "bounds");
-        for i in 0..t.len() / 128 {
-            assert!(record_key(&t, 128, i) < (1u64 << 32));
-        }
+        assert!(record_keys(&t, 128).all(|k| k < (1u64 << 32)));
     }
 
     #[test]

@@ -31,12 +31,12 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{Bytes, HandlerId, NodeId};
+use asan_net::{HandlerId, NodeId};
 use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
-use crate::data;
+use crate::data::{self, RecordTable};
 use crate::runner::{drive, standard_cluster, AppRun, Variant};
 
 /// Handler that observes R and sets bit-vector bits.
@@ -86,30 +86,53 @@ impl Params {
     }
 }
 
-/// The hash function both sides use for the bit-vector.
+/// The hash function both sides use for the bit-vector: the top 24 bits
+/// of a multiplicative hash, masked to `bits`, which must be a power of
+/// two (every run's filter asserts it where it is sized).
 #[inline]
 pub fn hash_bit(key: u64, bits: u64) -> u64 {
-    (key.wrapping_mul(0x9E3779B97F4A7C15) >> 40) % bits
+    debug_assert!(bits.is_power_of_two(), "{bits} filter bits");
+    (key.wrapping_mul(0x9E3779B97F4A7C15) >> 40) & (bits - 1)
 }
 
-/// Pure-Rust reference: (bit-vector pass count, true join matches).
+/// A clear bit-vector filter of `p.bits` bits.
+///
+/// # Panics
+///
+/// Panics unless `p.bits` is a power of two, which [`hash_bit`]'s mask
+/// needs.
+fn new_filter(p: &Params) -> BitVector {
+    assert!(
+        p.bits.is_power_of_two(),
+        "the bit-vector needs a power-of-two size, not {}",
+        p.bits
+    );
+    BitVector::new(p.bits)
+}
+
+/// Pure-Rust reference over the relations' bytes: (bit-vector pass
+/// count, true join matches), computed over their keys.
+pub fn reference(r: &[u8], s: &[u8], p: &Params) -> (u64, u64) {
+    let rb = crate::to_usize(p.record_bytes);
+    reference_keys(data::record_keys(r, rb), data::record_keys(s, rb), p)
+}
+
+/// Pure-Rust reference over R's and S's keys, in record order.
 ///
 /// Independent of the simulated join state: it sorts R's keys and the
 /// S keys that pass its own bit-vector, then counts the S keys present
 /// in R in one merge walk.
-pub fn reference(r: &[u8], s: &[u8], p: &Params) -> (u64, u64) {
-    let rb = crate::to_usize(p.record_bytes);
-    let mut bv = BitVector::new(p.bits);
-    let mut r_keys: Vec<u64> = (0..r.len() / rb)
-        .map(|i| data::record_key(r, rb, i))
-        .collect();
+pub(crate) fn reference_keys(
+    r: impl Iterator<Item = u64>,
+    s: impl Iterator<Item = u64>,
+    p: &Params,
+) -> (u64, u64) {
+    let mut bv = new_filter(p);
+    let mut r_keys: Vec<u64> = r.collect();
     for &k in &r_keys {
         bv.set(hash_bit(k, p.bits));
     }
-    let mut s_keys: Vec<u64> = (0..s.len() / rb)
-        .map(|i| data::record_key(s, rb, i))
-        .filter(|&k| bv.get(hash_bit(k, p.bits)))
-        .collect();
+    let mut s_keys: Vec<u64> = s.filter(|&k| bv.get(hash_bit(k, p.bits))).collect();
     r_keys.sort_unstable();
     s_keys.sort_unstable();
     let mut r_iter = r_keys.iter().peekable();
@@ -316,8 +339,8 @@ const BITVEC: u64 = 0x7000_0000;
 
 /// Normal-case host program: build then probe, all on the host.
 struct NormalJoin {
-    r: Bytes,
-    s: Bytes,
+    r: RecordTable,
+    s: RecordTable,
     p: Params,
     phase: u8,
     reader: BlockReader,
@@ -331,7 +354,7 @@ impl NormalJoin {
         let rb = self.p.record_bytes;
         for i in 0..len / rb {
             let idx = crate::to_usize((off + i * rb) / rb);
-            let key = data::record_key(&self.r, crate::to_usize(rb), idx);
+            let key = self.r.key(idx);
             ctx.cpu().load(R_BUF + off + i * rb);
             ctx.cpu()
                 .compute(cost::JOIN_HASH_INSTR + cost::JOIN_INSERT_INSTR);
@@ -350,7 +373,7 @@ impl NormalJoin {
         let rb = self.p.record_bytes;
         for i in 0..len / rb {
             let idx = crate::to_usize((off + i * rb) / rb);
-            let key = data::record_key(&self.s, crate::to_usize(rb), idx);
+            let key = self.s.key(idx);
             ctx.cpu().load(S_BUF + off + i * rb);
             ctx.cpu().compute(cost::JOIN_HASH_INSTR);
             let bit = hash_bit(key, self.p.bits);
@@ -462,7 +485,7 @@ pub struct JoinFilter {
 impl JoinFilter {
     fn new(p: Params, host: NodeId) -> Self {
         JoinFilter {
-            bv: BitVector::new(p.bits),
+            bv: new_filter(&p),
             bv_base: 0x4_0000,
             seen: 0,
             expect_r: p.r_bytes,
@@ -754,13 +777,12 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
 /// [`run`] with an explicit cluster configuration (used by the
 /// ablation studies to vary the active-switch hardware).
 pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppRun {
-    let (r, s) = data::join_tables(
+    let (r, s) = RecordTable::join_pair(
         crate::to_usize(p.r_bytes),
         crate::to_usize(p.s_bytes),
         crate::to_usize(p.record_bytes),
     );
-    let (want_pass, want_matches) = reference(&r, &s, p);
-    let (r, s) = (Bytes::from(r), Bytes::from(s));
+    let (want_pass, want_matches) = reference_keys(r.keys(), s.keys(), p);
 
     let build = || {
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, cfg.clone());
@@ -831,7 +853,7 @@ pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppR
                         dest: Dest::HostBuf { addr: R_BUF },
                     }),
                     s_plan,
-                    bv: BitVector::new(p.bits),
+                    bv: new_filter(p),
                     st: JoinState::new(p),
                 }),
             )
@@ -885,6 +907,28 @@ mod tests {
         assert!((0.16..0.34).contains(&rate), "pass rate {rate}");
         assert!(matches <= pass);
         assert!(matches > 0);
+    }
+
+    #[test]
+    fn hash_bit_mask_equals_the_modulus() {
+        let mut rng = SimRng::from_label("hashjoin-mask");
+        for bits in [1 << 20, 1 << 16, 1 << 15] {
+            for _ in 0..10_000 {
+                for key in [rng.below(1 << 32), rng.next_u64()] {
+                    let h = key.wrapping_mul(0x9E3779B97F4A7C15) >> 40;
+                    assert_eq!(hash_bit(key, bits), h % bits, "key {key:#x}, {bits} bits");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "power-of-two size")]
+    fn filters_need_a_power_of_two_size() {
+        new_filter(&Params {
+            bits: 3 << 14,
+            ..Params::small()
+        });
     }
 
     #[test]

@@ -14,12 +14,12 @@
 
 use asan_core::cluster::{ClusterConfig, Dest, HostCtx, HostMsg, HostProgram, ReqId};
 use asan_core::handler::{Handler, HandlerCtx};
-use asan_net::{Bytes, HandlerId, NodeId};
+use asan_net::{HandlerId, NodeId};
 use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
-use crate::data;
+use crate::data::{self, RecordTable};
 use crate::runner::{drive, standard_cluster, AppRun, Variant};
 
 /// Handler ID used by the select filter.
@@ -61,17 +61,21 @@ impl Params {
     }
 }
 
-/// Reference result computed in plain Rust (no simulation).
+/// Reference result computed in plain Rust (no simulation) over the
+/// table's bytes, counted over its keys.
 pub fn reference_count(table: &[u8], p: &Params) -> u64 {
-    let rb = crate::to_usize(p.record_bytes);
-    (0..table.len() / rb)
-        .filter(|&i| data::record_key(table, rb, i) < p.key_hi)
-        .count() as u64
+    reference_count_keys(data::record_keys(table, crate::to_usize(p.record_bytes)), p)
+}
+
+/// Reference result computed in plain Rust (no simulation) over the
+/// table's keys: how many fall below `p.key_hi`.
+pub(crate) fn reference_count_keys(keys: impl Iterator<Item = u64>, p: &Params) -> u64 {
+    keys.filter(|&k| k < p.key_hi).count() as u64
 }
 
 /// Normal-case host program: scan every record of every block.
 struct NormalSelect {
-    table: Bytes,
+    table: RecordTable,
     p: Params,
     reader: BlockReader,
     matches: u64,
@@ -102,7 +106,7 @@ impl HostProgram for NormalSelect {
             let rec = crate::to_usize((off + i * rb) / rb);
             ctx.cpu().compute(cost::SELECT_PREDICATE_INSTR);
             ctx.cpu().load(self.buf_base + off + i * rb);
-            let key = data::record_key(&self.table, crate::to_usize(rb), rec);
+            let key = self.table.key(rec);
             if key < self.p.key_hi {
                 self.matches += 1;
                 ctx.cpu().compute(cost::SELECT_COUNT_INSTR);
@@ -311,18 +315,23 @@ pub fn run(variant: Variant, p: &Params) -> AppRun {
 /// [`run`] with an explicit cluster configuration (used by the fault
 /// injection experiments to attach a [`asan_sim::faults::FaultPlan`]).
 pub fn run_with_config(variant: Variant, p: &Params, cfg: ClusterConfig) -> AppRun {
-    let table = Bytes::from(data::db_table(
+    run_on(variant, p, cfg, &table(p))
+}
+
+/// The table `p` describes, held as its keys.
+pub(crate) fn table(p: &Params) -> RecordTable {
+    RecordTable::uniform(
         crate::to_usize(p.table_bytes),
         crate::to_usize(p.record_bytes),
         "select-table",
-    ));
-    run_on(variant, p, cfg, &table)
+    )
 }
 
-/// [`run_with_config`] over a caller-supplied `table`, which the
-/// cluster and the host program share without copying.
-fn run_on(variant: Variant, p: &Params, cfg: ClusterConfig, table: &Bytes) -> AppRun {
-    let want = reference_count(table, p);
+/// [`run_with_config`] over a caller-supplied `table`, whose keys the
+/// cluster's file and the host program share; the file writes each
+/// disk read's bytes as the read happens.
+fn run_on(variant: Variant, p: &Params, cfg: ClusterConfig, table: &RecordTable) -> AppRun {
+    let want = reference_count_keys(table.keys(), p);
     let build = || {
         let (mut cl, hs, ts, sw) = standard_cluster(1, 1, cfg.clone());
         let file = cl.add_file(ts[0], table.clone()).expect("cluster setup");
@@ -412,11 +421,7 @@ mod tests {
     #[test]
     fn chaos_leaves_the_shared_input_untouched() {
         let p = Params::small();
-        let table = Bytes::from(data::db_table(
-            crate::to_usize(p.table_bytes),
-            128,
-            "select-table",
-        ));
+        let table = table(&p);
         let mut cfg = ClusterConfig::paper_db();
         cfg.faults = Some(asan_sim::faults::FaultPlan::chaos(7));
         for v in [Variant::NormalPref, Variant::ActivePref] {
@@ -426,7 +431,7 @@ mod tests {
                 "{v:?}: no packet corrupted"
             );
             let fresh = data::db_table(crate::to_usize(p.table_bytes), 128, "select-table");
-            assert!(table.as_slice() == fresh.as_slice(), "{v:?}: input changed");
+            assert!(table.to_vec() == fresh, "{v:?}: input changed");
         }
     }
 
@@ -434,7 +439,9 @@ mod tests {
     fn reference_selectivity_near_25pct() {
         let p = Params::small();
         let table = data::db_table(crate::to_usize(p.table_bytes), 128, "select-table");
-        let frac = reference_count(&table, &p) as f64 / (table.len() / 128) as f64;
+        let count = reference_count(&table, &p);
+        assert_eq!(count, reference_count_keys(self::table(&p).keys(), &p));
+        let frac = count as f64 / (table.len() / 128) as f64;
         assert!((frac - 0.25).abs() < 0.02, "selectivity {frac}");
     }
 

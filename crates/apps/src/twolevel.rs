@@ -25,7 +25,6 @@ use asan_sim::SimTime;
 
 use crate::blockio::{BlockPlan, BlockReader};
 use crate::cost;
-use crate::data;
 use crate::runner::standard_cluster;
 use crate::select::{self, SelectHandler, DONE_HANDLER, SELECT_HANDLER};
 use crate::shared::Shared;
@@ -190,12 +189,8 @@ pub fn run(placement: Placement, p: &select::Params) -> PlacementRun {
         _ => {}
     }
 
-    let table = data::db_table(
-        crate::to_usize(p.table_bytes),
-        crate::to_usize(p.record_bytes),
-        "select-table",
-    );
-    let want = select::reference_count(&table, p);
+    let table = select::table(p);
+    let want = select::reference_count_keys(table.keys(), p);
 
     let (mut cl, hs, ts, sw) = standard_cluster(1, 1, ClusterConfig::paper_db());
     let file = cl.add_file(ts[0], table).expect("cluster setup");

@@ -23,7 +23,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use asan_cpu::CpuConfig;
 use asan_io::{OsCost, StorageConfig};
 use asan_net::topo::{NodeKind, TopoMap, TopoSpec, TopologyBuilder};
-use asan_net::{Bytes, Fabric, HandlerId, HcaConfig, NodeId};
+use asan_net::{Fabric, HandlerId, HcaConfig, NodeId};
 use asan_sim::faults::{FaultInjector, FaultPlan, FaultStats};
 use asan_sim::sched::Scheduler;
 use asan_sim::snap::{Snap, SnapError, SnapReader, SnapWriter};
@@ -41,7 +41,7 @@ use crate::placement::{AggNode, AggregationTree};
 use crate::stats::{ClusterStats, FabricSnapshot};
 
 pub use crate::engines::{HostCtx, HostProgram};
-pub use crate::events::{Dest, FileId, FileMeta, HostMsg, ReqId};
+pub use crate::events::{Dest, FileData, FileId, FileMeta, FileSource, HostMsg, ReqId};
 
 /// Configuration of a [`Cluster`].
 #[derive(Debug, Clone)]
@@ -304,15 +304,17 @@ impl Cluster {
 
     /// Stores `data` as a file on `tca`'s array, returning its ID.
     ///
-    /// The cluster adopts the buffer without copying it: pass a `Vec`
-    /// to hand it over, or a clone of a [`Bytes`] to share it with the
-    /// caller (simulated corruption is copy-on-write, so a shared file
-    /// never changes).
+    /// The cluster adopts the contents without copying them: pass a
+    /// `Vec` to hand it over, a clone of a [`Bytes`](asan_net::Bytes)
+    /// to share it with the caller (simulated corruption is
+    /// copy-on-write, so a shared file never changes), or a
+    /// [`FileSource`], which writes a read's bytes only when the
+    /// storage engine reads them, once per request.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::NotATca`] if `tca` is not a TCA node.
-    pub fn add_file(&mut self, tca: NodeId, data: impl Into<Bytes>) -> Result<FileId, SimError> {
+    pub fn add_file(&mut self, tca: NodeId, data: impl Into<FileData>) -> Result<FileId, SimError> {
         let data = data.into();
         let stripe = self.cfg.storage.stripe_bytes;
         let disk_offset = self.storage.alloc(tca, data.len() as u64, stripe)?;
@@ -713,6 +715,8 @@ impl Cluster {
 
 #[cfg(test)]
 mod tests {
+    use asan_net::Bytes;
+
     use super::*;
 
     #[test]
@@ -721,7 +725,8 @@ mod tests {
             Cluster::from_spec(&TopoSpec::single_switch(1, 1), ClusterConfig::paper());
         let input = Bytes::from(vec![0x5Au8; 64 * 1024]);
         let file = cl.add_file(map.tcas[0], input.clone()).unwrap();
-        assert_eq!(cl.files.data[file.0].as_ptr(), input.as_ptr());
+        let whole = cl.files.read(file, 0, input.len() as u64);
+        assert_eq!(whole.as_ptr(), input.as_ptr());
         assert_eq!(cl.files.meta()[file.0].len, input.len() as u64);
     }
 }

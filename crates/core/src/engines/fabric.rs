@@ -197,9 +197,8 @@ impl FabricEngine {
         let st = &bus.reqs[&req];
         let (dst, handler, base_addr) = st.dest.packet_target(st.host);
         let prefix: u64 = st.lens[..seq as usize].iter().map(|&l| l as u64).sum();
-        let start = usize::try_from(st.offset + prefix).expect("a file offset");
-        let plen = st.lens[seq as usize] as usize;
-        let payload = bus.files.data[st.file.0].slice(start..start + plen);
+        let plen = st.lens[seq as usize];
+        let payload = bus.files.read(st.file, st.offset + prefix, u64::from(plen));
         let src = st.tca;
         bus.injector.as_mut().expect("armed").stats.retransmits += 1;
         // Retransmits stay on the original request's causal trace.

@@ -297,7 +297,8 @@ impl StorageEngine {
                 }
             }
         }
-        let mut cursor = usize::try_from(offset).expect("a file offset");
+        let region = bus.files.read(file, offset, len);
+        let mut cursor = 0;
         for (i, (&ready, &plen)) in sched
             .packet_ready
             .iter()
@@ -307,7 +308,7 @@ impl StorageEngine {
             let seq = u32::try_from(i).expect("a packet sequence number");
             let addr = base_addr.wrapping_add(seq.wrapping_mul(MTU_U32));
             let plen = plen as usize;
-            let payload = bus.files.data[file.0].slice(cursor..cursor + plen);
+            let payload = region.slice(cursor..cursor + plen);
             cursor += plen;
             if dst == tca {
                 // Mapped to the TCA's own active engine (an active
@@ -384,7 +385,8 @@ impl StorageEngine {
         if let Some(&last) = sched.packet_ready.last() {
             bus.probe.disk(r.tca, now, last, r.len, ctx);
         }
-        let mut cursor = usize::try_from(r.offset).expect("a file offset");
+        let region = bus.files.read(FileId(r.file), r.offset, r.len);
+        let mut cursor = 0;
         for (i, (&ready, &plen)) in sched
             .packet_ready
             .iter()
@@ -393,7 +395,7 @@ impl StorageEngine {
         {
             let seq = u32::try_from(i).expect("a packet sequence number");
             let plen = plen as usize;
-            let payload = bus.files.data[r.file].slice(cursor..cursor + plen);
+            let payload = region.slice(cursor..cursor + plen);
             cursor += plen;
             bus.push(
                 ready,

@@ -17,6 +17,7 @@
 //! state (host CPUs, switch engines, disk arrays, …).
 
 use std::collections::{BTreeMap, BTreeSet};
+use std::ops::Range;
 
 use asan_net::topo::NodeKind;
 use asan_net::{Bytes, Fabric, HandlerId, NodeId};
@@ -248,12 +249,81 @@ pub struct FileMeta {
     pub disk_offset: u64,
 }
 
-/// The cluster's stored files: metadata plus the real bytes.
+/// A file whose bytes are produced on demand, a range at a time.
+///
+/// A generated file (a database table held as its keys, say) writes
+/// each read's bytes only when the read happens. The storage engine
+/// reads once per request and slices every packet from that region, so
+/// a read costs one call however many packets it makes.
+pub trait FileSource: std::fmt::Debug {
+    /// File length in bytes.
+    fn len(&self) -> usize;
+
+    /// Whether the file is empty.
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The bytes of `range`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` does not lie within `0..len()`.
+    fn read(&self, range: Range<usize>) -> Bytes;
+}
+
+/// The contents of a stored file.
+#[derive(Debug)]
+pub enum FileData {
+    /// Bytes held in memory: a read is an O(1) slice, never a copy.
+    Bytes(Bytes),
+    /// Bytes written a read at a time.
+    Source(Box<dyn FileSource>),
+}
+
+impl FileData {
+    /// File length in bytes.
+    pub(crate) fn len(&self) -> usize {
+        match self {
+            FileData::Bytes(b) => b.len(),
+            FileData::Source(f) => f.len(),
+        }
+    }
+
+    /// The bytes of `range`.
+    pub(crate) fn read(&self, range: Range<usize>) -> Bytes {
+        match self {
+            FileData::Bytes(b) => b.slice(range),
+            FileData::Source(f) => f.read(range),
+        }
+    }
+}
+
+impl From<Bytes> for FileData {
+    fn from(data: Bytes) -> Self {
+        FileData::Bytes(data)
+    }
+}
+
+impl From<Vec<u8>> for FileData {
+    /// Adopts the `Vec` as a [`Bytes`] file without copying it.
+    fn from(data: Vec<u8>) -> Self {
+        FileData::Bytes(Bytes::from(data))
+    }
+}
+
+impl<F: FileSource + 'static> From<F> for FileData {
+    fn from(file: F) -> Self {
+        FileData::Source(Box::new(file))
+    }
+}
+
+/// The cluster's stored files: metadata plus their contents.
 #[derive(Debug, Default)]
 pub struct FileStore {
     pub(crate) meta: Vec<FileMeta>,
-    /// Interned file contents: per-packet payloads are O(1) views.
-    pub(crate) data: Vec<Bytes>,
+    /// File contents, read once per request.
+    pub(crate) data: Vec<FileData>,
 }
 
 impl FileStore {
@@ -263,11 +333,18 @@ impl FileStore {
     }
 
     /// Appends a file without copying its bytes, returning its ID.
-    pub(crate) fn push(&mut self, meta: FileMeta, data: Bytes) -> FileId {
+    pub(crate) fn push(&mut self, meta: FileMeta, data: FileData) -> FileId {
         let id = FileId(self.meta.len());
         self.meta.push(meta);
         self.data.push(data);
         id
+    }
+
+    /// The `len` bytes at file-relative `offset` of `file`.
+    pub(crate) fn read(&self, file: FileId, offset: u64, len: u64) -> Bytes {
+        let start = usize::try_from(offset).expect("a file offset");
+        let len = usize::try_from(len).expect("a read length");
+        self.data[file.0].read(start..start + len)
     }
 }
 

@@ -8,7 +8,9 @@
 //! chains and cross-switch handler placement all feed a digest here.
 //!
 //! The benchmark's five 1024-host runs must match the `fabric-1024` rows
-//! of its committed baseline, `crates/benchmark/baseline/set1.json`.
+//! of its committed baseline, `crates/benchmark/baseline/set1.json`, and
+//! its paper-size database runs must match its `db-offload` rows and the
+//! `select` rows of its `chaos` workload.
 //! The committed `BENCH_PERF.json` (the `results.json` of a full
 //! `asan-benchmark run`) must parse, record no failed operation, and
 //! carry the same per-simulation results as that baseline.
@@ -20,9 +22,12 @@
 
 use asan_apps::catalog::{self, Size};
 use asan_apps::reduce::{self, Mode, Mode::Distributed, Mode::ReduceToOne};
+use asan_apps::{hashjoin, select, AppRun, Variant};
 use asan_bench::json::{self, Value};
 use asan_bench::run_catalog;
+use asan_core::cluster::ClusterConfig;
 use asan_core::HandlerPlacement::{self, Nca, Root, Striped};
+use asan_sim::faults::FaultPlan;
 
 /// Makes `rows` and asserts that they print `golden` line for line;
 /// `regenerate` is the `repro` command line that rewrites the file.
@@ -167,6 +172,67 @@ fn fabric_1024_digests_match_benchmark_baseline() {
         let want = (row.1.clone(), row.2.clone(), row.3.clone(), row.4, row.5);
         assert_eq!(got, want, "{name}");
     }
+}
+
+/// The first round of `workload` in `set1.json`: its seed and rows.
+fn set1_first_round(workload: &str) -> (u64, Vec<SimRow>) {
+    let doc = json::parse(SET1).expect("set1.json parses");
+    let w = workloads(&doc)
+        .iter()
+        .find(|w| w.get("workload").and_then(Value::as_str) == Some(workload))
+        .unwrap_or_else(|| panic!("no {workload} round"));
+    let seed = w.get("seed").and_then(Value::as_u64).expect("seed");
+    (seed, section_rows(w))
+}
+
+/// Checks each paper-size `(name, run)` against the baseline row of
+/// the same name.
+fn assert_runs_match(rows: &[SimRow], runs: Vec<(String, AppRun)>) {
+    for (name, r) in runs {
+        let row = rows
+            .iter()
+            .find(|row| row.1 == name)
+            .unwrap_or_else(|| panic!("{name} is missing from set1.json"));
+        let got = (
+            format!("{:016x}", r.stats_digest),
+            format!("{:016x}", r.metrics.digest()),
+            r.events,
+            r.exec.as_ps(),
+        );
+        let want = (row.2.clone(), row.3.clone(), row.4, row.5);
+        assert_eq!(got, want, "{name}");
+    }
+}
+
+#[test]
+fn db_offload_digests_match_benchmark_baseline() {
+    let (_, rows) = set1_first_round("db-offload");
+    assert_eq!(rows.len(), 4);
+    let (hj, sel) = (hashjoin::Params::paper(), select::Params::paper());
+    let mut runs = Vec::new();
+    for v in [Variant::Normal, Variant::Active] {
+        runs.push((format!("hashjoin/{}", v.label()), hashjoin::run(v, &hj)));
+    }
+    for v in [Variant::Normal, Variant::Active] {
+        runs.push((format!("select/{}", v.label()), select::run(v, &sel)));
+    }
+    assert_runs_match(&rows, runs);
+}
+
+#[test]
+fn chaos_select_digests_match_benchmark_baseline() {
+    let (seed, rows) = set1_first_round("chaos");
+    let mut cfg = ClusterConfig::paper_db();
+    cfg.faults = Some(FaultPlan::chaos(seed));
+    let p = select::Params::paper();
+    let runs = [Variant::NormalPref, Variant::ActivePref]
+        .into_iter()
+        .map(|v| {
+            let name = format!("select/{}", v.label());
+            (name, select::run_with_config(v, &p, cfg.clone()))
+        })
+        .collect();
+    assert_runs_match(&rows, runs);
 }
 
 #[test]
